@@ -16,38 +16,10 @@ __all__ = [
     "ScalerState",
     "SvmClassifier",
     "apply_scaler",
-    "fit_baseline",
     "fit_pca",
     "fit_scaler",
     "mutual_information",
     "pca_inverse_transform",
     "pca_transform",
-    "predict",
 ]
 
-
-_BASELINES = {
-    "decision_tree": DecisionTreeClassifier,
-    "random_forest": RandomForestClassifier,
-    "logistic_regression": LogisticRegressionClassifier,
-    "svm_rbf": SvmClassifier,
-}
-
-
-def fit_baseline(kind: str, hyperparams: dict, X, y, seed: int = 0):
-    """Construct and fit one of the four baseline models by name."""
-    from ..errors import UsageError
-
-    try:
-        cls = _BASELINES[kind]
-    except KeyError:
-        raise UsageError(f"unknown baseline kind {kind!r}") from None
-    params = dict(hyperparams)
-    if kind in ("random_forest",):
-        params.setdefault("seed", seed)
-    return cls(**params).fit(X, y)
-
-
-def predict(model, X):
-    """Predict labels with any fitted baseline model."""
-    return model.predict(X)

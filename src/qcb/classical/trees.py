@@ -156,7 +156,6 @@ class RandomForestClassifier:
         self.seed = int(seed)
         self.classes_: np.ndarray | None = None
         self.trees_: list[DecisionTreeClassifier] = []
-        self._bootstraps: list[np.ndarray] = []
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -167,7 +166,6 @@ class RandomForestClassifier:
         n, d = X.shape
         max_features = int(np.ceil(np.sqrt(d)))
         self.trees_ = []
-        self._bootstraps = []
         streams = np.random.SeedSequence(self.seed).spawn(self.n_trees)
         for stream in streams:
             rng = np.random.default_rng(stream)
@@ -177,7 +175,6 @@ class RandomForestClassifier:
             )
             tree.fit(X[sample], y[sample])
             self.trees_.append(tree)
-            self._bootstraps.append(sample)
         return self
 
     def predict(self, X):

@@ -18,10 +18,10 @@ from .data import build_dataset, ingest_csv, select_features, synthesize, write_
 from .errors import DataError, UsageError
 from .evalharness import (
     CvPlan,
+    HoldoutPlan,
     emit_report,
     load_report,
     run_benchmark,
-    run_holdout,
     select_models,
 )
 from .evalharness.report import emit_expressibility_csv
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="process count for parallel (model, seed, fold) cells",
+        help="process count for the (model, split) cells, at most one per core",
     )
     run.add_argument("--quiet", action="store_true")
 
@@ -101,25 +101,18 @@ def _cmd_run(args) -> int:
     dataset = select_features(dataset, k=k)
     progress = None if args.quiet else lambda line: print(line, flush=True)
     if args.holdout is not None:
-        report = run_holdout(
-            dataset,
-            registry,
-            test_fraction=args.holdout,
-            master_seed=args.master_seed,
-            reference=args.reference,
-            progress=progress,
-        )
+        plan = HoldoutPlan(test_fraction=args.holdout)
     else:
         plan = CvPlan(n_folds=args.folds, seeds=tuple(range(args.seeds)))
-        report = run_benchmark(
-            dataset,
-            registry,
-            plan,
-            master_seed=args.master_seed,
-            reference=args.reference,
-            progress=progress,
-            workers=args.workers,
-        )
+    report = run_benchmark(
+        dataset,
+        registry,
+        plan,
+        master_seed=args.master_seed,
+        reference=args.reference,
+        progress=progress,
+        workers=args.workers,
+    )
     paths = emit_report(report, args.out_dir, args.report_format)
     for path in paths:
         print(f"wrote {path}")

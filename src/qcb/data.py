@@ -286,6 +286,7 @@ def ingest_csv(path, schema: CrimeSchema = DEFAULT_SCHEMA) -> list[CrimeRecord]:
         if missing:
             raise DataError(f"{path}: missing crime-type columns {missing}")
         records = []
+        first_row: dict[tuple[str, int], int] = {}
         for row_number, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -298,6 +299,11 @@ def ingest_csv(path, schema: CrimeSchema = DEFAULT_SCHEMA) -> list[CrimeRecord]:
                 year = int(row[1])
             except ValueError:
                 raise DataError(f"{path}: row {row_number}, column 'Year': {row[1]!r} is not an integer") from None
+            earlier = first_row.setdefault((unit, year), row_number)
+            if earlier != row_number:
+                raise DataError(
+                    f"{path}: rows {earlier} and {row_number} both hold unit {unit!r}, year {year}"
+                )
             counts = {}
             for col_name, value in zip(present, row[2:]):
                 try:

@@ -1,10 +1,10 @@
 """Cross-validation harness: folds, metrics, statistics, registry, reports."""
 
-from .cv import CvPlan, holdout_split, stratified_folds
+from .cv import CvPlan, HoldoutPlan, holdout_split, stratified_folds
 from .metrics import ClassificationMetrics, classification_metrics
 from .registry import ModelSpec, default_registry, select_models
 from .report import emit_report, load_report
-from .runner import audit_leakage, run_benchmark, run_holdout, strip_timing
+from .runner import audit_leakage, run_benchmark, strip_timing
 from .stats import (
     TTestResult,
     confidence_interval,
@@ -18,6 +18,7 @@ from .stats import (
 __all__ = [
     "ClassificationMetrics",
     "CvPlan",
+    "HoldoutPlan",
     "ModelSpec",
     "TTestResult",
     "audit_leakage",
@@ -30,7 +31,6 @@ __all__ = [
     "paired_ttest",
     "regularized_incomplete_beta",
     "run_benchmark",
-    "run_holdout",
     "select_models",
     "significance_stars",
     "strip_timing",

@@ -195,13 +195,13 @@ def default_registry() -> dict[str, ModelSpec]:
         ModelSpec(
             "pca_vqc",
             "hybrid_cq",
-            lambda seed: HybridCqPipeline("vqc", seed=seed, budget=_budget(), layers=2),
+            lambda seed: HybridCqPipeline("vqc", seed=seed, budget=_budget()),
             {"n_qubits": 4, "layers": 2, "pca_components": 4},
         ),
         ModelSpec(
             "pca_qaoa",
             "hybrid_cq",
-            lambda seed: HybridCqPipeline("qaoa", seed=seed, budget=_budget(), layers=2),
+            lambda seed: HybridCqPipeline("qaoa", seed=seed, budget=_budget()),
             {"n_qubits": 4, "layers": 2, "pca_components": 4},
         ),
         ModelSpec(

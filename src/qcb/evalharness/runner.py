@@ -9,17 +9,18 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import os
 import time
-import zlib
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
 
 import numpy as np
 
 from ..data import SEVERITY_LEVELS, LabeledDataset
 from ..errors import UsageError
-from .cv import CvPlan, holdout_split, stratified_folds
+from .cv import CvPlan, HoldoutPlan, derive_seed, stratified_folds
 from .metrics import classification_metrics
-from .registry import ModelSpec, default_registry
+from .registry import ModelSpec
 from .stats import confidence_interval, paired_ttest, significance_stars
 
 REPORT_SCHEMA = "qcb-report/1"
@@ -79,18 +80,6 @@ DEVIATIONS = [
         ),
     },
 ]
-
-
-def _tag(text: str) -> int:
-    return zlib.crc32(text.encode("utf-8"))
-
-
-def derive_seed(master_seed: int, *parts) -> int:
-    """Stable 32-bit seed from the master seed and a mixed part list."""
-    entropy = [int(master_seed) & 0xFFFFFFFF]
-    for part in parts:
-        entropy.append(_tag(part) if isinstance(part, str) else int(part) & 0xFFFFFFFF)
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
 def state_checksum(state) -> str:
@@ -304,23 +293,19 @@ def _compare_to_reference(report: dict, reference: str) -> None:
         entry["comparison"] = comparison
 
 
-# context for forked worker processes (set per worker by the initializer)
-_WORKER_CTX: dict = {}
+# the running benchmark's registry, data and labels; set before the pool
+# starts, so forked workers inherit it rather than receive it pickled
+_RUN_CTX: dict = {}
 
 
-def _worker_init(X, y, class_labels, model_names) -> None:
-    registry = default_registry()
-    _WORKER_CTX.update(
-        X=X,
-        y=y,
-        labels=class_labels,
-        registry={name: registry[name] for name in model_names},
-    )
+def _error_text(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _worker_run(task):
+def _run_task(task):
+    """Run one (model, split) cell from the run context; failures are recorded."""
     name, seed_index, fold, train_idx, test_idx, cell_seed = task
-    ctx = _WORKER_CTX
+    ctx = _RUN_CTX
     try:
         outcome = run_cell(
             ctx["registry"][name],
@@ -332,37 +317,56 @@ def _worker_run(task):
             ctx["labels"],
         )
         return name, seed_index, fold, outcome, None
-    except Exception as exc:
-        return name, seed_index, fold, None, f"{type(exc).__name__}: {exc}"
+    except Exception as exc:  # recorded, run continues
+        return name, seed_index, fold, None, _error_text(exc)
 
 
-def _run_cells_parallel(tasks, X, y, class_labels, registry, workers):
-    names = list(registry)
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(
-        processes=workers,
-        initializer=_worker_init,
-        initargs=(X, y, class_labels, names),
-    ) as pool:
-        return pool.map(_worker_run, tasks, chunksize=1)
+def _worker_run(task):
+    """Pool entry point: one cell in a forked worker."""
+    return _run_task(task)
+
+
+def _run_cells_parallel(tasks, workers: int) -> list[tuple]:
+    """Cells over a fork pool, in task order.
+
+    A worker that dies (``os._exit``, an OOM kill) breaks the pool; every
+    cell without a result then records the error instead of the run hanging.
+    """
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        futures = [pool.submit(_worker_run, task) for task in tasks]
+        results = []
+        for task, future in zip(tasks, futures):
+            try:
+                results.append(future.result())
+            except Exception as exc:  # BrokenProcessPool, or an unpicklable result
+                name, seed_index, fold = task[:3]
+                results.append((name, seed_index, fold, None, _error_text(exc)))
+    return results
+
+
+def _pool_size(workers: int, n_tasks: int) -> int:
+    """Process count for ``workers`` requested: at most one per core and per cell."""
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
+    return min(workers, os.cpu_count() or 1, n_tasks)
 
 
 def run_benchmark(
     dataset: LabeledDataset,
     registry: dict[str, ModelSpec],
-    plan: CvPlan,
+    plan: CvPlan | HoldoutPlan,
     master_seed: int = 0,
     reference: str = "random_forest",
     progress: Callable[[str], None] | None = None,
     workers: int = 1,
 ) -> dict:
-    """Cross-validate every registry model and aggregate the full report.
+    """Fit every registry model on every split of ``plan`` and aggregate the report.
 
-    ``workers > 1`` fans the independent (model, seed, fold) cells over a
-    process pool; every cell draws from its own derived seed, so the
-    non-timing report content is identical to a serial run.  Parallel mode
-    rebuilds models by registry name in the workers, so it requires names
-    from the default registry; anything else falls back to serial.
+    ``workers > 1`` fans the independent (model, split) cells over a fork
+    pool; the workers inherit this call's registry and data, and every cell
+    draws from its own derived seed, so the non-timing report content is
+    identical to a serial run.
     """
     if dataset.y is None:
         raise UsageError("dataset must be labeled")
@@ -371,23 +375,13 @@ def run_benchmark(
     X = dataset.X
     y = dataset.y
     class_labels = [label for label in SEVERITY_LEVELS if label in set(y)]
-
-    fold_seeds = [derive_seed(master_seed, "folds", i) for i in range(len(plan.seeds))]
-    assignments = [
-        stratified_folds(y, plan.n_folds, fold_seed) for fold_seed in fold_seeds
-    ]
+    plan_block, splits = plan.splits(y, master_seed)
 
     report: dict = {
         "schema": REPORT_SCHEMA,
         "master_seed": int(master_seed),
         "reference_model": reference,
-        "plan": {
-            "mode": "cross_validation",
-            "n_folds": plan.n_folds,
-            "seeds": list(plan.seeds),
-            "fold_seeds": fold_seeds,
-            "stratified": plan.stratified,
-        },
+        "plan": plan_block,
         "dataset": {
             "n_samples": dataset.n_samples,
             "n_features": dataset.n_features,
@@ -402,48 +396,27 @@ def run_benchmark(
         "models": {},
     }
 
-    tasks = []
-    for name in registry:
-        for seed_index in range(len(plan.seeds)):
-            folds = assignments[seed_index]
-            for fold in range(plan.n_folds):
-                tasks.append(
-                    (
-                        name,
-                        seed_index,
-                        fold,
-                        np.nonzero(folds != fold)[0],
-                        np.nonzero(folds == fold)[0],
-                        derive_seed(master_seed, name, seed_index, fold),
-                    )
-                )
-
-    parallel = workers > 1 and set(registry) <= set(default_registry())
-    if parallel:
-        raw_results = _run_cells_parallel(tasks, X, y, class_labels, registry, workers)
-    else:
-        raw_results = []
-        for task in tasks:
-            name, seed_index, fold, train_idx, test_idx, cell_seed = task
-            try:
-                outcome = run_cell(
-                    registry[name], X, y, train_idx, test_idx, cell_seed, class_labels
-                )
-                raw_results.append((name, seed_index, fold, outcome, None))
-            except Exception as exc:  # recorded, run continues
-                raw_results.append(
-                    (name, seed_index, fold, None, f"{type(exc).__name__}: {exc}")
-                )
+    tasks = [
+        (name, seed_index, fold, train_idx, test_idx, derive_seed(master_seed, name, seed_index, fold))
+        for name in registry
+        for seed_index, _, fold, train_idx, test_idx in splits
+    ]
+    pool_size = _pool_size(workers, len(tasks))
+    _RUN_CTX.update(registry=registry, X=X, y=y, labels=class_labels)
+    try:
+        if pool_size > 1:
+            raw_results = _run_cells_parallel(tasks, pool_size)
+        else:
+            raw_results = [_run_task(task) for task in tasks]
+    finally:
+        _RUN_CTX.clear()
 
     by_cell = {(name, s, f): (outcome, error) for name, s, f, outcome, error in raw_results}
     for name, spec in registry.items():
-        cells = []
-        for seed_index, plan_seed in enumerate(plan.seeds):
-            for fold in range(plan.n_folds):
-                outcome, error = by_cell[(name, seed_index, fold)]
-                cells.append(
-                    _cell_record(seed_index, plan_seed, fold, outcome, error, class_labels)
-                )
+        cells = [
+            _cell_record(seed_index, seed, fold, *by_cell[(name, seed_index, fold)], class_labels)
+            for seed_index, seed, fold, _, _ in splits
+        ]
         report["models"][name] = _aggregate_model(spec, cells, class_labels)
         if progress is not None:
             entry = report["models"][name]
@@ -458,63 +431,6 @@ def run_benchmark(
                     + (f" ({entry['failures']} failed cells)" if entry["failures"] else "")
                 )
 
-    _compare_to_reference(report, reference)
-    report["failures_total"] = int(
-        sum(entry["failures"] for entry in report["models"].values())
-    )
-    return report
-
-
-def run_holdout(
-    dataset: LabeledDataset,
-    registry: dict[str, ModelSpec],
-    test_fraction: float = 0.2,
-    master_seed: int = 0,
-    reference: str = "random_forest",
-    progress: Callable[[str], None] | None = None,
-) -> dict:
-    """Single stratified train/test split (the preliminary-style protocol)."""
-    if dataset.y is None:
-        raise UsageError("dataset must be labeled")
-    X, y = dataset.X, dataset.y
-    class_labels = [label for label in SEVERITY_LEVELS if label in set(y)]
-    split_seed = derive_seed(master_seed, "holdout")
-    train_idx, test_idx = holdout_split(y, test_fraction, split_seed)
-    report: dict = {
-        "schema": REPORT_SCHEMA,
-        "master_seed": int(master_seed),
-        "reference_model": reference,
-        "plan": {
-            "mode": "holdout",
-            "test_fraction": test_fraction,
-            "n_train": int(len(train_idx)),
-            "n_test": int(len(test_idx)),
-        },
-        "dataset": {
-            "n_samples": dataset.n_samples,
-            "n_features": dataset.n_features,
-            "feature_names": list(dataset.feature_names),
-            "provenance": dataset.provenance,
-            "classes": [str(label) for label in class_labels],
-            "class_counts": {
-                str(label): int(np.sum(y == label)) for label in class_labels
-            },
-        },
-        "deviations": DEVIATIONS,
-        "models": {},
-    }
-    for name, spec in registry.items():
-        cell_seed = derive_seed(master_seed, name, 0, 0)
-        error = None
-        outcome = None
-        try:
-            outcome = run_cell(spec, X, y, train_idx, test_idx, cell_seed, class_labels)
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        cells = [_cell_record(0, master_seed, 0, outcome, error, class_labels)]
-        report["models"][name] = _aggregate_model(spec, cells, class_labels)
-        if progress is not None and outcome is not None:
-            progress(f"{name}: accuracy {outcome['metrics'].accuracy:.3f}")
     _compare_to_reference(report, reference)
     report["failures_total"] = int(
         sum(entry["failures"] for entry in report["models"].values())

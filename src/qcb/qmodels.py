@@ -50,6 +50,7 @@ HYBRID_QC_QUBITS = 6
 HYBRID_QC_LAYERS = 3
 HYBRID_QC_FOREST_TREES = 100
 HYBRID_CQ_COMPONENTS = 4
+HYBRID_CQ_LAYERS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +181,10 @@ def _fit_head(features: np.ndarray, y: np.ndarray, max_iter: int):
     return LogisticRegressionClassifier(C=1.0, max_iter=max_iter).fit(features, y)
 
 
-def _correlation_or_none(
-    X_scaled: np.ndarray, threshold: float
-) -> CorrelationGraph | None:
+def _correlation_or_none(X_scaled: np.ndarray) -> CorrelationGraph | None:
     if X_scaled.shape[1] < 2:
         return None
-    return build_correlation_graph(X_scaled, threshold=threshold)
+    return build_correlation_graph(X_scaled)
 
 
 def _budgeted_search(
@@ -234,16 +233,20 @@ def _budgeted_search(
 # classifiers
 
 
-class VqcClassifier:
-    """Variational circuit features read out by a logistic-regression head.
+class _TrainedCircuitClassifier:
+    """Trained-circuit features read out by a logistic-regression head.
 
     Training is bilevel: for each candidate parameter vector the head is
     refit on the training features (reduced iteration cap) and the negative
     training accuracy is minimized; the stored model keeps the best
-    parameters with a fully trained head.
+    parameters with a fully trained head.  Subclasses supply the circuit
+    family, its feature function, the zero-angle gate list that sets
+    ``circuit_depth_``, the start scale and the family part of the fitted
+    state.
     """
 
-    kind = "vqc"
+    kind: str
+    family: CircuitFamily
 
     def __init__(
         self,
@@ -251,7 +254,6 @@ class VqcClassifier:
         layers: int,
         budget: OptBudget | None = None,
         seed: int = 0,
-        correlation_threshold: float = circuits.DEFAULT_CORRELATION_THRESHOLD,
     ):
         if layers < 1:
             raise UsageError("layers must be >= 1 for training")
@@ -259,10 +261,9 @@ class VqcClassifier:
         self.layers = int(layers)
         self.budget = budget if budget is not None else OptBudget()
         self.seed = int(seed)
-        self.correlation_threshold = float(correlation_threshold)
         self.config_: CircuitConfig | None = None
         self.scale_chain_: _ScaleChain | None = None
-        self.theta_: np.ndarray | None = None
+        self.params_: np.ndarray | None = None
         self.head_ = None
         self.opt_result_: OptResult | None = None
         self.constant_class_ = None
@@ -273,39 +274,41 @@ class VqcClassifier:
         y = np.asarray(y)
         self.classes_ = np.unique(y)
         self.scale_chain_, X_angle = _fit_scale_chain(X, self.n_qubits)
-        graph = _correlation_or_none(X_angle, self.correlation_threshold)
-        self.config_ = CircuitConfig(
-            CircuitFamily.VQC, self.n_qubits, self.layers, graph
-        )
-        self.circuit_depth_ = circuits.circuit_depth(
-            build_vqc_circuit(
-                self.config_,
-                np.zeros(self.n_qubits),
-                np.zeros(param_count(self.config_)),
-            )
-        )
+        graph = _correlation_or_none(X_angle)
+        self.config_ = CircuitConfig(self.family, self.n_qubits, self.layers, graph)
+        self._fit_circuit(X_angle)
+        n_params = param_count(self.config_)
+        self.circuit_depth_ = circuits.circuit_depth(self._zero_angle_gates(n_params))
         if len(self.classes_) == 1:
             self.constant_class_ = self.classes_[0]
-            self.theta_ = np.zeros(param_count(self.config_))
+            self.params_ = np.zeros(n_params)
             return self
 
-        def loss(theta):
-            features = vqc_features(self.config_, theta, X_angle)
+        def loss(params):
+            features = self._features(params, X_angle)
             head = _fit_head(features, y, INNER_HEAD_MAX_ITER)
             return -_training_accuracy(head, features, y)
 
-        result = _budgeted_search(loss, param_count(self.config_), self.budget, self.seed)
+        result = _budgeted_search(
+            loss, n_params, self.budget, self.seed, start_scale=self._start_scale(n_params)
+        )
         if not result.ok:
             raise TrainingError("every objective evaluation was non-finite")
         self.opt_result_ = result
-        self.theta_ = result.best_params
-        final_features = vqc_features(self.config_, self.theta_, X_angle)
+        self.params_ = result.best_params
+        final_features = self._features(self.params_, X_angle)
         self.head_ = _fit_head(final_features, y, FINAL_HEAD_MAX_ITER)
         return self
 
+    def _fit_circuit(self, X_angle: np.ndarray) -> None:
+        """Fit circuit parts other than the trained angles (none by default)."""
+
+    def _start_scale(self, n_params: int) -> np.ndarray | None:
+        return None
+
     def features(self, X) -> np.ndarray:
         self._check_fitted()
-        return vqc_features(self.config_, self.theta_, self.scale_chain_.transform(X))
+        return self._features(self.params_, self.scale_chain_.transform(X))
 
     def predict(self, X):
         self._check_fitted()
@@ -314,18 +317,15 @@ class VqcClassifier:
         return self.head_.predict(self.features(X))
 
     def _check_fitted(self):
-        if self.theta_ is None:
+        if self.params_ is None:
             raise UsageError("model is not fitted")
 
     def fitted_state(self) -> dict:
         self._check_fitted()
         state = {
             "kind": self.kind,
-            "theta": self.theta_,
+            **self._family_state(),
             "scalers": self.scale_chain_.state(),
-            "correlation_pairs": self.config_.correlation.pairs
-            if self.config_.correlation
-            else (),
             "constant_class": self.constant_class_,
         }
         if self.head_ is not None:
@@ -336,12 +336,33 @@ class VqcClassifier:
         return {
             "n_qubits": self.n_qubits,
             "layers": self.layers,
-            "param_count": self.n_qubits * self.layers,
+            "param_count": param_count(CircuitConfig(self.family, self.n_qubits, self.layers)),
             "circuit_depth": self.circuit_depth_,
         }
 
 
-class QaoaClassifier:
+class VqcClassifier(_TrainedCircuitClassifier):
+    """Variational circuit <Z_q> features; trains one RY angle per qubit and layer."""
+
+    kind = "vqc"
+    family = CircuitFamily.VQC
+
+    @property
+    def theta_(self) -> np.ndarray | None:
+        return self.params_
+
+    def _features(self, theta, X_angle):
+        return vqc_features(self.config_, theta, X_angle)
+
+    def _zero_angle_gates(self, n_params: int):
+        return build_vqc_circuit(self.config_, np.zeros(self.n_qubits), np.zeros(n_params))
+
+    def _family_state(self) -> dict:
+        graph = self.config_.correlation
+        return {"theta": self.theta_, "correlation_pairs": graph.pairs if graph else ()}
+
+
+class QaoaClassifier(_TrainedCircuitClassifier):
     """Alternating-ansatz features read out by a logistic-regression head.
 
     ZZ couplings come from the training-fold correlation graph, per-qubit Z
@@ -350,125 +371,52 @@ class QaoaClassifier:
     """
 
     kind = "qaoa"
+    family = CircuitFamily.QAOA
 
-    def __init__(
-        self,
-        n_qubits: int,
-        layers: int,
-        budget: OptBudget | None = None,
-        seed: int = 0,
-        correlation_threshold: float = circuits.DEFAULT_CORRELATION_THRESHOLD,
-    ):
-        if layers < 1:
-            raise UsageError("layers must be >= 1 for training")
-        self.n_qubits = int(n_qubits)
-        self.layers = int(layers)
-        self.budget = budget if budget is not None else OptBudget()
-        self.seed = int(seed)
-        self.correlation_threshold = float(correlation_threshold)
-        self.config_: CircuitConfig | None = None
-        self.scale_chain_: _ScaleChain | None = None
-        self.hamiltonian_: CostHamiltonian | None = None
-        self.gamma_: np.ndarray | None = None
-        self.beta_: np.ndarray | None = None
-        self.head_ = None
-        self.opt_result_: OptResult | None = None
-        self.constant_class_ = None
-        self.classes_: np.ndarray | None = None
-        self.circuit_depth_ = 0
+    hamiltonian_: CostHamiltonian | None = None
 
-    def fit(self, X, y):
-        y = np.asarray(y)
-        self.classes_ = np.unique(y)
-        self.scale_chain_, X_angle = _fit_scale_chain(X, self.n_qubits)
-        graph = _correlation_or_none(X_angle, self.correlation_threshold)
-        self.config_ = CircuitConfig(
-            CircuitFamily.QAOA, self.n_qubits, self.layers, graph
-        )
+    @property
+    def gamma_(self) -> np.ndarray | None:
+        return None if self.params_ is None else self.params_[: len(self.params_) // 2]
+
+    @property
+    def beta_(self) -> np.ndarray | None:
+        return None if self.params_ is None else self.params_[len(self.params_) // 2 :]
+
+    def _fit_circuit(self, X_angle: np.ndarray) -> None:
         means = X_angle.mean(axis=0)
+        graph = self.config_.correlation
         if graph is not None:
             self.hamiltonian_ = build_cost_hamiltonian(graph, means)
         else:
             self.hamiltonian_ = CostHamiltonian(
                 zz_terms=(), z_terms=tuple((q, float(means[q])) for q in range(self.n_qubits))
             )
-        half = self.n_qubits * self.layers
-        self.circuit_depth_ = circuits.circuit_depth(
-            build_qaoa_circuit(
-                self.config_, self.hamiltonian_, np.zeros(half), np.zeros(half)
-            )
-        )
-        if len(self.classes_) == 1:
-            self.constant_class_ = self.classes_[0]
-            self.gamma_ = np.zeros(half)
-            self.beta_ = np.zeros(half)
-            return self
 
-        def loss(params):
-            features = qaoa_features(
-                self.config_, self.hamiltonian_, params[:half], params[half:], X_angle
-            )
-            head = _fit_head(features, y, INNER_HEAD_MAX_ITER)
-            return -_training_accuracy(head, features, y)
-
+    def _start_scale(self, n_params: int) -> np.ndarray:
         # gamma multiplies phases of up to pi-ranged features: starting in
         # [0, 1) keeps the encoding alias-free; beta is a genuine angle
-        scale = np.concatenate(
-            [np.full(half, 1.0 / (2.0 * np.pi)), np.ones(half)]
-        )
-        result = _budgeted_search(loss, 2 * half, self.budget, self.seed, start_scale=scale)
-        if not result.ok:
-            raise TrainingError("every objective evaluation was non-finite")
-        self.opt_result_ = result
-        self.gamma_ = result.best_params[:half]
-        self.beta_ = result.best_params[half:]
-        final_features = qaoa_features(
-            self.config_, self.hamiltonian_, self.gamma_, self.beta_, X_angle
-        )
-        self.head_ = _fit_head(final_features, y, FINAL_HEAD_MAX_ITER)
-        return self
+        half = n_params // 2
+        return np.concatenate([np.full(half, 1.0 / (2.0 * np.pi)), np.ones(half)])
 
-    def features(self, X) -> np.ndarray:
-        self._check_fitted()
+    def _features(self, params, X_angle):
+        half = len(params) // 2
         return qaoa_features(
-            self.config_,
-            self.hamiltonian_,
-            self.gamma_,
-            self.beta_,
-            self.scale_chain_.transform(X),
+            self.config_, self.hamiltonian_, params[:half], params[half:], X_angle
         )
 
-    def predict(self, X):
-        self._check_fitted()
-        if self.constant_class_ is not None:
-            return np.full(len(X), self.constant_class_, dtype=self.classes_.dtype)
-        return self.head_.predict(self.features(X))
+    def _zero_angle_gates(self, n_params: int):
+        half = n_params // 2
+        return build_qaoa_circuit(
+            self.config_, self.hamiltonian_, np.zeros(half), np.zeros(half)
+        )
 
-    def _check_fitted(self):
-        if self.gamma_ is None:
-            raise UsageError("model is not fitted")
-
-    def fitted_state(self) -> dict:
-        self._check_fitted()
-        state = {
-            "kind": self.kind,
+    def _family_state(self) -> dict:
+        return {
             "gamma": self.gamma_,
             "beta": self.beta_,
             "zz_terms": self.hamiltonian_.zz_terms,
             "z_offsets": self.hamiltonian_.z_terms,
-            "scalers": self.scale_chain_.state(),
-            "constant_class": self.constant_class_,
-        }
-        if self.head_ is not None:
-            state["head"] = self.head_.fitted_state()
-        return state
-
-    def metadata(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "layers": self.layers,
-            "param_count": 2 * self.n_qubits * self.layers,
-            "circuit_depth": self.circuit_depth_,
         }
 
 
@@ -554,23 +502,12 @@ class HybridQcPipeline:
 
     kind = "hybrid_qc"
 
-    def __init__(
-        self,
-        head_kind: str,
-        seed: int = 0,
-        budget: OptBudget | None = None,
-        n_qubits: int = HYBRID_QC_QUBITS,
-        layers: int = HYBRID_QC_LAYERS,
-    ):
+    def __init__(self, head_kind: str, seed: int = 0, budget: OptBudget | None = None):
         if head_kind not in _QC_HEADS:
             raise UsageError(f"head_kind must be one of {_QC_HEADS}, got {head_kind!r}")
-        if n_qubits != HYBRID_QC_QUBITS:
-            raise UsageError(f"the quantum-first pipeline uses {HYBRID_QC_QUBITS} qubits")
         self.head_kind = head_kind
         self.seed = int(seed)
         self.budget = budget if budget is not None else OptBudget()
-        self.n_qubits = n_qubits
-        self.layers = layers
         self.extractor_: VqcClassifier | None = None
         self.head_ = None
 
@@ -588,7 +525,7 @@ class HybridQcPipeline:
     def fit(self, X, y):
         vqc_seed, head_seed = _spawn_seeds(self.seed, 2)
         self.extractor_ = VqcClassifier(
-            self.n_qubits, self.layers, budget=self.budget, seed=vqc_seed
+            HYBRID_QC_QUBITS, HYBRID_QC_LAYERS, budget=self.budget, seed=vqc_seed
         ).fit(X, y)
         features = self.extractor_.features(X)
         self.head_ = self._build_head(head_seed)
@@ -617,12 +554,12 @@ class HybridQcPipeline:
 
     def metadata(self) -> dict:
         meta = self.extractor_.metadata() if self.extractor_ else {
-            "n_qubits": self.n_qubits,
-            "layers": self.layers,
-            "param_count": self.n_qubits * self.layers,
+            "n_qubits": HYBRID_QC_QUBITS,
+            "layers": HYBRID_QC_LAYERS,
+            "param_count": HYBRID_QC_QUBITS * HYBRID_QC_LAYERS,
         }
         meta = dict(meta)
-        meta["intermediate_features"] = self.n_qubits
+        meta["intermediate_features"] = HYBRID_QC_QUBITS
         meta["head_kind"] = self.head_kind
         return meta
 
@@ -636,21 +573,12 @@ class HybridCqPipeline:
 
     kind = "hybrid_cq"
 
-    def __init__(
-        self,
-        quantum_kind: str,
-        seed: int = 0,
-        budget: OptBudget | None = None,
-        layers: int = 2,
-        n_components: int = HYBRID_CQ_COMPONENTS,
-    ):
+    def __init__(self, quantum_kind: str, seed: int = 0, budget: OptBudget | None = None):
         if quantum_kind not in _CQ_KINDS:
             raise UsageError(f"quantum_kind must be one of {_CQ_KINDS}, got {quantum_kind!r}")
         self.quantum_kind = quantum_kind
         self.seed = int(seed)
         self.budget = budget if budget is not None else OptBudget()
-        self.layers = int(layers)
-        self.n_components = int(n_components)
         self.zscore_ = None
         self.pca_ = None
         self.model_ = None
@@ -659,24 +587,21 @@ class HybridCqPipeline:
         from .classical import fit_pca, pca_transform
 
         X = np.asarray(X, dtype=float)
-        if X.shape[1] < self.n_components:
+        if X.shape[1] < HYBRID_CQ_COMPONENTS:
             raise UsageError(
-                f"need at least {self.n_components} input features, got {X.shape[1]}"
+                f"need at least {HYBRID_CQ_COMPONENTS} input features, got {X.shape[1]}"
             )
         self.zscore_ = fit_scaler(ScalerKind.ZSCORE, X)
         standardized = apply_scaler(self.zscore_, X)
-        self.pca_ = fit_pca(standardized, self.n_components)
+        self.pca_ = fit_pca(standardized, HYBRID_CQ_COMPONENTS)
         projected = pca_transform(self.pca_, standardized)
-        if self.quantum_kind == "vqc":
-            self.model_ = VqcClassifier(
-                self.n_components, self.layers, budget=self.budget, seed=self.seed
-            )
-        elif self.quantum_kind == "qaoa":
-            self.model_ = QaoaClassifier(
-                self.n_components, self.layers, budget=self.budget, seed=self.seed
-            )
+        if self.quantum_kind == "qkernel":
+            self.model_ = QKernelClassifier(HYBRID_CQ_COMPONENTS)
         else:
-            self.model_ = QKernelClassifier(self.n_components)
+            circuit = VqcClassifier if self.quantum_kind == "vqc" else QaoaClassifier
+            self.model_ = circuit(
+                HYBRID_CQ_COMPONENTS, HYBRID_CQ_LAYERS, budget=self.budget, seed=self.seed
+            )
         self.model_.fit(projected, np.asarray(y))
         return self
 
@@ -707,33 +632,8 @@ class HybridCqPipeline:
 
     def metadata(self) -> dict:
         meta = dict(self.model_.metadata()) if self.model_ else {}
-        meta["pca_components"] = self.n_components
+        meta["pca_components"] = HYBRID_CQ_COMPONENTS
         meta["quantum_kind"] = self.quantum_kind
         if self.pca_ is not None:
             meta["pca_meets_variance_target"] = bool(self.pca_.meets_variance_target)
         return meta
-
-
-# ---------------------------------------------------------------------------
-# functional entry points mirroring the pipeline recipes
-
-
-def train_vqc(X, y, config: CircuitConfig, budget: OptBudget, seed: int) -> VqcClassifier:
-    """Fit a variational classifier with the given register/layer shape."""
-    return VqcClassifier(config.n_qubits, config.layers, budget=budget, seed=seed).fit(X, y)
-
-
-def train_qaoa(X, y, config: CircuitConfig, budget: OptBudget, seed: int) -> QaoaClassifier:
-    return QaoaClassifier(config.n_qubits, config.layers, budget=budget, seed=seed).fit(X, y)
-
-
-def train_qkernel(X, y, config: CircuitConfig) -> QKernelClassifier:
-    return QKernelClassifier(config.n_qubits).fit(X, y)
-
-
-def hybrid_qc(X, y, head_kind: str, budget: OptBudget, seed: int) -> HybridQcPipeline:
-    return HybridQcPipeline(head_kind, seed=seed, budget=budget).fit(X, y)
-
-
-def hybrid_cq(X, y, quantum_kind: str, budget: OptBudget, seed: int) -> HybridCqPipeline:
-    return HybridCqPipeline(quantum_kind, seed=seed, budget=budget).fit(X, y)

@@ -8,7 +8,6 @@ from qcb.classical import (
     ScalerKind,
     SvmClassifier,
     apply_scaler,
-    fit_baseline,
     fit_pca,
     fit_scaler,
     mutual_information,
@@ -303,24 +302,6 @@ class TestSvm:
         X, y = make_blobs(rng, [(-1.0, 0.0), (1.0, 0.0)], 20)
         model = SvmClassifier(gamma="scale").fit(X, y)
         assert abs(model.gamma_ - 1.0 / (X.shape[1] * X.var())) < 1e-12
-
-
-class TestFitBaselineDispatch:
-    def test_all_four_kinds(self):
-        rng = np.random.default_rng(27)
-        X, y = make_blobs(rng, [(-2.0, 0.0), (2.0, 0.0)], 25)
-        for kind, params in [
-            ("decision_tree", {"max_depth": 15}),
-            ("random_forest", {"n_trees": 10, "max_depth": 15}),
-            ("logistic_regression", {"C": 1.0, "max_iter": 1000}),
-            ("svm_rbf", {"C": 1.0}),
-        ]:
-            model = fit_baseline(kind, params, X, y, seed=3)
-            assert np.mean(model.predict(X) == y) > 0.9
-
-    def test_unknown_kind(self):
-        with pytest.raises(UsageError):
-            fit_baseline("boosting", {}, np.zeros((4, 1)), np.zeros(4))
 
 
 class TestStdOracle:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcb import cli
 from qcb.circuits import build_correlation_graph
 from qcb.data import (
     DEFAULT_CRIME_TYPES,
@@ -221,6 +222,15 @@ class TestCsvRoundTrip:
         path.write_text(f"{header}\nA,2001,{','.join(values)}\n")
         with pytest.raises(DataError, match="not an integer"):
             ingest_csv(path)
+
+    def test_duplicate_unit_year_names_both_rows(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        header = "Unit,Year," + ",".join(DEFAULT_CRIME_TYPES)
+        zeros = ",".join(["0"] * 16)
+        path.write_text(f"{header}\nA,2001,{zeros}\nA,2002,{zeros}\nB,2001,{zeros}\nA,2001,{zeros}\n")
+        with pytest.raises(DataError, match=r"rows 2 and 5.*'A', year 2001"):
+            ingest_csv(path)
+        assert cli.main(["run", "--data", str(path), "--out-dir", str(tmp_path / "out")]) == 2
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "missing.csv"

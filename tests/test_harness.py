@@ -1,26 +1,40 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcb
 from qcb import cli
 from qcb.data import build_dataset, select_features, synthesize
 from qcb.errors import UsageError
 from qcb.evalharness import (
     CvPlan,
+    HoldoutPlan,
     audit_leakage,
     default_registry,
     emit_report,
     load_report,
     run_benchmark,
-    run_holdout,
     select_models,
     strip_timing,
 )
 from qcb.evalharness.registry import MajorityClassBaseline, ModelSpec
-from qcb.evalharness.runner import derive_seed, state_checksum
+from qcb.evalharness.runner import _pool_size, derive_seed, state_checksum
 from qcb.evalharness.cv import stratified_folds
+
+
+class LowestLabelBaseline(MajorityClassBaseline):
+    """Always predicts the lowest training label."""
+
+    def fit(self, X, y):
+        super().fit(X, y)
+        self.majority_ = self.classes_[0]
+        return self
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +87,14 @@ class TestRegistry:
     def test_builders_produce_fresh_instances(self):
         spec = default_registry()["decision_tree"]
         assert spec.build(0) is not spec.build(0)
+
+    def test_classical_baselines_separate_blobs(self):
+        rng = np.random.default_rng(27)
+        X = np.vstack([rng.normal((-2.0, 0.0), 0.5, (25, 2)), rng.normal((2.0, 0.0), 0.5, (25, 2))])
+        y = np.repeat([0, 1], 25)
+        for kind in ("decision_tree", "random_forest", "logistic_regression", "svm_rbf"):
+            model = default_registry()[kind].build(3).fit(X, y)
+            assert np.mean(model.predict(X) == y) > 0.9
 
 
 class TestRunBenchmark:
@@ -168,15 +190,80 @@ class TestRunBenchmark:
 
 class TestHoldout:
     def test_single_cell_report(self, small_dataset, fast_registry):
-        report = run_holdout(
-            small_dataset, fast_registry, test_fraction=0.2, master_seed=0,
+        report = run_benchmark(
+            small_dataset, fast_registry, HoldoutPlan(test_fraction=0.2), master_seed=5,
             reference="decision_tree",
         )
         assert report["plan"]["mode"] == "holdout"
         assert report["plan"]["n_train"] + report["plan"]["n_test"] == small_dataset.n_samples
         for entry in report["models"].values():
             assert len(entry["cells"]) == 1
+            cell = entry["cells"][0]
+            assert (cell["seed_index"], cell["seed"], cell["fold"]) == (0, 5, 0)
             assert entry["metrics"]["accuracy"]["ci95_half_width"] is None
+
+
+class TestParallelRuns:
+    @pytest.mark.parametrize(
+        "plan", [CvPlan(n_folds=2, seeds=(0,)), HoldoutPlan(test_fraction=0.2)], ids=["cv", "holdout"]
+    )
+    def test_parallel_equals_serial_for_a_custom_spec(self, small_dataset, plan):
+        registry = select_models("decision_tree,logistic_regression")
+        registry["majority_class"] = ModelSpec(
+            "majority_class", "baseline", lambda seed: LowestLabelBaseline(), {}
+        )
+        serial, parallel = (
+            json.dumps(
+                strip_timing(
+                    run_benchmark(
+                        small_dataset, registry, plan, reference="decision_tree", workers=workers
+                    )
+                ),
+                sort_keys=True,
+            )
+            for workers in (1, 2)
+        )
+        assert serial == parallel
+
+    def test_pool_size_bounds(self):
+        assert _pool_size(1, 10) == 1
+        assert _pool_size(4, 3) <= 3
+        assert _pool_size(4, 100) <= (os.cpu_count() or 1)
+        with pytest.raises(UsageError):
+            _pool_size(0, 5)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a one-core host runs cells serially")
+    def test_dead_worker_records_failed_cells(self):
+        script = """
+import os
+from qcb.data import build_dataset, select_features, synthesize
+from qcb.evalharness import CvPlan, run_benchmark, select_models
+from qcb.evalharness.registry import ModelSpec
+
+class Crash:
+    def fit(self, X, y):
+        os._exit(1)
+
+registry = select_models("majority_class")
+registry["crash"] = ModelSpec("crash", "baseline", lambda seed: Crash(), {})
+records = synthesize(n_units=12, n_years=10, seed=3)
+dataset = select_features(build_dataset(records, provenance="synthetic"), k=10)
+report = run_benchmark(
+    dataset, registry, CvPlan(n_folds=2, seeds=(0,)), reference="majority_class", workers=2
+)
+crash = report["models"]["crash"]
+print(report["failures_total"], crash["failures"], crash["cells"][0]["error"].split(":")[0])
+"""
+        src = str(Path(qcb.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        failures_total, crash_failures, error = done.stdout.split()
+        assert int(crash_failures) == 2
+        assert int(failures_total) >= 2
+        assert error == "BrokenProcessPool"
 
 
 class TestChecksums:
@@ -282,6 +369,14 @@ class TestCli:
     def test_usage_error_exit_code(self):
         assert cli.main(["run", "--data"]) == 1
         assert cli.main(["run", "--data", "x.csv", "--models", "bogus", "--out-dir", "o"]) == 1
+
+    def test_workers_below_one_rejected(self, tmp_path):
+        data = tmp_path / "data.csv"
+        cli.main(["synth", "--units", "6", "--years", "5", "--seed", "1", "--out", str(data)])
+        args = ["run", "--data", str(data), "--models", "majority_class", "--folds", "2",
+                "--seeds", "1", "--out-dir", str(tmp_path / "out"), "--quiet"]
+        assert cli.main([*args, "--workers", "0"]) == 1
+        assert cli.main([*args, "--holdout", "0.2", "--workers", "-1"]) == 1
 
     def test_data_error_exit_code(self, tmp_path):
         missing = tmp_path / "missing.csv"

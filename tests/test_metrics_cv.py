@@ -118,7 +118,9 @@ class TestCvPlan:
         plan = CvPlan()
         assert plan.n_folds == 5
         assert plan.seeds == (0, 1, 2, 3, 4)
-        assert plan.stratified
+        block, splits = plan.splits(np.repeat(np.arange(4), 10), master_seed=0)
+        assert block["stratified"] is True
+        assert len(splits) == 25
 
     def test_validation(self):
         with pytest.raises(UsageError):

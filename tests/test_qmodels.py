@@ -17,13 +17,8 @@ from qcb.qmodels import (
     QaoaClassifier,
     VqcClassifier,
     feature_map_states,
-    hybrid_cq,
-    hybrid_qc,
     qaoa_features,
     quantum_kernel_matrix,
-    train_qaoa,
-    train_qkernel,
-    train_vqc,
     vqc_features,
 )
 from qcb.qsim import QuantumState, apply_circuit, expectation_x, expectation_z, init_plus, init_zero
@@ -231,12 +226,12 @@ class TestVqcTraining:
         model = VqcClassifier(2, 1, budget=OptBudget(max_evals=5)).fit(X, np.zeros(10))
         assert np.all(model.predict(X) == 0.0)
 
-    def test_functional_wrapper(self):
+    def test_theta_holds_one_angle_per_qubit_and_layer(self):
         rng = np.random.default_rng(15)
         X, y = separable_data(rng, 30)
-        config = CircuitConfig(CircuitFamily.VQC, 2, 1)
-        model = train_vqc(X, y, config, OptBudget(max_evals=20), seed=2)
-        assert model.theta_.shape == (2,)
+        model = VqcClassifier(2, 2, budget=OptBudget(max_evals=20), seed=2).fit(X, y)
+        assert model.theta_.shape == (4,)
+        assert model.metadata()["param_count"] == 4
 
 
 class TestQaoaTraining:
@@ -262,12 +257,11 @@ class TestQaoaTraining:
         assert len(model.hamiltonian_.z_terms) == 3
         model.predict(X)
 
-    def test_functional_wrapper_deterministic(self):
+    def test_deterministic_under_seed(self):
         rng = np.random.default_rng(19)
         X, y = separable_data(rng, 40)
-        config = CircuitConfig(CircuitFamily.QAOA, 2, 2)
-        a = train_qaoa(X, y, config, OptBudget(max_evals=25), seed=5)
-        b = train_qaoa(X, y, config, OptBudget(max_evals=25), seed=5)
+        a = QaoaClassifier(2, 2, budget=OptBudget(max_evals=25), seed=5).fit(X, y)
+        b = QaoaClassifier(2, 2, budget=OptBudget(max_evals=25), seed=5).fit(X, y)
         assert np.array_equal(a.gamma_, b.gamma_)
         assert np.array_equal(a.beta_, b.beta_)
 
@@ -277,9 +271,7 @@ class TestQKernelTraining:
         rng = np.random.default_rng(20)
         x = np.concatenate([rng.uniform(-1, -0.3, 30), rng.uniform(0.3, 1.0, 30)])
         y = (x > 0).astype(int)
-        model = train_qkernel(
-            x[:, None], y, CircuitConfig(CircuitFamily.FEATURE_MAP, 1, 1)
-        )
+        model = QKernelClassifier(1).fit(x[:, None], y)
         assert np.mean(model.predict(x[:, None]) == y) >= 0.9
 
     def test_single_class_flagged(self):
@@ -315,7 +307,7 @@ class TestHybridQc:
         X = rng.uniform(-1, 1, size=(40, 7))
         y = (X[:, 1] > 0).astype(int)
         for head in ("random_forest", "svm_rbf", "logistic_regression", "decision_tree"):
-            pipeline = hybrid_qc(X, y, head, OptBudget(max_evals=5), seed=1)
+            pipeline = HybridQcPipeline(head, seed=1, budget=OptBudget(max_evals=5)).fit(X, y)
             assert pipeline.metadata()["intermediate_features"] == 6
             pipeline.predict(X[:5])
 
@@ -358,7 +350,7 @@ class TestHybridCq:
         X = rng.normal(size=(50, 6))
         y = (X[:, 0] + X[:, 1] > 0).astype(int)
         for kind in ("vqc", "qaoa", "qkernel"):
-            pipeline = hybrid_cq(X, y, kind, OptBudget(max_evals=5), seed=2)
+            pipeline = HybridCqPipeline(kind, seed=2, budget=OptBudget(max_evals=5)).fit(X, y)
             assert pipeline.predict(X[:6]).shape == (6,)
 
     def test_deterministic(self):
@@ -373,6 +365,32 @@ class TestHybridCq:
     def test_needs_enough_features(self):
         with pytest.raises(UsageError):
             HybridCqPipeline("vqc").fit(np.zeros((10, 3)), np.arange(10) % 2)
+
+
+class TestTrainedCircuitState:
+    def test_family_keys_of_fitted_state(self):
+        rng = np.random.default_rng(31)
+        X, y = separable_data(rng, 30)
+        shared = {"kind", "scalers", "constant_class", "head"}
+        vqc = VqcClassifier(2, 1, budget=OptBudget(max_evals=5)).fit(X, y)
+        assert set(vqc.fitted_state()) == shared | {"theta", "correlation_pairs"}
+        qaoa = QaoaClassifier(2, 1, budget=OptBudget(max_evals=5)).fit(X, y)
+        assert set(qaoa.fitted_state()) == shared | {"gamma", "beta", "zz_terms", "z_offsets"}
+        assert np.array_equal(np.concatenate([qaoa.gamma_, qaoa.beta_]), qaoa.params_)
+
+    def test_single_class_qaoa_keeps_zero_angles(self):
+        X = np.random.default_rng(32).uniform(size=(10, 2))
+        model = QaoaClassifier(2, 2, budget=OptBudget(max_evals=5)).fit(X, np.ones(10))
+        assert np.array_equal(model.gamma_, np.zeros(4))
+        assert np.array_equal(model.beta_, np.zeros(4))
+        assert model.opt_result_ is None
+        assert "head" not in model.fitted_state()
+        assert np.all(model.predict(X) == 1.0)
+
+    def test_predict_before_fit_rejected(self):
+        for model in (VqcClassifier(2, 1), QaoaClassifier(2, 1)):
+            with pytest.raises(UsageError):
+                model.predict(np.zeros((2, 2)))
 
 
 class TestNoLeakageIntoFittedState:
