@@ -216,9 +216,10 @@ def build_cost_hamiltonian(
     return CostHamiltonian(zz_terms=zz, z_terms=z)
 
 
-def _coerce_params(
+def coerce_params(
     params, family: CircuitFamily, expected_len: int, what: str
 ) -> np.ndarray:
+    """Angles as a flat float vector of the expected length (a ParamVector must match ``family``)."""
     if isinstance(params, ParamVector):
         if params.family is not family:
             raise UsageError(f"{what}: family {params.family} does not match {family}")
@@ -251,24 +252,31 @@ def _ladder(n_qubits: int) -> list[tuple[int, int]]:
     return [(k, k + 1) for k in range(n_qubits - 1)]
 
 
+def vqc_layer_pairs(config: CircuitConfig) -> list[list[tuple[int, int]]]:
+    """CNOT pairs of each variational layer, in order.
+
+    Layer 0 entangles the correlation pairs; later layers use the ladder.
+    """
+    return [
+        entanglement_pairs(config) if layer == 0 else _ladder(config.n_qubits)
+        for layer in range(config.layers)
+    ]
+
+
 def vqc_encoding_gates(x: Sequence[float]) -> list[GateOp]:
     """Input-encoding layer: RY(x_j) on qubit j."""
     return [ry(j, float(v)) for j, v in enumerate(x)]
 
 
 def vqc_trainable_gates(config: CircuitConfig, theta) -> list[GateOp]:
-    """Per-layer RY rotations plus entanglement (everything after encoding).
-
-    Layer 0 entangles the correlation pairs; later layers use the ladder.
-    """
+    """Per-layer RY rotations plus entanglement (everything after encoding)."""
     if config.family is not CircuitFamily.VQC:
         raise UsageError("config.family must be VQC")
     n = config.n_qubits
-    values = _coerce_params(theta, CircuitFamily.VQC, n * config.layers, "theta")
+    values = coerce_params(theta, CircuitFamily.VQC, n * config.layers, "theta")
     gates: list[GateOp] = []
-    for layer in range(config.layers):
+    for layer, pairs in enumerate(vqc_layer_pairs(config)):
         gates.extend(ry(j, values[layer * n + j]) for j in range(n))
-        pairs = entanglement_pairs(config) if layer == 0 else _ladder(n)
         gates.extend(cnot(i, j) for i, j in pairs)
     return gates
 
@@ -295,8 +303,8 @@ def build_qaoa_circuit(
         raise UsageError("config.family must be QAOA")
     n = config.n_qubits
     expected = n * config.layers
-    g = _coerce_params(gamma, CircuitFamily.QAOA, expected, "gamma")
-    b = _coerce_params(beta, CircuitFamily.QAOA, expected, "beta")
+    g = coerce_params(gamma, CircuitFamily.QAOA, expected, "gamma")
+    b = coerce_params(beta, CircuitFamily.QAOA, expected, "beta")
     for i, j, _ in h.zz_terms:
         if i >= n or j >= n:
             raise UsageError(f"zz term ({i}, {j}) out of range for {n} qubits")
@@ -375,10 +383,9 @@ def expressibility(config: CircuitConfig, n_pairs: int, seed: int) -> Expressibi
 
     amps = qsim.zero_amplitudes(n, batch=2 * n_pairs)
     # encoding at zero input is the identity, so evolution starts at the layers
-    for layer in range(config.layers):
+    for layer, pairs in enumerate(vqc_layer_pairs(config)):
         for j in range(n):
             amps = qsim.ry_rows(amps, j, thetas[:, layer * n + j])
-        pairs = entanglement_pairs(config) if layer == 0 else _ladder(n)
         for i, j in pairs:
             amps = qsim.apply_gate_amplitudes(amps, cnot(i, j))
 

@@ -1,9 +1,15 @@
 """Multinomial logistic regression trained by full-batch gradient descent."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import UsageError
+
+# the reductions behind ndarray.sum and ndarray.max, without their Python wrappers
+_sum = np.add.reduce
+_max = np.maximum.reduce
 
 
 class LogisticRegressionClassifier:
@@ -46,25 +52,35 @@ class LogisticRegressionClassifier:
             return self
 
         design = np.hstack([X, np.ones((n, 1))])
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), codes] = 1.0
-        rows = np.arange(n)
+        # flat index of each row's own class in a C-ordered (n, k) array
+        own = np.arange(n) * k + codes
         reg = 1.0 / (self.C * n)
 
+        # The head is refit at every evaluation of a circuit's training
+        # loss, so these two closures avoid numpy's Python-level wrappers
+        # (np.mean, np.sum, 2-D fancy indexing, temporaries); each value is
+        # computed by the same operations in the same order as the textbook
+        # form, which tests/oracles.py keeps.
         def loss_and_probs(params):
             # the softmax probabilities fall out of the loss evaluation, so
             # the gradient of an accepted step needs only one extra matmul
             Z = design @ params
-            shift = Z.max(axis=1, keepdims=True)
-            probs = np.exp(Z - shift)
-            norm = probs.sum(axis=1, keepdims=True)
+            shift = _max(Z, axis=1, keepdims=True)
+            probs = Z - shift
+            np.exp(probs, out=probs)
+            norm = _sum(probs, axis=1, keepdims=True)
             log_norm = np.log(norm[:, 0]) + shift[:, 0]
-            data_term = float(np.mean(log_norm - Z[rows, codes]))
-            penalty = 0.5 * reg * float(np.sum(params[:d] ** 2))
-            return data_term + penalty, probs / norm
+            data_term = float(_sum(log_norm - Z.ravel()[own]) / n)
+            w = params[:d]
+            penalty = 0.5 * reg * float(_sum(w * w, axis=None))
+            probs /= norm
+            return data_term + penalty, probs
 
         def grad_from_probs(params, probs):
-            grad = design.T @ ((probs - onehot) / n)
+            # consumes probs: subtracting the one-hot labels in place
+            probs.ravel()[own] -= 1.0
+            probs /= n
+            grad = design.T @ probs
             grad[:d] += reg * params[:d]
             return grad
 
@@ -74,8 +90,8 @@ class LogisticRegressionClassifier:
         self.loss_trace_ = [loss]
         step = 1.0
         for iteration in range(self.max_iter):
-            grad_norm_sq = float(np.sum(grad**2))
-            if np.sqrt(grad_norm_sq) < self.tol:
+            grad_norm_sq = float(_sum(grad * grad, axis=None))
+            if math.sqrt(grad_norm_sq) < self.tol:
                 break
             accepted = False
             for _ in range(40):

@@ -82,9 +82,13 @@ class DecisionTreeClassifier:
         y = np.asarray(y)
         if X.ndim != 2 or len(X) != len(y):
             raise UsageError("X must be 2-D with one label per row")
+        if self.max_features is not None and self.max_features < X.shape[1] and self._rng is None:
+            raise UsageError("feature subsets need an rng, and a tree's rng is spent by its fit")
         self.classes_, codes = np.unique(y, return_inverse=True)
         self.depth_ = 0
         self.root_ = self._grow(X, codes, np.arange(len(y)), depth=0)
+        # the split stream is spent; a fitted tree does not carry (or pickle) it
+        self._rng = None
         return self
 
     def _majority(self, codes, row_idx) -> int:

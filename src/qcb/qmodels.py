@@ -3,9 +3,11 @@
 Three model families: expectation-value features from the trained
 variational circuit, cost/mixer expectation features from the alternating
 ansatz, and a fidelity-kernel SVM.  Feature extraction runs batched (one
-amplitude matrix for all samples) through the same kernels the single-state
-simulator uses; the tests pin batched output to the per-sample gate-list
-path.
+amplitude matrix for all samples).  The two trained families run the
+compiled kernels of :mod:`qcb.qsim` (a real RY/CNOT path; one merged phase
+and one mixer matrix per cost/mixer layer); the feature map runs the gate
+kernels of the single-state simulator.  The tests pin batched output to the
+dense oracle of the per-sample gate lists.
 
 Each classifier owns its preprocessing: features are truncated to the
 register width (feature k -> qubit k), standardized, then min-max mapped to
@@ -15,6 +17,7 @@ only.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .circuits import (
     build_feature_map,
     build_qaoa_circuit,
     build_vqc_circuit,
+    coerce_params,
     param_count,
 )
 from .classical import (
@@ -55,52 +59,125 @@ HYBRID_CQ_LAYERS = 2
 
 # ---------------------------------------------------------------------------
 # feature extraction (spec-level operations, batched over samples)
+#
+# Each trained-circuit family splits into a plan, the part that depends only
+# on the rows (built once per fit), and the evaluation for one angle vector.
+# A plan holds training rows, so it lives only inside ``fit``: a model never
+# stores or pickles one.
 
 
-def vqc_features(config: CircuitConfig, theta, X_scaled: np.ndarray) -> np.ndarray:
-    """Per-sample <Z_q> features of the variational circuit, shape (n, n_qubits)."""
+class VqcPlan(NamedTuple):
+    """Data-only part of the variational circuit on a fixed set of rows."""
+
+    encoded: np.ndarray  # (2**n, rows) real RY encodings of the rows
+    layer_perms: tuple  # per layer, the CNOT gather index (None without CNOTs)
+
+
+class QaoaPlan(NamedTuple):
+    """Data-only part of the cost/mixer circuit on a fixed set of rows."""
+
+    x_z: np.ndarray  # (rows, n) each row's Z weight per qubit (0 without a Z term)
+    zz_slots: np.ndarray  # per ZZ coupling, the qubit min(i, j) whose gamma it uses
+    zz_weights: np.ndarray  # per ZZ coupling, its weight
+    zz_signs: np.ndarray  # (couplings, 2**n) <b|Z_i Z_j|b>
+
+
+def _checked_rows(X_scaled, n_qubits: int) -> np.ndarray:
     X = np.asarray(X_scaled, dtype=float)
-    if X.ndim != 2 or X.shape[1] != config.n_qubits:
-        raise UsageError(f"expected {config.n_qubits} columns, got {X.shape}")
+    if X.ndim != 2 or X.shape[1] != n_qubits:
+        raise UsageError(f"expected {n_qubits} columns, got {X.shape}")
+    return X
+
+
+def compile_vqc(config: CircuitConfig, X_scaled: np.ndarray) -> VqcPlan:
+    """Encode the rows once and fold each layer's CNOTs into one gather."""
+    if config.family is not CircuitFamily.VQC:
+        raise UsageError("config.family must be VQC")
+    X = _checked_rows(X_scaled, config.n_qubits)
+    perms = tuple(
+        qsim.cnot_permutation(config.n_qubits, tuple(pairs)) if pairs else None
+        for pairs in circuits.vqc_layer_pairs(config)
+    )
+    return VqcPlan(encoded=qsim.ry_product_columns(X), layer_perms=perms)
+
+
+def vqc_features(
+    config: CircuitConfig, theta, X_scaled: np.ndarray, plan: VqcPlan | None = None
+) -> np.ndarray:
+    """Per-sample <Z_q> features of the variational circuit, shape (n, n_qubits).
+
+    ``plan`` is ``compile_vqc(config, X_scaled)``, passed by callers that
+    evaluate many angle vectors on the same rows.
+    """
+    if plan is None:
+        plan = compile_vqc(config, X_scaled)
     n = config.n_qubits
-    amps = qsim.zero_amplitudes(n, batch=len(X))
-    for q in range(n):
-        amps = qsim.ry_rows(amps, q, X[:, q])
-    for gate in circuits.vqc_trainable_gates(config, theta):
-        amps = qsim.apply_gate_amplitudes(amps, gate)
-    return qsim.z_expectations(amps, n)
+    half = 0.5 * coerce_params(theta, CircuitFamily.VQC, n * config.layers, "theta")
+    cos, sin = np.cos(half), np.sin(half)
+    cols = plan.encoded
+    for layer, perm in enumerate(plan.layer_perms):
+        for q in range(n):
+            k = layer * n + q
+            cols = qsim.ry_columns(cols, q, cos[k], sin[k])
+        if perm is not None:
+            cols = cols[perm]
+    return qsim.z_expectations(cols.T, n)
+
+
+def compile_qaoa(config: CircuitConfig, h: CostHamiltonian, X_scaled: np.ndarray) -> QaoaPlan:
+    """The rows' Z-term values and the sign tables of every diagonal term."""
+    if config.family is not CircuitFamily.QAOA:
+        raise UsageError("config.family must be QAOA")
+    n = config.n_qubits
+    X = _checked_rows(X_scaled, n)
+    qubits = [q for i, j, _ in h.zz_terms for q in (i, j)] + [q for q, _ in h.z_terms]
+    if any(not 0 <= q < n for q in qubits):
+        raise UsageError(f"Hamiltonian term out of range for {n} qubits")
+    signs = qsim.z_signs(n).T
+    z_count = np.bincount([q for q, _ in h.z_terms], minlength=n)
+    return QaoaPlan(
+        x_z=X * z_count,
+        zz_slots=np.array([min(i, j) for i, j, _ in h.zz_terms], dtype=int),
+        zz_weights=np.array([w for _, _, w in h.zz_terms], dtype=float),
+        zz_signs=np.array([signs[i] * signs[j] for i, j, _ in h.zz_terms]).reshape(
+            -1, 1 << n
+        ),
+    )
 
 
 def qaoa_features(
-    config: CircuitConfig, h: CostHamiltonian, gamma, beta, X_scaled: np.ndarray
+    config: CircuitConfig,
+    h: CostHamiltonian,
+    gamma,
+    beta,
+    X_scaled: np.ndarray,
+    plan: QaoaPlan | None = None,
 ) -> np.ndarray:
     """Cost-basis then mixer-basis expectations, shape (n, 2 * n_qubits).
 
     The ZZ couplings of ``h`` are shared across samples; the per-qubit Z
     weight is each sample's own scaled feature value (the weights stored in
-    ``h`` are the training means, kept as recorded offsets).
+    ``h`` are the training means, kept as recorded offsets).  Each layer's
+    cost step is diagonal, so its ZZ and Z terms merge into one phase per
+    row and basis state; its mixer is one matrix over the register.  ``plan`` is
+    ``compile_qaoa(config, h, X_scaled)``, passed by callers that evaluate
+    many angle vectors on the same rows.
     """
-    X = np.asarray(X_scaled, dtype=float)
+    if plan is None:
+        plan = compile_qaoa(config, h, X_scaled)
     n = config.n_qubits
-    if X.ndim != 2 or X.shape[1] != n:
-        raise UsageError(f"expected {n} columns, got {X.shape}")
     expected = n * config.layers
     g = np.asarray(gamma, dtype=float).ravel()
     b = np.asarray(beta, dtype=float).ravel()
     if len(g) != expected or len(b) != expected:
         raise UsageError(f"gamma and beta must each hold {expected} angles")
-    z_qubits = [q for q, _ in h.z_terms]
-    amps = qsim.plus_amplitudes(n, batch=len(X))
+    amps = (1 << n) ** -0.5  # |+...+>: every amplitude is 2**(-n/2)
     for layer in range(config.layers):
-        base = layer * n
-        for i, j, w in h.zz_terms:
-            amps = qsim.apply_gate_amplitudes(
-                amps, qsim.zz_phase(i, j, g[base + min(i, j)] * w)
-            )
-        for q in z_qubits:
-            amps = qsim.rz_rows(amps, q, 2.0 * g[base + q] * X[:, q])
-        for q in range(n):
-            amps = qsim.apply_gate_amplitudes(amps, qsim.x_mixer(q, b[base + q]))
+        g_layer = g[layer * n : (layer + 1) * n]
+        # RZ(2 g x) is exp(-i g x Z); ZZPhase(g w) is exp(-i g w Z Z)
+        zz_angle = (g_layer[plan.zz_slots] * plan.zz_weights) @ plan.zz_signs
+        phase = qsim.z_phase_rows(plan.x_z * g_layer) * np.exp(-1j * zz_angle)
+        amps = (amps * phase) @ qsim.x_mixer_product(b[layer * n : (layer + 1) * n])
     return np.hstack([qsim.z_expectations(amps, n), qsim.x_expectations(amps, n)])
 
 
@@ -239,10 +316,11 @@ class _TrainedCircuitClassifier:
     Training is bilevel: for each candidate parameter vector the head is
     refit on the training features (reduced iteration cap) and the negative
     training accuracy is minimized; the stored model keeps the best
-    parameters with a fully trained head.  Subclasses supply the circuit
-    family, its feature function, the zero-angle gate list that sets
-    ``circuit_depth_``, the start scale and the family part of the fitted
-    state.
+    parameters with a fully trained head.  The circuit's data-only part is
+    compiled once per fit and dropped when ``fit`` returns.  Subclasses
+    supply the circuit family, its plan compiler and feature function, the
+    zero-angle gate list that sets ``circuit_depth_``, the start scale and
+    the family part of the fitted state.
     """
 
     kind: str
@@ -284,8 +362,10 @@ class _TrainedCircuitClassifier:
             self.params_ = np.zeros(n_params)
             return self
 
+        plan = self._compile(X_angle)
+
         def loss(params):
-            features = self._features(params, X_angle)
+            features = self._features(params, X_angle, plan)
             head = _fit_head(features, y, INNER_HEAD_MAX_ITER)
             return -_training_accuracy(head, features, y)
 
@@ -296,7 +376,7 @@ class _TrainedCircuitClassifier:
             raise TrainingError("every objective evaluation was non-finite")
         self.opt_result_ = result
         self.params_ = result.best_params
-        final_features = self._features(self.params_, X_angle)
+        final_features = self._features(self.params_, X_angle, plan)
         self.head_ = _fit_head(final_features, y, FINAL_HEAD_MAX_ITER)
         return self
 
@@ -351,8 +431,11 @@ class VqcClassifier(_TrainedCircuitClassifier):
     def theta_(self) -> np.ndarray | None:
         return self.params_
 
-    def _features(self, theta, X_angle):
-        return vqc_features(self.config_, theta, X_angle)
+    def _compile(self, X_angle):
+        return compile_vqc(self.config_, X_angle)
+
+    def _features(self, theta, X_angle, plan=None):
+        return vqc_features(self.config_, theta, X_angle, plan)
 
     def _zero_angle_gates(self, n_params: int):
         return build_vqc_circuit(self.config_, np.zeros(self.n_qubits), np.zeros(n_params))
@@ -399,10 +482,13 @@ class QaoaClassifier(_TrainedCircuitClassifier):
         half = n_params // 2
         return np.concatenate([np.full(half, 1.0 / (2.0 * np.pi)), np.ones(half)])
 
-    def _features(self, params, X_angle):
+    def _compile(self, X_angle):
+        return compile_qaoa(self.config_, self.hamiltonian_, X_angle)
+
+    def _features(self, params, X_angle, plan=None):
         half = len(params) // 2
         return qaoa_features(
-            self.config_, self.hamiltonian_, params[:half], params[half:], X_angle
+            self.config_, self.hamiltonian_, params[:half], params[half:], X_angle, plan
         )
 
     def _zero_angle_gates(self, n_params: int):

@@ -7,9 +7,11 @@ the basis-state index, so for two qubits the basis order is
 Gate application is matrix-free: each gate updates amplitudes through
 bit-indexed pairing instead of building the full register unitary (the test
 suite checks the simulator against an explicit dense matrix-chain oracle,
-which keeps the two code paths independent).  Every kernel operates on the
-last axis of its input array, so the same code serves a single state vector
-of shape ``(2**n,)`` and a batch of shape ``(batch, 2**n)``.
+which keeps the two code paths independent).  Every gate kernel operates on
+the last axis of its input array, so the same code serves a single state
+vector of shape ``(2**n,)`` and a batch of shape ``(batch, 2**n)``.  The
+compiled-circuit kernels at the end of the module serve trained circuits
+that are evaluated many times on the same rows.
 """
 from __future__ import annotations
 
@@ -166,7 +168,8 @@ def _z_sign_vector(dim: int, q: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _z_signs(n_qubits: int) -> np.ndarray:
+def z_signs(n_qubits: int) -> np.ndarray:
+    """<b|Z_q|b> for every basis state b and qubit q, shape (2**n, n)."""
     dim = 1 << n_qubits
     idx = np.arange(dim)
     signs = np.empty((dim, n_qubits))
@@ -387,9 +390,9 @@ def plus_amplitudes(n_qubits: int, batch: int | None = None) -> np.ndarray:
 
 
 def z_expectations(amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    """<Z_q> for every qubit; returns shape ``(..., n_qubits)``."""
-    probs = amps.real**2 + amps.imag**2
-    return np.clip(probs @ _z_signs(n_qubits), -1.0, 1.0)
+    """<Z_q> for every qubit of real or complex amplitudes; shape ``(..., n_qubits)``."""
+    probs = amps.real**2 + amps.imag**2 if np.iscomplexobj(amps) else amps * amps
+    return np.clip(probs @ z_signs(n_qubits), -1.0, 1.0)
 
 
 def x_expectations(amps: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -409,6 +412,95 @@ def cross_overlap_sq(amps_a: np.ndarray, amps_b: np.ndarray) -> np.ndarray:
         raise UsageError("state dimensions differ")
     inner = np.conj(amps_a) @ amps_b.T
     return np.clip(inner.real**2 + inner.imag**2, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# compiled-circuit kernels
+#
+# A trained circuit is evaluated many times on the same rows, so the work
+# that depends only on the data is done once and these kernels run the
+# part that depends on the trained angles.  RY and CNOT started from
+# |0...0> keep every amplitude real, so that family runs in float64 on
+# columns: shape (2**n, batch), amplitude axis first, which makes the two
+# halves of a qubit's bit contiguous blocks instead of strided columns.
+
+
+def ry_product_columns(angles: np.ndarray) -> np.ndarray:
+    """RY(angles[r, q]) on each qubit q of |0...0>, as real columns (2**n, batch).
+
+    The state is a product: qubit q contributes cos(a/2) where its bit is 0
+    and sin(a/2) where it is 1.
+    """
+    angles = np.asarray(angles, dtype=float)
+    _check_count(angles.shape[1])
+    half = 0.5 * angles.T
+    cos, sin = np.cos(half), np.sin(half)
+    cols = np.ones((1, angles.shape[0]))
+    for q in range(angles.shape[1]):
+        # qubit q is the new most significant bit
+        cols = np.concatenate([cols * cos[q], cols * sin[q]])
+    return cols
+
+
+def ry_columns(cols: np.ndarray, qubit: int, cos_half: float, sin_half: float) -> np.ndarray:
+    """RY on one qubit of real state columns, given cos and sin of half its angle."""
+    dim = cols.shape[0]
+    v = cols.reshape(dim >> (qubit + 1), 2, -1)
+    out = np.empty_like(v)
+    a0, a1 = v[:, 0], v[:, 1]
+    np.multiply(a0, cos_half, out=out[:, 0])
+    out[:, 0] -= sin_half * a1
+    np.multiply(a1, cos_half, out=out[:, 1])
+    out[:, 1] += sin_half * a0
+    return out.reshape(cols.shape)
+
+
+@lru_cache(maxsize=64)
+def cnot_permutation(n_qubits: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Basis-state gather equal to CNOT(control, target) for each pair in order.
+
+    ``cols[perm]`` (or ``amps[..., perm]``) is the state after the whole
+    sequence: each CNOT is a self-inverse permutation of basis states, and a
+    sequence of them composes into one.
+    """
+    _check_count(n_qubits)
+    idx = np.arange(1 << n_qubits)
+    perm = idx
+    for control, target in pairs:
+        if not (0 <= control < n_qubits and 0 <= target < n_qubits) or control == target:
+            raise UsageError(f"invalid CNOT pair ({control}, {target}) for {n_qubits} qubits")
+        perm = perm[idx ^ (((idx >> control) & 1) << target)]
+    perm.setflags(write=False)
+    return perm
+
+
+def z_phase_rows(angles: np.ndarray) -> np.ndarray:
+    """Diagonal of prod_q exp(-i angles[r, q] Z_q) for each row r, shape (rows, 2**n).
+
+    The diagonal is a product over qubits, so it needs one exp per row and
+    qubit rather than one per row and basis state.
+    """
+    factor = np.exp(-1j * np.asarray(angles, dtype=float))
+    diag = np.ones((len(factor), 1), dtype=np.complex128)
+    for q in range(factor.shape[1]):
+        # qubit q is the new most significant bit: Z_q is +1 below, -1 above
+        f = factor[:, q : q + 1]
+        diag = np.concatenate([diag * f, diag * np.conj(f)], axis=1)
+    return diag
+
+
+def x_mixer_product(angles) -> np.ndarray:
+    """exp(-i angles[q] X_q) on every qubit q as one 2**n x 2**n matrix.
+
+    The matrix is symmetric, so ``amps @ m`` applies it to a batch of rows.
+    """
+    u = _x_mixer_matrix(np.asarray(angles, dtype=float))
+    m = np.ones((1, 1), dtype=np.complex128)
+    for q in range(len(u)):
+        # Kronecker product u[q] (x) m: qubit q is the new most significant bit
+        k = len(m)
+        m = (u[q][:, None, :, None] * m[None, :, None, :]).reshape(2 * k, 2 * k)
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -127,3 +127,65 @@ def two_pass_std(values) -> float:
     values = np.asarray(values, dtype=float)
     mean = values.sum() / len(values)
     return float(np.sqrt(np.sum((values - mean) ** 2) / len(values)))
+
+
+def logistic_regression_fit(X, y, C: float = 1.0, max_iter: int = 1000, tol: float = 1e-5):
+    """Softmax-regression gradient descent in its textbook form.
+
+    A verbatim copy of ``LogisticRegressionClassifier.fit`` before its inner
+    loop was tuned; the tuned loop must reproduce it bit for bit.  Returns
+    ``(weights, bias, loss_trace, n_iter)`` for two or more classes.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    classes, codes = np.unique(y, return_inverse=True)
+    n, d = X.shape
+    k = len(classes)
+    n_iter = 0
+
+    design = np.hstack([X, np.ones((n, 1))])
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), codes] = 1.0
+    rows = np.arange(n)
+    reg = 1.0 / (C * n)
+
+    def loss_and_probs(params):
+        Z = design @ params
+        shift = Z.max(axis=1, keepdims=True)
+        probs = np.exp(Z - shift)
+        norm = probs.sum(axis=1, keepdims=True)
+        log_norm = np.log(norm[:, 0]) + shift[:, 0]
+        data_term = float(np.mean(log_norm - Z[rows, codes]))
+        penalty = 0.5 * reg * float(np.sum(params[:d] ** 2))
+        return data_term + penalty, probs / norm
+
+    def grad_from_probs(params, probs):
+        grad = design.T @ ((probs - onehot) / n)
+        grad[:d] += reg * params[:d]
+        return grad
+
+    params = np.zeros((d + 1, k))
+    loss, probs = loss_and_probs(params)
+    grad = grad_from_probs(params, probs)
+    loss_trace = [loss]
+    step = 1.0
+    for iteration in range(max_iter):
+        grad_norm_sq = float(np.sum(grad**2))
+        if np.sqrt(grad_norm_sq) < tol:
+            break
+        accepted = False
+        for _ in range(40):
+            candidate = params - step * grad
+            candidate_loss, candidate_probs = loss_and_probs(candidate)
+            if candidate_loss <= loss - 1e-4 * step * grad_norm_sq:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        params, loss = candidate, candidate_loss
+        grad = grad_from_probs(params, candidate_probs)
+        loss_trace.append(loss)
+        step = min(step * 1.5, 64.0)
+        n_iter = iteration + 1
+    return params[:d], params[d], loss_trace, n_iter

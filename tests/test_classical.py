@@ -1,3 +1,6 @@
+import io
+import pickle
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from qcb.classical import (
 from qcb.classical.svm import rbf_kernel
 from qcb.errors import UsageError
 
-from oracles import two_pass_std
+from oracles import logistic_regression_fit, two_pass_std
 
 
 def make_blobs(rng, centers, n_per, spread=0.5):
@@ -185,6 +188,30 @@ class TestLogisticRegression:
         b = LogisticRegressionClassifier().fit(X, y)
         assert np.array_equal(a.weights_, b.weights_)
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # the inner head of a 6-qubit circuit: bounded features, 4 classes
+            dict(seed=41, n=144, d=6, k=4, C=1.0, max_iter=100),
+            dict(seed=42, n=60, d=12, k=4, C=1.0, max_iter=1000),
+            dict(seed=43, n=30, d=2, k=2, C=0.1, max_iter=300),
+            dict(seed=44, n=50, d=3, k=3, C=10.0, max_iter=50),
+        ],
+    )
+    def test_matches_textbook_form_bit_for_bit(self, case):
+        rng = np.random.default_rng(case["seed"])
+        X = np.clip(rng.normal(size=(case["n"], case["d"])), -1.0, 1.0)
+        y = (X[:, 0] > 0).astype(int) + (X[:, 1 % case["d"]] > 0.3) * (case["k"] - 2)
+        y[: case["k"]] = np.arange(case["k"])  # every class present
+        model = LogisticRegressionClassifier(C=case["C"], max_iter=case["max_iter"]).fit(X, y)
+        weights, bias, trace, n_iter = logistic_regression_fit(
+            X, y, C=case["C"], max_iter=case["max_iter"]
+        )
+        assert np.array_equal(model.weights_, weights)
+        assert np.array_equal(model.bias_, bias)
+        assert np.array_equal(model.loss_trace_, trace)
+        assert model.n_iter_ == n_iter
+
 
 class TestDecisionTree:
     def test_xor_is_shattered(self):
@@ -244,6 +271,24 @@ class TestRandomForest:
         rng = np.random.default_rng(20)
         X, y = make_blobs(rng, [(-1.0,), (1.0,)], 15)
         assert len(RandomForestClassifier(n_trees=7, seed=0).fit(X, y).trees_) == 7
+
+    def test_pickled_forest_holds_no_generator(self):
+        rng = np.random.default_rng(21)
+        X, y = make_blobs(rng, [(-1.0, 0.0, 1.0), (1.0, 0.0, -1.0)], 20)
+        forest = RandomForestClassifier(n_trees=6, seed=3).fit(X, y)
+        found = []
+
+        class Probe(pickle.Pickler):
+            def reducer_override(self, obj):
+                if isinstance(obj, np.random.Generator):
+                    found.append(obj)
+                return NotImplemented
+
+        Probe(io.BytesIO()).dump(forest)
+        assert found == []
+        assert all(tree._rng is None for tree in forest.trees_)
+        with pytest.raises(UsageError):
+            forest.trees_[0].fit(X, y)  # its split stream is spent
 
 
 class TestSvm:

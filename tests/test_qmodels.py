@@ -1,9 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from qcb.circuits import (
     CircuitConfig,
     CircuitFamily,
+    CorrelationGraph,
     CostHamiltonian,
     build_qaoa_circuit,
     build_vqc_circuit,
@@ -21,9 +24,17 @@ from qcb.qmodels import (
     quantum_kernel_matrix,
     vqc_features,
 )
-from qcb.qsim import QuantumState, apply_circuit, expectation_x, expectation_z, init_plus, init_zero
+from qcb.qsim import (
+    QuantumState,
+    apply_circuit,
+    expectation_x,
+    expectation_z,
+    init_plus,
+    init_zero,
+    pauli_x,
+)
 
-from oracles import dense_simulate
+from oracles import dense_gate_matrix, dense_simulate
 
 
 def separable_data(rng, n_samples=60, n_features=2):
@@ -152,6 +163,84 @@ class TestQaoaFeatures:
             rng.uniform(0, np.pi, size=(25, 4)),
         )
         assert np.all(feats >= -1.0) and np.all(feats <= 1.0)
+
+
+def _pair_graph(n_features, pairs):
+    rho = np.eye(n_features)
+    for i, j, w in pairs:
+        rho[i, j] = rho[j, i] = w
+    return CorrelationGraph(n_features=n_features, rho=rho, pairs=tuple(pairs))
+
+
+def _non_ladder_graph(n_qubits):
+    """Pairs that skip qubits wherever the register is wide enough."""
+    if n_qubits == 1:
+        return None
+    pairs = [(0, n_qubits - 1, 0.9)]
+    if n_qubits >= 4:
+        pairs.append((1, 3, -0.7))
+    return _pair_graph(n_qubits, pairs)
+
+
+def _dense_expectations(amps, n_qubits):
+    """<Z_q> and <X_q> of one dense state, from explicit sums and matrices."""
+    probs = np.abs(amps) ** 2
+    z = [sum(p * (1 - 2 * ((b >> q) & 1)) for b, p in enumerate(probs)) for q in range(n_qubits)]
+    x = [
+        float(np.real(np.vdot(amps, dense_gate_matrix(pauli_x(q), n_qubits) @ amps)))
+        for q in range(n_qubits)
+    ]
+    return np.array(z), np.array(x)
+
+
+_SHAPES = [(n, layers) for n in range(1, 7) for layers in (1, 2, 3)]
+
+
+class TestCompiledFeaturesMatchDenseOracle:
+    """The compiled feature paths against dense matrices of the gate lists."""
+
+    @pytest.mark.parametrize("n_qubits,layers", _SHAPES)
+    @pytest.mark.parametrize("with_graph", [True, False])
+    def test_vqc(self, n_qubits, layers, with_graph):
+        rng = np.random.default_rng(100 * n_qubits + 10 * layers + with_graph)
+        graph = _non_ladder_graph(n_qubits) if with_graph else None
+        config = CircuitConfig(CircuitFamily.VQC, n_qubits, layers, graph)
+        theta = rng.uniform(0, 2 * np.pi, n_qubits * layers)
+        X = rng.uniform(0, np.pi, size=(50, n_qubits))
+        batch = vqc_features(config, theta, X)
+        for row in range(50):
+            amps = dense_simulate(build_vqc_circuit(config, X[row], theta), n_qubits)
+            z, _ = _dense_expectations(amps, n_qubits)
+            assert np.max(np.abs(batch[row] - z)) < 1e-12
+        assert np.max(np.abs(vqc_features(config, theta, X[7:8])[0] - batch[7])) < 1e-12
+
+    @pytest.mark.parametrize("n_qubits,layers", _SHAPES)
+    @pytest.mark.parametrize("with_zz", [True, False])
+    def test_qaoa(self, n_qubits, layers, with_zz):
+        rng = np.random.default_rng(200 * n_qubits + 10 * layers + with_zz)
+        graph = _non_ladder_graph(n_qubits) if with_zz else None
+        config = CircuitConfig(CircuitFamily.QAOA, n_qubits, layers, graph)
+        if graph is not None:
+            h = CostHamiltonian(
+                zz_terms=graph.pairs, z_terms=tuple((q, 0.5) for q in range(n_qubits))
+            )
+        else:
+            # no couplings, and Z terms on the even qubits only
+            h = CostHamiltonian(zz_terms=(), z_terms=tuple((q, 0.5) for q in range(0, n_qubits, 2)))
+        gamma = rng.uniform(0, 1, n_qubits * layers)
+        beta = rng.uniform(0, 2 * np.pi, n_qubits * layers)
+        X = rng.uniform(0, np.pi, size=(50, n_qubits))
+        batch = qaoa_features(config, h, gamma, beta, X)
+        plus = np.full(1 << n_qubits, 2.0 ** (-n_qubits / 2))
+        for row in range(50):
+            sample_h = CostHamiltonian(
+                zz_terms=h.zz_terms, z_terms=tuple((q, float(X[row, q])) for q, _ in h.z_terms)
+            )
+            gates = build_qaoa_circuit(config, sample_h, gamma, beta)
+            z, x = _dense_expectations(dense_simulate(gates, n_qubits, plus), n_qubits)
+            assert np.max(np.abs(batch[row] - np.concatenate([z, x]))) < 1e-12
+        single = qaoa_features(config, h, gamma, beta, X[7:8])
+        assert np.max(np.abs(single[0] - batch[7])) < 1e-12
 
 
 class TestQuantumKernel:
@@ -365,6 +454,38 @@ class TestHybridCq:
     def test_needs_enough_features(self):
         with pytest.raises(UsageError):
             HybridCqPipeline("vqc").fit(np.zeros((10, 3)), np.arange(10) % 2)
+
+
+class TestSingleRecordPredict:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: VqcClassifier(6, 3, budget=OptBudget(max_evals=20), seed=1),
+            lambda: QaoaClassifier(6, 3, budget=OptBudget(max_evals=20), seed=1),
+            lambda: HybridQcPipeline("logistic_regression", seed=1, budget=OptBudget(max_evals=20)),
+        ],
+        ids=["vqc", "qaoa", "hybrid_qc"],
+    )
+    def test_single_record_equals_batch(self, build):
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(80, 7))
+        y = (X[:, 0] + 0.5 * X[:, 2] > 0).astype(int) + (X[:, 1] > 0.8)
+        model = build().fit(X[:60], y[:60])
+        batch = model.predict(X)
+        singles = [model.predict(X[i : i + 1])[0] for i in range(len(X))]
+        assert np.array_equal(batch, singles)
+
+
+class TestFittedFootprint:
+    @pytest.mark.parametrize("circuit", [VqcClassifier, QaoaClassifier])
+    def test_six_qubit_model_pickles_small(self, circuit):
+        # the compiled training plan holds per-row states (about 72 KiB for
+        # 144 rows on 6 qubits) and must not be kept on the fitted model
+        rng = np.random.default_rng(34)
+        X = rng.normal(size=(144, 8))
+        y = rng.integers(0, 4, 144)
+        model = circuit(6, 3, budget=OptBudget(max_evals=5), seed=0).fit(X, y)
+        assert len(pickle.dumps(model)) < 16 * 1024
 
 
 class TestTrainedCircuitState:

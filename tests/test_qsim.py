@@ -310,3 +310,43 @@ class TestBatchKernels:
             for j in range(3):
                 expected = overlap_sq(QuantumState(2, a[i]), QuantumState(2, b[j]))
                 assert abs(grid[i, j] - expected) < 1e-12
+
+
+class TestCompiledKernels:
+    def test_cnot_permutation_equals_dense_sequence(self):
+        rng = np.random.default_rng(53)
+        for n in (2, 3, 5):
+            pairs = tuple(tuple(int(q) for q in rng.choice(n, 2, replace=False)) for _ in range(4))
+            state = rng.normal(size=1 << n)
+            dense = dense_simulate([cnot(c, t) for c, t in pairs], n, state).real
+            assert np.array_equal(state[qsim.cnot_permutation(n, pairs)], dense)
+
+    def test_cnot_permutation_rejects_bad_pairs(self):
+        for pairs in (((0, 0),), ((0, 3),), ((-1, 1),)):
+            with pytest.raises(UsageError):
+                qsim.cnot_permutation(3, pairs)
+
+    def test_ry_kernels_equal_dense_matrices(self):
+        rng = np.random.default_rng(59)
+        angles = rng.uniform(0, 2 * np.pi, size=(4, 3))
+        cols = qsim.ry_product_columns(angles)
+        for row, x in enumerate(angles):
+            expected = dense_simulate([ry(q, x[q]) for q in range(3)], 3).real
+            assert np.allclose(cols[:, row], expected, atol=1e-14)
+        turned = qsim.ry_columns(cols, 1, np.cos(0.35), np.sin(0.35))
+        mat = dense_gate_matrix(ry(1, 0.7), 3).real
+        assert np.allclose(turned, mat @ cols, atol=1e-14)
+
+    def test_phase_and_mixer_products_equal_dense_matrices(self):
+        rng = np.random.default_rng(61)
+        angles = rng.uniform(-2, 2, size=(2, 3))
+        diag = qsim.z_phase_rows(angles)
+        for row, a in enumerate(angles):
+            # exp(-i a Z) is RZ(2 a)
+            dense = dense_simulate([rz(q, 2 * a[q]) for q in range(3)], 3, np.ones(8))
+            assert np.allclose(diag[row], dense, atol=1e-14)
+        beta = rng.uniform(0, 2 * np.pi, 3)
+        mixer = np.eye(8, dtype=complex)
+        for q in range(3):
+            mixer = dense_gate_matrix(x_mixer(q, beta[q]), 3) @ mixer
+        assert np.allclose(qsim.x_mixer_product(beta), mixer, atol=1e-14)
