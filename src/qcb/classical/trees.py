@@ -1,63 +1,177 @@
-"""CART decision trees (Gini impurity) and bagged random forests."""
+"""CART decision trees (Gini impurity) and bagged random forests on flat node arrays.
+
+Fit.  Each tree stable-argsorts every column of its training matrix once, into
+a ``(d, n)`` row-order table (the presorted attribute lists of SLIQ; Mehta,
+Agrawal & Rissanen, EDBT 1996).  A node owns the ``(d, m)`` table of its own
+rows.  A split partitions every row of that table with the go-left mask; the
+partition is stable, so each child's table keeps the ``(value, row)`` order a
+per-node stable argsort would give.  A node's candidate features are searched
+in one vectorised pass over ``(features, positions, classes)`` arrays: the
+cumulative class counts, the weighted Gini of a cut after every position, and
+``+inf`` where the next value is equal.  Then ``argmin`` takes each feature's
+first best position, and the features are compared in ascending order, a later
+one winning only if ``candidate < best - 1e-15``.  The threshold is the midpoint
+of the two values around the cut.  Each child's class counts come from its
+parent's cumulative counts, so a leaf costs no NumPy call; its class is the
+majority, ties going to the lowest class.
+
+RNG contract.  A tree with ``max_features`` below the column count draws one
+``rng.choice(d, size=max_features, replace=False)`` at each splittable node
+(not at a leaf made by depth, size or purity), in depth-first, left-first
+preorder.  Trees grow from an explicit stack in that order, never level by
+level, so the stream is consumed as by the recursive definition, and a deep
+tree needs no recursion.
+
+Node layout.  A fitted tree is a ``_Nodes`` table of flat preorder arrays, in
+the smallest integer dtypes that hold them: ``feature``, ``threshold``,
+``right`` and ``value`` (the leaf's class code).  The left child of node ``i``
+is ``i + 1``.  A leaf has a NaN threshold and a ``right`` that points to
+itself, so ``x <= threshold`` is false and a descent step leaves it in place.
+A tree predicts by walking its nodes row by row.  A forest concatenates its
+trees into one table, with leaf codes mapped to the forest's classes once at
+fit time; its trees keep that table and their root offset instead of copies,
+so the node data is held, and pickled, once.  The forest scores every row
+through every tree in ``depth`` vectorised gather steps over a
+``(trees, rows)`` node-index array, and votes with one ``bincount``.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import UsageError
 
 
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    leaf_class: int = -1
+class _Nodes(NamedTuple):
+    """Flat preorder node arrays of one tree, or of every tree of a forest."""
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    feature: np.ndarray
+    threshold: np.ndarray  # NaN at a leaf
+    right: np.ndarray  # a leaf's own index
+    value: np.ndarray  # leaf class code; unused at a split
 
 
-def _gini_columns(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    # counts: (cuts, classes); sizes: (cuts,)
-    with np.errstate(invalid="ignore"):
-        frac = counts / sizes[:, None]
-    return 1.0 - np.sum(frac**2, axis=1)
+def _compact(values, largest: int) -> np.ndarray:
+    return np.asarray(values, dtype=np.min_scalar_type(largest))
 
 
-def _best_split(X, codes, row_idx, features, n_classes):
-    """Scan midpoint thresholds of each candidate feature; minimize weighted Gini."""
-    m = len(row_idx)
-    best = None  # (weighted_gini, feature, threshold)
-    y_node = codes[row_idx]
-    for feature in features:
-        x = X[row_idx, feature]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        if xs[0] == xs[-1]:
+def _gini(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    # counts: (features, positions, classes); sizes: (positions,)
+    frac = counts / sizes[:, None]
+    return 1.0 - np.sum(frac**2, axis=-1)
+
+
+def _best_split(columns, codes, classes, table, features):
+    """The Gini-best cut of one node over its candidate ``features``, or None.
+
+    ``table`` is the node's ``(d, m)`` row-order table.  Returns the winner's
+    index in ``features``, the position its cut follows, and its row ids,
+    values and cumulative class counts, all in its value order.
+    """
+    rows = table[features]  # (features, m)
+    xs = columns[features[:, None], rows]
+    m = rows.shape[1]
+    cum = np.cumsum(codes[rows][..., None] == classes, axis=1, dtype=float)
+    left_counts = cum[:, :-1]
+    left_sizes = np.arange(1.0, m)
+    right_sizes = m - left_sizes
+    weighted = (
+        left_sizes * _gini(left_counts, left_sizes)
+        + right_sizes * _gini(cum[:, -1:] - left_counts, right_sizes)
+    ) / m
+    weighted[xs[:, 1:] == xs[:, :-1]] = np.inf  # no cut between equal values
+    positions = np.argmin(weighted, axis=1)
+    candidates = weighted[np.arange(len(features)), positions].tolist()
+    best = None
+    for k, constant in enumerate((xs[:, 0] == xs[:, -1]).tolist()):
+        if not constant and (best is None or candidates[k] < candidates[best] - 1e-15):
+            best = k
+    if best is None:
+        return None
+    return best, positions[best], rows[best], xs[best], cum[best]
+
+
+def _grow(X, codes, n_classes: int, max_depth: int, n_candidates: int, rng):
+    """Grow one tree in preorder; return its ``_Nodes`` and its depth."""
+    n, d = X.shape
+    columns = np.ascontiguousarray(X.T)
+    all_features = np.arange(d)
+    classes = np.arange(n_classes)
+    feature, threshold, right, value = [], [], [], []
+    depth_reached = 0
+    # (row-order table, class counts, depth, the parent whose right child it is, or -1)
+    root_counts = np.bincount(codes, minlength=n_classes).tolist()
+    stack = [(np.argsort(columns, axis=1, kind="stable"), root_counts, 0, -1)]
+    while stack:
+        table, counts, depth, parent = stack.pop()
+        node = len(right)
+        if parent >= 0:
+            right[parent] = node
+        depth_reached = max(depth_reached, depth)
+        m = table.shape[1]
+        split = None
+        if depth < max_depth and m >= 2 and max(counts) < m:
+            if n_candidates < d:
+                features = np.sort(rng.choice(d, size=n_candidates, replace=False))
+            else:
+                features = all_features
+            split = _best_split(columns, codes, classes, table, features)
+        if split is None:
+            feature.append(0)
+            threshold.append(np.nan)
+            right.append(node)
+            value.append(counts.index(max(counts)))  # ties go to the lowest class
             continue
-        ys = y_node[order]
-        onehot = np.zeros((m, n_classes))
-        onehot[np.arange(m), ys] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        cuts = np.nonzero(xs[1:] != xs[:-1])[0]  # split after position cut
-        left_counts = cum[cuts]
-        left_sizes = (cuts + 1).astype(float)
-        right_counts = cum[-1] - left_counts
-        right_sizes = m - left_sizes
-        weighted = (
-            left_sizes * _gini_columns(left_counts, left_sizes)
-            + right_sizes * _gini_columns(right_counts, right_sizes)
-        ) / m
-        j = int(np.argmin(weighted))
-        candidate = float(weighted[j])
-        if best is None or candidate < best[0] - 1e-15:
-            threshold = 0.5 * (xs[cuts[j]] + xs[cuts[j] + 1])
-            best = (candidate, feature, threshold)
-    return best
+        k, j, rows, xs, cum = split
+        cut = 0.5 * (xs[j] + xs[j + 1])
+        # the rows with x <= cut lead the value order; rounding may put xs[j + 1] among them
+        n_left = int(np.count_nonzero(xs <= cut))
+        go_left = np.zeros(n, dtype=bool)
+        go_left[rows[:n_left]] = True
+        in_left = go_left[table]
+        left_counts = cum[n_left - 1].astype(int).tolist() if n_left else [0] * n_classes
+        right_counts = [c - left for c, left in zip(counts, left_counts)]
+        feature.append(int(features[k]))
+        threshold.append(cut)
+        right.append(-1)  # set when the right child is reached
+        value.append(0)
+        stack.append((table[~in_left].reshape(d, m - n_left), right_counts, depth + 1, node))
+        stack.append((table[in_left].reshape(d, n_left), left_counts, depth + 1, -1))
+    nodes = _Nodes(
+        feature=_compact(feature, d - 1),
+        threshold=np.asarray(threshold, dtype=float),
+        right=_compact(right, len(right) - 1),
+        value=_compact(value, n_classes - 1),
+    )
+    return nodes, depth_reached
+
+
+def _tree_text(nodes: list[list], root: int, leaf_codes: list[int]) -> str:
+    """``repr`` of the nested ``('split', feature, threshold, left, right)`` /
+    ``('leaf', class)`` tuple of the tree at ``root``, built without recursion.
+
+    ``nodes`` holds the ``_Nodes`` arrays as lists; ``leaf_codes`` maps a leaf
+    value to the class code the tree's text shows.
+    """
+    feature, threshold, right, value = nodes
+    parts = []
+    in_right = []  # one flag per open split: its left subtree is done
+    i = root
+    while True:
+        if right[i] == i:
+            parts.append(f"('leaf', {leaf_codes[value[i]]})")
+            while in_right and in_right[-1]:
+                in_right.pop()
+                parts.append(")")
+            if not in_right:
+                return "".join(parts)
+            in_right[-1] = True
+            parts.append(", ")
+        else:
+            parts.append(f"('split', {np.int64(feature[i])!r}, {threshold[i]!r}, ")
+            in_right.append(False)
+        i += 1
 
 
 class DecisionTreeClassifier:
@@ -74,73 +188,54 @@ class DecisionTreeClassifier:
         self.max_features = max_features
         self._rng = rng
         self.classes_: np.ndarray | None = None
-        self.root_: _Node | None = None
         self.depth_ = 0
+        self._nodes: _Nodes | None = None
+        self._root = 0
+        self._labels: np.ndarray | None = None  # the labels of the leaf codes
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         if X.ndim != 2 or len(X) != len(y):
             raise UsageError("X must be 2-D with one label per row")
-        if self.max_features is not None and self.max_features < X.shape[1] and self._rng is None:
+        d = X.shape[1]
+        if self.max_features is not None and self.max_features < d and self._rng is None:
             raise UsageError("feature subsets need an rng, and a tree's rng is spent by its fit")
         self.classes_, codes = np.unique(y, return_inverse=True)
-        self.depth_ = 0
-        self.root_ = self._grow(X, codes, np.arange(len(y)), depth=0)
+        n_candidates = d if self.max_features is None else self.max_features
+        self._nodes, self.depth_ = _grow(
+            X, codes, len(self.classes_), self.max_depth, n_candidates, self._rng
+        )
+        self._root = 0
+        self._labels = self.classes_
         # the split stream is spent; a fitted tree does not carry (or pickle) it
         self._rng = None
         return self
 
-    def _majority(self, codes, row_idx) -> int:
-        counts = np.bincount(codes[row_idx], minlength=len(self.classes_))
-        return int(np.argmax(counts))  # ties go to the lowest class index
-
-    def _grow(self, X, codes, row_idx, depth) -> _Node:
-        self.depth_ = max(self.depth_, depth)
-        y_node = codes[row_idx]
-        if depth >= self.max_depth or len(row_idx) < 2 or np.all(y_node == y_node[0]):
-            return _Node(leaf_class=self._majority(codes, row_idx))
-        d = X.shape[1]
-        if self.max_features is not None and self.max_features < d:
-            features = np.sort(self._rng.choice(d, size=self.max_features, replace=False))
-        else:
-            features = np.arange(d)
-        best = _best_split(X, codes, row_idx, features, len(self.classes_))
-        if best is None:
-            return _Node(leaf_class=self._majority(codes, row_idx))
-        _, feature, threshold = best
-        mask = X[row_idx, feature] <= threshold
-        left = self._grow(X, codes, row_idx[mask], depth + 1)
-        right = self._grow(X, codes, row_idx[~mask], depth + 1)
-        return _Node(feature=feature, threshold=threshold, left=left, right=right)
+    def _check_fitted(self) -> None:
+        if self._nodes is None:
+            raise UsageError("model is not fitted")
 
     def predict(self, X):
-        if self.root_ is None:
-            raise UsageError("model is not fitted")
+        self._check_fitted()
         X = np.asarray(X, dtype=float)
-        out = np.empty(len(X), dtype=int)
-        for i, row in enumerate(X):
-            node = self.root_
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.leaf_class
-        return self.classes_[out]
-
-    def _serialize(self, node: _Node) -> tuple:
-        if node.is_leaf:
-            return ("leaf", node.leaf_class)
-        return (
-            "split",
-            node.feature,
-            float(node.threshold),
-            self._serialize(node.left),
-            self._serialize(node.right),
-        )
+        # one tree is cheaper to walk row by row than to descend in vectorised steps
+        feature, threshold, right, value = (a.tolist() for a in self._nodes)
+        codes = []
+        for row in X.tolist():
+            i = self._root
+            while right[i] != i:
+                i = i + 1 if row[feature[i]] <= threshold[i] else right[i]
+            codes.append(value[i])
+        return self._labels[codes]
 
     def fitted_state(self) -> dict:
-        if self.root_ is None:
-            raise UsageError("model is not fitted")
-        return {"classes": self.classes_, "tree": repr(self._serialize(self.root_))}
+        self._check_fitted()
+        return {"classes": self.classes_, "tree": self._text([a.tolist() for a in self._nodes])}
+
+    def _text(self, nodes: list[list]) -> str:
+        leaf_codes = np.searchsorted(self.classes_, self._labels).tolist()
+        return _tree_text(nodes, self._root, leaf_codes)
 
 
 class RandomForestClassifier:
@@ -160,6 +255,9 @@ class RandomForestClassifier:
         self.seed = int(seed)
         self.classes_: np.ndarray | None = None
         self.trees_: list[DecisionTreeClassifier] = []
+        self._nodes: _Nodes | None = None
+        self._roots: np.ndarray | None = None
+        self._depth = 0
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -179,25 +277,59 @@ class RandomForestClassifier:
             )
             tree.fit(X[sample], y[sample])
             self.trees_.append(tree)
+        self._join_trees()
         return self
+
+    def _join_trees(self) -> None:
+        """Move every tree's nodes into one forest table that the trees then share."""
+        tables = [tree._nodes for tree in self.trees_]
+        sizes = np.array([len(t.right) for t in tables])
+        roots = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        total = int(sizes.sum())
+        self._nodes = _Nodes(
+            feature=np.concatenate([t.feature for t in tables]),
+            threshold=np.concatenate([t.threshold for t in tables]),
+            right=_compact(
+                np.concatenate([t.right + root for t, root in zip(tables, roots)]), total - 1
+            ),
+            value=_compact(
+                np.concatenate(
+                    [
+                        np.searchsorted(self.classes_, tree.classes_)[t.value]
+                        for tree, t in zip(self.trees_, tables)
+                    ]
+                ),
+                len(self.classes_) - 1,
+            ),
+        )
+        self._roots = _compact(roots, total - 1)
+        self._depth = max(tree.depth_ for tree in self.trees_)
+        for tree, root in zip(self.trees_, roots.tolist()):
+            tree._nodes, tree._root, tree._labels = self._nodes, root, self.classes_
 
     def predict(self, X):
         if not self.trees_:
             raise UsageError("model is not fitted")
         X = np.asarray(X, dtype=float)
-        votes = np.zeros((len(X), len(self.classes_)), dtype=int)
-        class_index = {c: i for i, c in enumerate(self.classes_)}
-        for tree in self.trees_:
-            pred = tree.predict(X)
-            for i, label in enumerate(pred):
-                votes[i, class_index[label]] += 1
+        n_rows, d = X.shape
+        values = X.ravel()
+        row_starts = np.arange(0, n_rows * d, d)
+        nodes = self._nodes
+        node = np.repeat(self._roots.astype(np.intp)[:, None], n_rows, axis=1)  # (trees, rows)
+        for _ in range(self._depth):
+            x = values.take(nodes.feature.take(node) + row_starts)
+            node = np.where(x <= nodes.threshold.take(node), node + 1, nodes.right.take(node))
+        k = len(self.classes_)
+        codes = nodes.value.take(node) + k * np.arange(n_rows)
+        votes = np.bincount(codes.ravel(), minlength=k * n_rows).reshape(n_rows, k)
         return self.classes_[np.argmax(votes, axis=1)]
 
     def fitted_state(self) -> dict:
         if not self.trees_:
             raise UsageError("model is not fitted")
+        nodes = [a.tolist() for a in self._nodes]
         return {
             "classes": self.classes_,
             "seed": self.seed,
-            "trees": [t.fitted_state()["tree"] for t in self.trees_],
+            "trees": [t._text(nodes) for t in self.trees_],
         }

@@ -18,9 +18,15 @@ from qcb.classical import (
     pca_transform,
 )
 from qcb.classical.svm import rbf_kernel
+from qcb.data import build_dataset, select_features, synthesize
 from qcb.errors import UsageError
 
-from oracles import logistic_regression_fit, two_pass_std
+from oracles import (
+    RecursiveDecisionTree,
+    RecursiveRandomForest,
+    logistic_regression_fit,
+    two_pass_std,
+)
 
 
 def make_blobs(rng, centers, n_per, spread=0.5):
@@ -289,6 +295,105 @@ class TestRandomForest:
         assert all(tree._rng is None for tree in forest.trees_)
         with pytest.raises(UsageError):
             forest.trees_[0].fit(X, y)  # its split stream is spent
+
+
+def _tree_cases():
+    """Named (X, y, X_eval) problems for the array-backed vs recursive CART checks."""
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(120, 5))
+    y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(int) + (X[:, 3] > 0.7)
+    ties = np.round(rng.normal(size=(90, 6)), 1)
+    ties[:, 2] = 3.0  # a constant column
+    y_ties = rng.integers(0, 4, size=90)
+    skewed = rng.normal(size=(40, 3))
+    # one lone class-2 row, which many bootstrap samples miss
+    y_skewed = np.where(np.arange(40) == 7, 2, (skewed[:, 0] > 0).astype(int))
+    words = np.array(["low", "mid", "high"])[y_ties % 3]
+    evaluate = lambda d: rng.normal(size=(25, d))  # noqa: E731
+    return {
+        "gaussian": (X, y, evaluate(5)),
+        "rounded_ties_constant_column": (ties, y_ties, np.round(evaluate(6), 1)),
+        "single_class": (X, np.full(120, 4), evaluate(5)),
+        "one_row": (X[:1], y[:1], evaluate(5)),
+        "two_rows": (X[:2], np.array([0, 1]), evaluate(5)),
+        "string_labels": (ties, words, np.round(evaluate(6), 1)),
+        "lone_class_row": (skewed, y_skewed, evaluate(3)),
+    }
+
+
+TREE_CASES = _tree_cases()
+
+
+def _assert_same_predictions(new, old, X, X_eval):
+    for rows in (X, X_eval):
+        assert np.array_equal(new.predict(rows), old.predict(rows))
+    for row in X_eval[:6]:
+        assert np.array_equal(new.predict(row[None, :]), old.predict(row[None, :]))
+
+
+class TestTreesMatchRecursiveOracle:
+    """The array-backed trees reproduce the recursive linked-node CART in
+    ``tests/oracles.py``: the same fitted-state text, byte for byte, and the
+    same batch and single-record predictions."""
+
+    @pytest.mark.parametrize("max_depth", [1, 3, 15])
+    @pytest.mark.parametrize("case", sorted(TREE_CASES))
+    def test_tree(self, case, max_depth):
+        X, y, X_eval = TREE_CASES[case]
+        new = DecisionTreeClassifier(max_depth=max_depth).fit(X, y)
+        old = RecursiveDecisionTree(max_depth=max_depth).fit(X, y)
+        new_state, old_state = new.fitted_state(), old.fitted_state()
+        assert new_state["tree"] == old_state["tree"]
+        assert np.array_equal(new_state["classes"], old_state["classes"])
+        assert new.depth_ == old.depth_
+        _assert_same_predictions(new, old, X, X_eval)
+
+    @pytest.mark.parametrize("max_depth", [1, 3, 15])
+    @pytest.mark.parametrize("case", sorted(TREE_CASES))
+    def test_forest_with_feature_subsets(self, case, max_depth):
+        X, y, X_eval = TREE_CASES[case]
+        new = RandomForestClassifier(n_trees=12, max_depth=max_depth, seed=9).fit(X, y)
+        old = RecursiveRandomForest(n_trees=12, max_depth=max_depth, seed=9).fit(X, y)
+        new_state, old_state = new.fitted_state(), old.fitted_state()
+        assert new_state["trees"] == old_state["trees"]
+        assert np.array_equal(new_state["classes"], old_state["classes"])
+        _assert_same_predictions(new, old, X, X_eval)
+        for new_tree, old_tree in zip(new.trees_, old.trees_):
+            assert new_tree.fitted_state()["tree"] == old_tree.fitted_state()["tree"]
+            assert np.array_equal(new_tree.predict(X_eval), old_tree.predict(X_eval))
+
+    def test_bootstrap_missing_a_class(self):
+        X, y, X_eval = TREE_CASES["lone_class_row"]
+        new = RandomForestClassifier(n_trees=12, seed=9).fit(X, y)
+        old = RecursiveRandomForest(n_trees=12, seed=9).fit(X, y)
+        # some tree's class codes are not the forest's, so the leaf codes are remapped
+        assert any(len(t.classes_) < len(new.classes_) for t in new.trees_)
+        assert any(len(t.classes_) == len(new.classes_) for t in new.trees_)
+        assert new.fitted_state()["trees"] == old.fitted_state()["trees"]
+        _assert_same_predictions(new, old, X, X_eval)
+
+
+class TestTreeStorage:
+    def test_deep_tree_needs_no_recursion(self):
+        # alternating labels on distinct values: each split peels off one row
+        X = np.arange(2400.0)[:, None]
+        y = np.arange(2400) % 2
+        model = DecisionTreeClassifier(max_depth=5000).fit(X, y)
+        assert model.depth_ > 1000
+        assert np.array_equal(model.predict(X), y)
+        assert np.array_equal(model.predict(X[-1:]), y[-1:])
+        text = model.fitted_state()["tree"]
+        n_nodes = len(model._nodes.right)
+        assert text.count("('split', np.int64(0), ") == n_nodes // 2
+        assert text.count("('leaf', ") == n_nodes // 2 + 1
+        assert text.count("(") == text.count(")")
+
+    def test_pickled_forest_is_compact(self):
+        # the registry forest's size, fitted on 144 records of the synthetic set
+        dataset = select_features(build_dataset(synthesize(seed=0)), k=10)
+        forest = RandomForestClassifier(n_trees=150, seed=0).fit(dataset.X[::2], dataset.y[::2])
+        assert all(tree._nodes is forest._nodes for tree in forest.trees_)
+        assert len(pickle.dumps(forest)) < 128 * 1024
 
 
 class TestSvm:
