@@ -3,6 +3,9 @@
 Builds the correlation-aware variational ansatz, the alternating cost/mixer
 ansatz, and the kernel feature map as plain gate lists for :mod:`qcb.qsim`,
 plus circuit resource metrics and a sampling-based expressibility estimator.
+The variational layers also run directly on real state columns
+(:func:`apply_vqc_layers`), the one loop behind the trained features and
+the expressibility estimate.
 """
 from __future__ import annotations
 
@@ -263,6 +266,24 @@ def vqc_layer_pairs(config: CircuitConfig) -> list[list[tuple[int, int]]]:
     ]
 
 
+def apply_vqc_layers(config: CircuitConfig, cols: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The trainable layers on real state columns of shape (2**n, batch).
+
+    ``theta`` is one angle vector of length n * layers, or an array of shape
+    (n * layers, batch) with one angle vector per column.  RY and CNOT keep
+    real amplitudes real, and each layer's CNOTs are one cached gather.
+    """
+    n = config.n_qubits
+    half = 0.5 * theta
+    cos, sin = np.cos(half), np.sin(half)
+    for layer, pairs in enumerate(vqc_layer_pairs(config)):
+        for q in range(n):
+            cols = qsim.ry_columns(cols, q, cos[layer * n + q], sin[layer * n + q])
+        if pairs:
+            cols = cols[qsim.cnot_permutation(n, tuple(pairs))]
+    return cols
+
+
 def vqc_encoding_gates(x: Sequence[float]) -> list[GateOp]:
     """Input-encoding layer: RY(x_j) on qubit j."""
     return [ry(j, float(v)) for j, v in enumerate(x)]
@@ -381,16 +402,11 @@ def expressibility(config: CircuitConfig, n_pairs: int, seed: int) -> Expressibi
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=(2 * n_pairs, max(n_params, 1)))
 
-    amps = qsim.zero_amplitudes(n, batch=2 * n_pairs)
-    # encoding at zero input is the identity, so evolution starts at the layers
-    for layer, pairs in enumerate(vqc_layer_pairs(config)):
-        for j in range(n):
-            amps = qsim.ry_rows(amps, j, thetas[:, layer * n + j])
-        for i, j in pairs:
-            amps = qsim.apply_gate_amplitudes(amps, cnot(i, j))
-
-    inner = np.sum(np.conj(amps[0::2]) * amps[1::2], axis=-1)
-    fidelities = np.clip(inner.real**2 + inner.imag**2, 0.0, 1.0)
+    # the encoding of a zero input is |0...0>, so evolution starts at the layers
+    cols = qsim.ry_product_columns(np.zeros((2 * n_pairs, n)))
+    cols = apply_vqc_layers(config, cols, thetas.T)
+    inner = np.sum(cols[:, 0::2] * cols[:, 1::2], axis=0)
+    fidelities = np.clip(inner * inner, 0.0, 1.0)
 
     counts, edges = np.histogram(fidelities, bins=EXPRESSIBILITY_BINS, range=(0.0, 1.0))
     observed = counts / float(n_pairs)

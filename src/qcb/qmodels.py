@@ -5,9 +5,9 @@ variational circuit, cost/mixer expectation features from the alternating
 ansatz, and a fidelity-kernel SVM.  Feature extraction runs batched (one
 amplitude matrix for all samples).  The two trained families run the
 compiled kernels of :mod:`qcb.qsim` (a real RY/CNOT path; one merged phase
-and one mixer matrix per cost/mixer layer); the feature map runs the gate
-kernels of the single-state simulator.  The tests pin batched output to the
-dense oracle of the per-sample gate lists.
+and one mixer matrix per cost/mixer layer), and the feature map is one
+merged phase on |+...+>.  The tests pin batched output to the dense oracle
+of the per-sample gate lists.
 
 Each classifier owns its preprocessing: features are truncated to the
 register width (feature k -> qubit k), standardized, then min-max mapped to
@@ -17,6 +17,7 @@ only.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -70,7 +71,6 @@ class VqcPlan(NamedTuple):
     """Data-only part of the variational circuit on a fixed set of rows."""
 
     encoded: np.ndarray  # (2**n, rows) real RY encodings of the rows
-    layer_perms: tuple  # per layer, the CNOT gather index (None without CNOTs)
 
 
 class QaoaPlan(NamedTuple):
@@ -90,15 +90,11 @@ def _checked_rows(X_scaled, n_qubits: int) -> np.ndarray:
 
 
 def compile_vqc(config: CircuitConfig, X_scaled: np.ndarray) -> VqcPlan:
-    """Encode the rows once and fold each layer's CNOTs into one gather."""
+    """Encode the rows once, as real state columns."""
     if config.family is not CircuitFamily.VQC:
         raise UsageError("config.family must be VQC")
     X = _checked_rows(X_scaled, config.n_qubits)
-    perms = tuple(
-        qsim.cnot_permutation(config.n_qubits, tuple(pairs)) if pairs else None
-        for pairs in circuits.vqc_layer_pairs(config)
-    )
-    return VqcPlan(encoded=qsim.ry_product_columns(X), layer_perms=perms)
+    return VqcPlan(encoded=qsim.ry_product_columns(X))
 
 
 def vqc_features(
@@ -112,16 +108,8 @@ def vqc_features(
     if plan is None:
         plan = compile_vqc(config, X_scaled)
     n = config.n_qubits
-    half = 0.5 * coerce_params(theta, CircuitFamily.VQC, n * config.layers, "theta")
-    cos, sin = np.cos(half), np.sin(half)
-    cols = plan.encoded
-    for layer, perm in enumerate(plan.layer_perms):
-        for q in range(n):
-            k = layer * n + q
-            cols = qsim.ry_columns(cols, q, cos[k], sin[k])
-        if perm is not None:
-            cols = cols[perm]
-    return qsim.z_expectations(cols.T, n)
+    theta = coerce_params(theta, CircuitFamily.VQC, n * config.layers, "theta")
+    return qsim.z_expectations(circuits.apply_vqc_layers(config, plan.encoded, theta).T, n)
 
 
 def compile_qaoa(config: CircuitConfig, h: CostHamiltonian, X_scaled: np.ndarray) -> QaoaPlan:
@@ -133,15 +121,12 @@ def compile_qaoa(config: CircuitConfig, h: CostHamiltonian, X_scaled: np.ndarray
     qubits = [q for i, j, _ in h.zz_terms for q in (i, j)] + [q for q, _ in h.z_terms]
     if any(not 0 <= q < n for q in qubits):
         raise UsageError(f"Hamiltonian term out of range for {n} qubits")
-    signs = qsim.z_signs(n).T
     z_count = np.bincount([q for q, _ in h.z_terms], minlength=n)
     return QaoaPlan(
         x_z=X * z_count,
         zz_slots=np.array([min(i, j) for i, j, _ in h.zz_terms], dtype=int),
         zz_weights=np.array([w for _, _, w in h.zz_terms], dtype=float),
-        zz_signs=np.array([signs[i] * signs[j] for i, j, _ in h.zz_terms]).reshape(
-            -1, 1 << n
-        ),
+        zz_signs=qsim.zz_signs(n, tuple((i, j) for i, j, _ in h.zz_terms)),
     )
 
 
@@ -182,20 +167,20 @@ def qaoa_features(
 
 
 def feature_map_states(X_scaled: np.ndarray) -> np.ndarray:
-    """Feature-mapped statevectors for every row, shape (n, 2**n_qubits)."""
+    """Feature-mapped statevectors for every row, shape (n, 2**n_qubits).
+
+    The map is diagonal after its Hadamard layer, so each state is |+...+>
+    times one phase per basis state: RZ(2 x_q) is exp(-i x_q Z_q) and
+    ZZPhase(x_i x_j) is exp(-i x_i x_j Z_i Z_j).
+    """
     X = np.asarray(X_scaled, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
         raise UsageError("X must be a non-empty 2-D matrix")
     n = X.shape[1]
-    amps = qsim.zero_amplitudes(n, batch=len(X))
-    for q in range(n):
-        amps = qsim.apply_gate_amplitudes(amps, qsim.hadamard(q))
-    for q in range(n):
-        amps = qsim.rz_rows(amps, q, 2.0 * X[:, q])
-    for i in range(n):
-        for j in range(i + 1, n):
-            amps = qsim.zz_phase_rows(amps, i, j, X[:, i] * X[:, j])
-    return amps
+    pairs = tuple(combinations(range(n), 2))
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    zz_angle = (X[:, i] * X[:, j]) @ qsim.zz_signs(n, pairs)
+    return (1 << n) ** -0.5 * qsim.z_phase_rows(X) * np.exp(-1j * zz_angle)
 
 
 def quantum_kernel_matrix(X_a: np.ndarray, X_b: np.ndarray) -> np.ndarray:

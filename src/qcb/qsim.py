@@ -4,14 +4,16 @@ Amplitude ordering is little-endian: qubit ``k`` corresponds to bit ``k`` of
 the basis-state index, so for two qubits the basis order is
 ``|00>, |01>, |10>, |11>`` with the rightmost digit being qubit 0.
 
-Gate application is matrix-free: each gate updates amplitudes through
-bit-indexed pairing instead of building the full register unitary (the test
-suite checks the simulator against an explicit dense matrix-chain oracle,
-which keeps the two code paths independent).  Every gate kernel operates on
-the last axis of its input array, so the same code serves a single state
-vector of shape ``(2**n,)`` and a batch of shape ``(batch, 2**n)``.  The
-compiled-circuit kernels at the end of the module serve trained circuits
-that are evaluated many times on the same rows.
+Gate application is matrix-free (the test suite checks the simulator against
+an explicit dense matrix-chain oracle, which keeps the two code paths
+independent).  Each gate kind has one kernel: a diagonal gate (RZ, ZZPhase)
+multiplies by one phase built from a cached sign table, CNOT is a cached
+permutation of basis states, and every other gate is a 2x2 matrix applied
+through bit-indexed pairing.  Every kernel operates on the last axis of its
+input array, so the same code serves a single state vector of shape
+``(2**n,)`` and a batch of shape ``(batch, 2**n)``, with one angle or one
+angle per row.  The compiled-circuit kernels at the end of the module run
+the model circuits, which are evaluated many times on the same rows.
 """
 from __future__ import annotations
 
@@ -152,24 +154,9 @@ class QuantumState:
 
 
 @lru_cache(maxsize=None)
-def _zz_sign_vector(dim: int, qa: int, qb: int) -> np.ndarray:
-    idx = np.arange(dim)
-    signs = np.where(((idx >> qa) & 1) == ((idx >> qb) & 1), 1.0, -1.0)
-    signs.setflags(write=False)
-    return signs
-
-
-@lru_cache(maxsize=None)
-def _z_sign_vector(dim: int, q: int) -> np.ndarray:
-    idx = np.arange(dim)
-    signs = 1.0 - 2.0 * ((idx >> q) & 1)
-    signs.setflags(write=False)
-    return signs
-
-
-@lru_cache(maxsize=None)
 def z_signs(n_qubits: int) -> np.ndarray:
     """<b|Z_q|b> for every basis state b and qubit q, shape (2**n, n)."""
+    _check_count(n_qubits)
     dim = 1 << n_qubits
     idx = np.arange(dim)
     signs = np.empty((dim, n_qubits))
@@ -179,35 +166,29 @@ def z_signs(n_qubits: int) -> np.ndarray:
     return signs
 
 
+@lru_cache(maxsize=64)
+def zz_signs(n_qubits: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """<b|Z_i Z_j|b> for each pair (i, j) and basis state b, shape (pairs, 2**n)."""
+    signs = z_signs(n_qubits).T
+    for i, j in pairs:
+        if not (0 <= i < n_qubits and 0 <= j < n_qubits):
+            raise UsageError(f"ZZ pair ({i}, {j}) out of range for {n_qubits} qubits")
+    table = np.array([signs[i] * signs[j] for i, j in pairs]).reshape(-1, 1 << n_qubits)
+    table.setflags(write=False)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # amplitude-array kernels (batch-aware: amps has shape (..., dim))
 #
-# The last axis is reshaped so a qubit's bit becomes its own axis; slicing
-# that axis yields views, avoiding gather/scatter index arithmetic.
+# A 2x2 gate reshapes the last axis so the qubit's bit becomes its own axis;
+# slicing that axis yields views, avoiding gather/scatter index arithmetic.
+# A diagonal gate is one phase over the sign table, and CNOT one gather.
 
 
 def _split1(arr: np.ndarray, q: int) -> np.ndarray:
     dim = arr.shape[-1]
     return arr.reshape(arr.shape[:-1] + (dim >> (q + 1), 2, 1 << q))
-
-
-def _split2(arr: np.ndarray, hi: int, lo: int) -> np.ndarray:
-    # requires hi > lo; axes -4 and -2 carry the hi and lo bits
-    dim = arr.shape[-1]
-    return arr.reshape(
-        arr.shape[:-1]
-        + (dim >> (hi + 1), 2, (1 << hi) >> (lo + 1), 2, 1 << lo)
-    )
-
-
-def _factor2(values):
-    # aligns with a _split2 view after both bit axes have been sliced away
-    arr = np.asarray(values)
-    return arr[..., None, None, None] if arr.ndim else arr
-
-
-def _fresh(amps: np.ndarray) -> np.ndarray:
-    return np.empty(amps.shape, dtype=np.complex128)
 
 
 def _apply_1q_matrix(amps: np.ndarray, q: int, u: np.ndarray) -> np.ndarray:
@@ -237,14 +218,6 @@ def _ry_matrix(angle) -> np.ndarray:
     return u
 
 
-def _rz_matrix(angle) -> np.ndarray:
-    phase = np.exp(-0.5j * np.asarray(angle, dtype=float))
-    u = np.zeros(np.shape(angle) + (2, 2), dtype=np.complex128)
-    u[..., 0, 0] = phase
-    u[..., 1, 1] = np.conj(phase)
-    return u
-
-
 def _x_mixer_matrix(angle) -> np.ndarray:
     ang = np.asarray(angle, dtype=float)
     c = np.cos(ang)
@@ -261,64 +234,26 @@ _H_MATRIX = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=np.com
 _X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
 
-def _apply_ry(amps, q, angle):
-    return _apply_1q_matrix(amps, q, _ry_matrix(angle))
+def _width(amps: np.ndarray) -> int:
+    dim = amps.shape[-1]
+    if dim & (dim - 1):
+        raise UsageError(f"amplitude axis of length {dim} is not a power of two")
+    return dim.bit_length() - 1
+
+
+def _phase(amps: np.ndarray, angle, signs: np.ndarray) -> np.ndarray:
+    """amps times exp(-i angle signs): one angle, or one per row of amps."""
+    angle = np.asarray(angle, dtype=float)[..., None]
+    return amps * np.exp(-1j * angle * signs)
 
 
 def _apply_rz(amps, q, angle):
-    ang = np.asarray(angle)
-    if ang.ndim == 0:
-        phase = np.exp((-0.5j * float(ang)) * _z_sign_vector(amps.shape[-1], q))
-        return amps * phase
-    return _apply_1q_matrix(amps, q, _rz_matrix(ang))
-
-
-def _apply_h(amps, q):
-    return _apply_1q_matrix(amps, q, _H_MATRIX)
-
-
-def _apply_x(amps, q):
-    return _apply_1q_matrix(amps, q, _X_MATRIX)
-
-
-def _apply_cnot(amps, control, target):
-    hi, lo = (control, target) if control > target else (target, control)
-    v = _split2(amps, hi, lo)
-    out = _fresh(amps)
-    vo = _split2(out, hi, lo)
-    if control > target:  # control on the hi axis
-        vo[..., 0, :, 0, :] = v[..., 0, :, 0, :]
-        vo[..., 0, :, 1, :] = v[..., 0, :, 1, :]
-        vo[..., 1, :, 0, :] = v[..., 1, :, 1, :]
-        vo[..., 1, :, 1, :] = v[..., 1, :, 0, :]
-    else:  # control on the lo axis, flip the hi bit where control is 1
-        vo[..., 0, :, 0, :] = v[..., 0, :, 0, :]
-        vo[..., 1, :, 0, :] = v[..., 1, :, 0, :]
-        vo[..., 0, :, 1, :] = v[..., 1, :, 1, :]
-        vo[..., 1, :, 1, :] = v[..., 0, :, 1, :]
-    return out
+    # RZ(a) = exp(-i (a/2) Z_q)
+    return _phase(amps, 0.5 * np.asarray(angle, dtype=float), z_signs(_width(amps))[:, q])
 
 
 def _apply_zz_phase(amps, qa, qb, angle):
-    ang = np.asarray(angle)
-    if ang.ndim == 0:
-        phase = np.exp((-1j * float(ang)) * _zz_sign_vector(amps.shape[-1], qa, qb))
-        return amps * phase
-    hi, lo = (qa, qb) if qa > qb else (qb, qa)
-    v = _split2(amps, hi, lo)
-    out = _fresh(amps)
-    vo = _split2(out, hi, lo)
-    agree = _factor2(np.exp(-1j * ang))
-    differ = np.conj(agree)
-    vo[..., 0, :, 0, :] = agree * v[..., 0, :, 0, :]
-    vo[..., 1, :, 1, :] = agree * v[..., 1, :, 1, :]
-    vo[..., 0, :, 1, :] = differ * v[..., 0, :, 1, :]
-    vo[..., 1, :, 0, :] = differ * v[..., 1, :, 0, :]
-    return out
-
-
-def _apply_x_mixer(amps, q, angle):
-    return _apply_1q_matrix(amps, q, _x_mixer_matrix(angle))
+    return _phase(amps, angle, zz_signs(_width(amps), ((qa, qb),))[0])
 
 
 def _check_targets(gate: GateOp, dim: int) -> None:
@@ -332,43 +267,45 @@ def _check_targets(gate: GateOp, dim: int) -> None:
 def apply_gate_amplitudes(amps: np.ndarray, gate: GateOp) -> np.ndarray:
     """Apply one gate to an amplitude array of shape ``(..., 2**n)``."""
     _check_targets(gate, amps.shape[-1])
-    kind = gate.kind
-    if kind is GateKind.RY:
-        return _apply_ry(amps, gate.targets[0], gate.angle)
-    if kind is GateKind.RZ:
-        return _apply_rz(amps, gate.targets[0], gate.angle)
-    if kind is GateKind.H:
-        return _apply_h(amps, gate.targets[0])
-    if kind is GateKind.X:
-        return _apply_x(amps, gate.targets[0])
+    kind, targets = gate.kind, gate.targets
     if kind is GateKind.CNOT:
-        return _apply_cnot(amps, gate.targets[0], gate.targets[1])
+        return amps[..., cnot_permutation(_width(amps), (targets,))]
+    if kind is GateKind.RZ:
+        return _apply_rz(amps, targets[0], gate.angle)
     if kind is GateKind.ZZPHASE:
-        return _apply_zz_phase(amps, gate.targets[0], gate.targets[1], gate.angle)
-    if kind is GateKind.XMIXER:
-        return _apply_x_mixer(amps, gate.targets[0], gate.angle)
-    raise UsageError(f"unsupported gate kind {kind!r}")
+        return _apply_zz_phase(amps, targets[0], targets[1], gate.angle)
+    if kind is GateKind.RY:
+        u = _ry_matrix(gate.angle)
+    elif kind is GateKind.XMIXER:
+        u = _x_mixer_matrix(gate.angle)
+    elif kind is GateKind.H:
+        u = _H_MATRIX
+    elif kind is GateKind.X:
+        u = _X_MATRIX
+    else:
+        raise UsageError(f"unsupported gate kind {kind!r}")
+    return _apply_1q_matrix(amps, targets[0], u)
 
 
 def ry_rows(amps: np.ndarray, qubit: int, angles: np.ndarray) -> np.ndarray:
     """RY on one qubit with a separate angle per batch row."""
     if (1 << qubit) >= amps.shape[-1]:
         raise UsageError(f"qubit {qubit} out of range")
-    return _apply_ry(amps, qubit, np.asarray(angles, dtype=float))
+    return _apply_1q_matrix(amps, qubit, _ry_matrix(np.asarray(angles, dtype=float)))
 
 
 def rz_rows(amps: np.ndarray, qubit: int, angles: np.ndarray) -> np.ndarray:
     """RZ on one qubit with a separate angle per batch row."""
     if (1 << qubit) >= amps.shape[-1]:
         raise UsageError(f"qubit {qubit} out of range")
-    return _apply_rz(amps, qubit, np.asarray(angles, dtype=float))
+    return _apply_rz(amps, qubit, angles)
 
 
 def zz_phase_rows(amps: np.ndarray, qubit_a: int, qubit_b: int, angles) -> np.ndarray:
     """ZZPhase on a qubit pair with a separate angle per batch row."""
     if (1 << qubit_a) >= amps.shape[-1] or (1 << qubit_b) >= amps.shape[-1]:
         raise UsageError("qubit index out of range")
-    return _apply_zz_phase(amps, qubit_a, qubit_b, np.asarray(angles, dtype=float))
+    return _apply_zz_phase(amps, qubit_a, qubit_b, angles)
 
 
 def zero_amplitudes(n_qubits: int, batch: int | None = None) -> np.ndarray:
@@ -442,10 +379,12 @@ def ry_product_columns(angles: np.ndarray) -> np.ndarray:
     return cols
 
 
-def ry_columns(cols: np.ndarray, qubit: int, cos_half: float, sin_half: float) -> np.ndarray:
-    """RY on one qubit of real state columns, given cos and sin of half its angle."""
-    dim = cols.shape[0]
-    v = cols.reshape(dim >> (qubit + 1), 2, -1)
+def ry_columns(cols: np.ndarray, qubit: int, cos_half, sin_half) -> np.ndarray:
+    """RY on one qubit of real state columns, given cos and sin of half its angle.
+
+    ``cos_half`` and ``sin_half`` are scalars, or hold one value per column.
+    """
+    v = cols.reshape(cols.shape[0] >> (qubit + 1), 2, 1 << qubit, -1)
     out = np.empty_like(v)
     a0, a1 = v[:, 0], v[:, 1]
     np.multiply(a0, cos_half, out=out[:, 0])
@@ -480,7 +419,9 @@ def z_phase_rows(angles: np.ndarray) -> np.ndarray:
     The diagonal is a product over qubits, so it needs one exp per row and
     qubit rather than one per row and basis state.
     """
-    factor = np.exp(-1j * np.asarray(angles, dtype=float))
+    angles = np.asarray(angles, dtype=float)
+    _check_count(angles.shape[1])
+    factor = np.exp(-1j * angles)
     diag = np.ones((len(factor), 1), dtype=np.complex128)
     for q in range(factor.shape[1]):
         # qubit q is the new most significant bit: Z_q is +1 below, -1 above

@@ -9,6 +9,7 @@ from qcb.circuits import (
     CostHamiltonian,
     ExpressibilityResult,
     ParamVector,
+    apply_vqc_layers,
     build_correlation_graph,
     build_cost_hamiltonian,
     build_feature_map,
@@ -20,6 +21,7 @@ from qcb.circuits import (
     param_count,
     spearman,
     spearman_detailed,
+    vqc_trainable_gates,
 )
 from qcb.errors import ConfigurationError, UsageError
 from qcb.qsim import GateKind, apply_circuit, init_plus, init_zero
@@ -348,6 +350,15 @@ class TestExpressibility:
             scores.append(expressibility(config, 5000, seed=0).score)
         assert scores[0] < scores[1] < scores[2]
 
+    @pytest.mark.parametrize(
+        "layers,kl",
+        [(1, 0.7209816945913271), (2, 0.2251468110387237), (3, 0.18842418822576595)],
+    )
+    def test_kl_divergence_pinned(self, layers, kl):
+        # exact: a fidelity that moves across a bin edge changes the divergence
+        config = CircuitConfig(CircuitFamily.VQC, 4, layers)
+        assert expressibility(config, 5000, seed=0).kl_divergence == kl
+
     def test_low_precision_flag(self):
         config = CircuitConfig(CircuitFamily.VQC, 2, 1)
         assert expressibility(config, 50, seed=0).low_precision
@@ -357,6 +368,21 @@ class TestExpressibility:
         config = CircuitConfig(CircuitFamily.QAOA, 2, 1)
         with pytest.raises(UsageError):
             expressibility(config, 200, seed=0)
+
+
+class TestVqcLayerLoop:
+    @pytest.mark.parametrize("with_graph", [True, False])
+    def test_per_column_angles_equal_dense_gate_lists(self, with_graph):
+        rng = np.random.default_rng(71 + with_graph)
+        graph = _graph_with_pairs(4, [(0, 3, 0.9), (1, 2, -0.8)]) if with_graph else None
+        config = CircuitConfig(CircuitFamily.VQC, 4, 3, graph)
+        cols = rng.normal(size=(16, 5))
+        thetas = rng.uniform(0, 2 * np.pi, size=(12, 5))
+        out = apply_vqc_layers(config, cols, thetas)
+        for c in range(5):
+            gates = vqc_trainable_gates(config, thetas[:, c])
+            expected = dense_simulate(gates, 4, cols[:, c])
+            assert np.max(np.abs(out[:, c] - expected)) < 1e-12
 
 
 class TestEntanglementTargeting:

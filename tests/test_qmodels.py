@@ -8,10 +8,11 @@ from qcb.circuits import (
     CircuitFamily,
     CorrelationGraph,
     CostHamiltonian,
+    build_feature_map,
     build_qaoa_circuit,
     build_vqc_circuit,
 )
-from qcb.errors import UsageError
+from qcb.errors import ConfigurationError, UsageError
 from qcb.optimize import OptBudget
 from qcb.qmodels import (
     HybridCqPipeline,
@@ -242,6 +243,16 @@ class TestCompiledFeaturesMatchDenseOracle:
         single = qaoa_features(config, h, gamma, beta, X[7:8])
         assert np.max(np.abs(single[0] - batch[7])) < 1e-12
 
+    @pytest.mark.parametrize("n_qubits", range(1, 7))
+    def test_feature_map(self, n_qubits):
+        rng = np.random.default_rng(300 + n_qubits)
+        X = rng.uniform(0, np.pi, size=(50, n_qubits))
+        batch = feature_map_states(X)
+        for row in range(50):
+            expected = dense_simulate(build_feature_map(X[row]), n_qubits)
+            assert np.max(np.abs(batch[row] - expected)) < 1e-12
+        assert np.max(np.abs(feature_map_states(X[7:8])[0] - batch[7])) < 1e-12
+
 
 class TestQuantumKernel:
     def test_self_kernel_unit_diagonal(self):
@@ -275,6 +286,10 @@ class TestQuantumKernel:
     def test_width_mismatch(self):
         with pytest.raises(UsageError):
             quantum_kernel_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
+
+    def test_register_wider_than_the_simulator_rejected(self):
+        with pytest.raises(ConfigurationError):
+            feature_map_states(np.zeros((2, 13)))
 
 
 class TestVqcTraining:

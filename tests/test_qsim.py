@@ -83,6 +83,11 @@ class TestGateOpValidation:
         with pytest.raises(UsageError):
             apply_gate(init_zero(2), ry(2, 0.1))
 
+    @pytest.mark.parametrize("gate", [cnot(0, 1), rz(0, 0.3), zz_phase(0, 1, 0.3)])
+    def test_amplitude_axis_must_be_a_power_of_two(self, gate):
+        with pytest.raises(UsageError):
+            qsim.apply_gate_amplitudes(np.ones(6, dtype=complex), gate)
+
 
 class TestSingleGates:
     def test_ry_pi_flips_zero(self):
@@ -336,6 +341,12 @@ class TestCompiledKernels:
         turned = qsim.ry_columns(cols, 1, np.cos(0.35), np.sin(0.35))
         mat = dense_gate_matrix(ry(1, 0.7), 3).real
         assert np.allclose(turned, mat @ cols, atol=1e-14)
+        per_column = rng.uniform(0, 2 * np.pi, size=4)
+        for q in range(3):
+            turned = qsim.ry_columns(cols, q, np.cos(per_column / 2), np.sin(per_column / 2))
+            for row, a in enumerate(per_column):
+                mat = dense_gate_matrix(ry(q, a), 3).real
+                assert np.allclose(turned[:, row], mat @ cols[:, row], atol=1e-14)
 
     def test_phase_and_mixer_products_equal_dense_matrices(self):
         rng = np.random.default_rng(61)
