@@ -175,22 +175,6 @@ class CircuitConfig:
 
 
 @dataclass(frozen=True)
-class ParamVector:
-    """Trainable angles for one circuit family."""
-
-    values: np.ndarray
-    family: CircuitFamily
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float).ravel()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class CostHamiltonian:
     """Diagonal cost operator: weighted ZZ couplings plus per-qubit Z terms.
 
@@ -219,16 +203,9 @@ def build_cost_hamiltonian(
     return CostHamiltonian(zz_terms=zz, z_terms=z)
 
 
-def coerce_params(
-    params, family: CircuitFamily, expected_len: int, what: str
-) -> np.ndarray:
-    """Angles as a flat float vector of the expected length (a ParamVector must match ``family``)."""
-    if isinstance(params, ParamVector):
-        if params.family is not family:
-            raise UsageError(f"{what}: family {params.family} does not match {family}")
-        values = params.values
-    else:
-        values = np.asarray(params, dtype=float).ravel()
+def coerce_params(params, expected_len: int, what: str) -> np.ndarray:
+    """Angles as a flat float vector of the expected length."""
+    values = np.asarray(params, dtype=float).ravel()
     if len(values) != expected_len:
         raise UsageError(f"{what}: expected {expected_len} values, got {len(values)}")
     return values
@@ -284,17 +261,12 @@ def apply_vqc_layers(config: CircuitConfig, cols: np.ndarray, theta: np.ndarray)
     return cols
 
 
-def vqc_encoding_gates(x: Sequence[float]) -> list[GateOp]:
-    """Input-encoding layer: RY(x_j) on qubit j."""
-    return [ry(j, float(v)) for j, v in enumerate(x)]
-
-
 def vqc_trainable_gates(config: CircuitConfig, theta) -> list[GateOp]:
     """Per-layer RY rotations plus entanglement (everything after encoding)."""
     if config.family is not CircuitFamily.VQC:
         raise UsageError("config.family must be VQC")
     n = config.n_qubits
-    values = coerce_params(theta, CircuitFamily.VQC, n * config.layers, "theta")
+    values = coerce_params(theta, n * config.layers, "theta")
     gates: list[GateOp] = []
     for layer, pairs in enumerate(vqc_layer_pairs(config)):
         gates.extend(ry(j, values[layer * n + j]) for j in range(n))
@@ -306,7 +278,8 @@ def build_vqc_circuit(config: CircuitConfig, x: Sequence[float], theta) -> list[
     """Full variational circuit: encoding, then rotation/entanglement layers."""
     if len(x) != config.n_qubits:
         raise UsageError(f"expected {config.n_qubits} inputs, got {len(x)}")
-    return vqc_encoding_gates(x) + vqc_trainable_gates(config, theta)
+    encoding = [ry(j, float(v)) for j, v in enumerate(x)]
+    return encoding + vqc_trainable_gates(config, theta)
 
 
 def build_qaoa_circuit(
@@ -324,8 +297,8 @@ def build_qaoa_circuit(
         raise UsageError("config.family must be QAOA")
     n = config.n_qubits
     expected = n * config.layers
-    g = coerce_params(gamma, CircuitFamily.QAOA, expected, "gamma")
-    b = coerce_params(beta, CircuitFamily.QAOA, expected, "beta")
+    g = coerce_params(gamma, expected, "gamma")
+    b = coerce_params(beta, expected, "beta")
     for i, j, _ in h.zz_terms:
         if i >= n or j >= n:
             raise UsageError(f"zz term ({i}, {j}) out of range for {n} qubits")

@@ -1,7 +1,7 @@
 """Classification metrics: accuracy plus per-class and weighted P/R/F1."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,23 +23,6 @@ class ClassificationMetrics:
     precision_weighted: float
     recall_weighted: float
     f1_weighted: float
-
-    def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision_weighted": self.precision_weighted,
-            "recall_weighted": self.recall_weighted,
-            "f1_weighted": self.f1_weighted,
-            "per_class": {
-                str(label): {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "support": m.support,
-                }
-                for label, m in self.per_class.items()
-            },
-        }
 
 
 def classification_metrics(y_true, y_pred, labels=None) -> ClassificationMetrics:

@@ -21,7 +21,6 @@ from ..classical import (
     fit_scaler,
 )
 from ..errors import UsageError
-from ..optimize import OptBudget
 from ..qmodels import (
     HybridCqPipeline,
     HybridQcPipeline,
@@ -29,8 +28,6 @@ from ..qmodels import (
     QaoaClassifier,
     VqcClassifier,
 )
-
-TRAINING_EVALS = 150
 
 
 class StandardizedModel:
@@ -101,35 +98,31 @@ class ModelSpec:
     metadata: dict = field(default_factory=dict)
 
 
-def _budget() -> OptBudget:
-    return OptBudget(max_evals=TRAINING_EVALS)
-
-
 def default_registry() -> dict[str, ModelSpec]:
     """All benchmark configurations, keyed by model name."""
     specs = [
         ModelSpec(
             "vqc_4q2l",
             "quantum",
-            lambda seed: VqcClassifier(4, 2, budget=_budget(), seed=seed),
+            lambda seed: VqcClassifier(4, 2, seed=seed),
             {"n_qubits": 4, "layers": 2, "param_count": 8},
         ),
         ModelSpec(
             "vqc_6q3l",
             "quantum",
-            lambda seed: VqcClassifier(6, 3, budget=_budget(), seed=seed),
+            lambda seed: VqcClassifier(6, 3, seed=seed),
             {"n_qubits": 6, "layers": 3, "param_count": 18},
         ),
         ModelSpec(
             "qaoa_4q2l",
             "quantum",
-            lambda seed: QaoaClassifier(4, 2, budget=_budget(), seed=seed),
+            lambda seed: QaoaClassifier(4, 2, seed=seed),
             {"n_qubits": 4, "layers": 2, "param_count": 16},
         ),
         ModelSpec(
             "qaoa_6q3l",
             "quantum",
-            lambda seed: QaoaClassifier(6, 3, budget=_budget(), seed=seed),
+            lambda seed: QaoaClassifier(6, 3, seed=seed),
             {"n_qubits": 6, "layers": 3, "param_count": 36},
         ),
         ModelSpec(
@@ -169,45 +162,43 @@ def default_registry() -> dict[str, ModelSpec]:
         ModelSpec(
             "q_rf",
             "hybrid_qc",
-            lambda seed: HybridQcPipeline("random_forest", seed=seed, budget=_budget()),
+            lambda seed: HybridQcPipeline("random_forest", seed=seed),
             {"n_qubits": 6, "layers": 3, "head": "random_forest", "head_trees": 100},
         ),
         ModelSpec(
             "q_svm",
             "hybrid_qc",
-            lambda seed: HybridQcPipeline("svm_rbf", seed=seed, budget=_budget()),
+            lambda seed: HybridQcPipeline("svm_rbf", seed=seed),
             {"n_qubits": 6, "layers": 3, "head": "svm_rbf"},
         ),
         ModelSpec(
             "q_logreg",
             "hybrid_qc",
-            lambda seed: HybridQcPipeline(
-                "logistic_regression", seed=seed, budget=_budget()
-            ),
+            lambda seed: HybridQcPipeline("logistic_regression", seed=seed),
             {"n_qubits": 6, "layers": 3, "head": "logistic_regression"},
         ),
         ModelSpec(
             "q_dectree",
             "hybrid_qc",
-            lambda seed: HybridQcPipeline("decision_tree", seed=seed, budget=_budget()),
+            lambda seed: HybridQcPipeline("decision_tree", seed=seed),
             {"n_qubits": 6, "layers": 3, "head": "decision_tree"},
         ),
         ModelSpec(
             "pca_vqc",
             "hybrid_cq",
-            lambda seed: HybridCqPipeline("vqc", seed=seed, budget=_budget()),
+            lambda seed: HybridCqPipeline("vqc", seed=seed),
             {"n_qubits": 4, "layers": 2, "pca_components": 4},
         ),
         ModelSpec(
             "pca_qaoa",
             "hybrid_cq",
-            lambda seed: HybridCqPipeline("qaoa", seed=seed, budget=_budget()),
+            lambda seed: HybridCqPipeline("qaoa", seed=seed),
             {"n_qubits": 4, "layers": 2, "pca_components": 4},
         ),
         ModelSpec(
             "pca_qkernel",
             "hybrid_cq",
-            lambda seed: HybridCqPipeline("qkernel", seed=seed, budget=_budget()),
+            lambda seed: HybridCqPipeline("qkernel", seed=seed),
             {"n_qubits": 4, "pca_components": 4},
         ),
         ModelSpec(

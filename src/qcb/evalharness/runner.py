@@ -31,8 +31,8 @@ DEVIATIONS = [
     {
         "id": "optimizer_engine",
         "description": (
-            "Derivative-free training uses a Nelder-Mead simplex (with "
-            "deterministic restarts inside the fixed 150-evaluation budget) "
+            "Derivative-free training uses one Nelder-Mead simplex search "
+            "from a seeded start inside the fixed 150-evaluation budget, "
             "rather than a linear-approximation trust-region method; the "
             "objectives are unconstrained."
         ),
@@ -346,10 +346,15 @@ def _run_cells_parallel(tasks, workers: int) -> list[tuple]:
 
 
 def _pool_size(workers: int, n_tasks: int) -> int:
-    """Process count for ``workers`` requested: at most one per core and per cell."""
+    """Process count for ``workers`` requested: at most one per cell and per
+    core this process may run on (its affinity mask, where the OS has one)."""
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
-    return min(workers, os.cpu_count() or 1, n_tasks)
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(workers, cores, n_tasks)
 
 
 def run_benchmark(

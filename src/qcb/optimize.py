@@ -1,12 +1,12 @@
 """Derivative-free optimization of circuit parameters.
 
-The engine is a Nelder-Mead simplex search behind a budgeted interface: the
-objectives here are unconstrained, so the simplex method covers what a
-linear-approximation trust-region solver would while staying dependency-free.
-Accuracy-style losses are piecewise constant, so vertex ordering breaks ties
-lexicographically on the parameter vectors to keep runs deterministic, and
-evaluations are cached by exact parameter bytes so simplex re-visits do not
-burn budget.
+The engine is one Nelder-Mead simplex search capped by a count of loss
+evaluations: the objectives here are unconstrained, so the simplex method
+covers what a linear-approximation trust-region solver would while staying
+dependency-free.  Accuracy-style losses are piecewise constant, so vertex
+ordering breaks ties lexicographically on the parameter vectors to keep runs
+deterministic, and evaluations are cached by exact parameter bytes so simplex
+re-visits do not count against the cap.
 """
 from __future__ import annotations
 
@@ -23,28 +23,10 @@ _CHI = 2.0
 _PSI = 0.5
 _SIGMA = 0.5
 
-
-@dataclass(frozen=True)
-class OptBudget:
-    """Evaluation budget and termination settings for one optimization run.
-
-    ``max_evals`` caps the total number of loss evaluations, including the
-    ones spent building the initial simplex.  ``tolerance`` bounds both the
-    loss spread and the vertex spread of the simplex at termination.
-    """
-
-    max_evals: int = 150
-    initial_step: float = 0.5
-    tolerance: float = 1e-4
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_evals < 1:
-            raise ConfigurationError("max_evals must be >= 1")
-        if self.initial_step <= 0:
-            raise ConfigurationError("initial_step must be > 0")
-        if self.tolerance <= 0:
-            raise ConfigurationError("tolerance must be > 0")
+# offset of each initial vertex from x0 along one axis
+_INITIAL_STEP = 0.5
+# the search stops once both the loss spread and the vertex spread are this small
+_TOLERANCE = 1e-4
 
 
 @dataclass
@@ -106,20 +88,23 @@ class _Evaluator:
 def minimize(
     loss: Callable[[np.ndarray], float],
     x0: Sequence[float],
-    budget: OptBudget,
+    max_evals: int,
 ) -> OptResult:
-    """Minimize a black-box loss with a budgeted Nelder-Mead simplex search.
+    """Minimize a black-box loss with one Nelder-Mead simplex started at ``x0``.
 
-    Non-finite loss values are treated as +inf and the search continues; if
-    every evaluation is non-finite the returned result has ``ok`` False.
-    The result always carries the best point ever evaluated, not the final
-    simplex centroid.
+    ``max_evals`` caps the number of loss evaluations, the ones that build
+    the initial simplex included.  Non-finite loss values are treated as
+    +inf and the search continues; if every evaluation is non-finite the
+    returned result has ``ok`` False.  The result always carries the best
+    point ever evaluated, not the final simplex centroid.
     """
+    if max_evals < 1:
+        raise ConfigurationError("max_evals must be >= 1")
     start = np.asarray(x0, dtype=float).ravel()
     if start.size < 1:
         raise UsageError("x0 must have at least one element")
     dim = start.size
-    evaluate = _Evaluator(loss, budget.max_evals)
+    evaluate = _Evaluator(loss, max_evals)
 
     points: list[np.ndarray] = []
     values: list[float] = []
@@ -128,7 +113,7 @@ def minimize(
         values.append(evaluate(points[0]))
         for i in range(dim):
             vertex = start.copy()
-            vertex[i] += budget.initial_step
+            vertex[i] += _INITIAL_STEP
             points.append(vertex)
             values.append(evaluate(vertex))
 
@@ -137,14 +122,8 @@ def minimize(
             points = [points[k] for k in order]
             values = [values[k] for k in order]
 
-            flat = (
-                np.isfinite(values[-1])
-                and values[-1] - values[0] <= budget.tolerance
-            )
-            tight = (
-                max(np.max(np.abs(p - points[0])) for p in points[1:])
-                <= budget.tolerance
-            )
+            flat = np.isfinite(values[-1]) and values[-1] - values[0] <= _TOLERANCE
+            tight = max(np.max(np.abs(p - points[0])) for p in points[1:]) <= _TOLERANCE
             if flat and tight:
                 break
 

@@ -16,7 +16,7 @@ only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -43,11 +43,15 @@ from .classical import (
     ScalerKind,
     SvmClassifier,
     apply_scaler,
+    fit_pca,
     fit_scaler,
+    pca_transform,
 )
 from .errors import TrainingError, UsageError
-from .optimize import OptBudget, OptResult, minimize, random_init
+from .optimize import OptResult, minimize, random_init
 
+# loss evaluations per trained-circuit fit, the initial simplex included
+TRAINING_EVALS = 150
 INNER_HEAD_MAX_ITER = 100
 FINAL_HEAD_MAX_ITER = 1000
 
@@ -108,7 +112,7 @@ def vqc_features(
     if plan is None:
         plan = compile_vqc(config, X_scaled)
     n = config.n_qubits
-    theta = coerce_params(theta, CircuitFamily.VQC, n * config.layers, "theta")
+    theta = coerce_params(theta, n * config.layers, "theta")
     return qsim.z_expectations(circuits.apply_vqc_layers(config, plan.encoded, theta).T, n)
 
 
@@ -249,48 +253,6 @@ def _correlation_or_none(X_scaled: np.ndarray) -> CorrelationGraph | None:
     return build_correlation_graph(X_scaled)
 
 
-def _budgeted_search(
-    loss, n_params: int, budget: OptBudget, seed: int, start_scale: np.ndarray | None = None
-) -> OptResult:
-    """Simplex search with deterministic random restarts inside one budget.
-
-    Accuracy objectives are piecewise constant, so a single simplex often
-    converges onto a plateau well before the evaluation budget is spent;
-    leftover evaluations go to fresh random starts and the best point over
-    all starts wins (ties keep the earliest start).  ``start_scale``
-    rescales the U[0, 2pi) draws elementwise, for parameters whose useful
-    range is narrower than a full turn.
-    """
-    remaining = budget.max_evals
-    evals_total = 0
-    merged_trace: list[tuple[int, float]] = []
-    best: OptResult | None = None
-    attempt = 0
-    while remaining > 0:
-        if attempt == 0:
-            start = random_init(n_params, seed)
-        else:
-            child = int(np.random.SeedSequence([seed, attempt]).generate_state(1)[0])
-            start = random_init(n_params, child)
-        if start_scale is not None:
-            start = start * start_scale
-        result = minimize(loss, start, replace(budget, max_evals=remaining))
-        merged_trace.extend((evals_total + i, v) for i, v in result.trace)
-        evals_total += result.n_evals
-        remaining -= result.n_evals
-        if best is None or result.best_loss < best.best_loss:
-            best = result
-        attempt += 1
-        if remaining < n_params + 2:
-            break
-    return OptResult(
-        best_params=best.best_params,
-        best_loss=best.best_loss,
-        n_evals=evals_total,
-        trace=merged_trace,
-    )
-
-
 # ---------------------------------------------------------------------------
 # classifiers
 
@@ -298,14 +260,16 @@ def _budgeted_search(
 class _TrainedCircuitClassifier:
     """Trained-circuit features read out by a logistic-regression head.
 
-    Training is bilevel: for each candidate parameter vector the head is
-    refit on the training features (reduced iteration cap) and the negative
-    training accuracy is minimized; the stored model keeps the best
-    parameters with a fully trained head.  The circuit's data-only part is
-    compiled once per fit and dropped when ``fit`` returns.  Subclasses
-    supply the circuit family, its plan compiler and feature function, the
-    zero-angle gate list that sets ``circuit_depth_``, the start scale and
-    the family part of the fitted state.
+    Training is bilevel: one Nelder-Mead simplex, started from seeded
+    U[0, 2pi) angles and capped at ``max_evals`` loss evaluations, minimizes
+    the negative training accuracy of a head refit on the training features
+    for each candidate parameter vector (reduced iteration cap); the stored
+    model keeps the best parameters with a fully trained head.  The
+    circuit's data-only part is compiled once per fit and dropped when
+    ``fit`` returns.  Subclasses supply the circuit family, its plan
+    compiler and feature function, the zero-angle gate list that sets
+    ``circuit_depth_``, the start scale and the family part of the fitted
+    state.
     """
 
     kind: str
@@ -315,14 +279,14 @@ class _TrainedCircuitClassifier:
         self,
         n_qubits: int,
         layers: int,
-        budget: OptBudget | None = None,
+        max_evals: int = TRAINING_EVALS,
         seed: int = 0,
     ):
         if layers < 1:
             raise UsageError("layers must be >= 1 for training")
         self.n_qubits = int(n_qubits)
         self.layers = int(layers)
-        self.budget = budget if budget is not None else OptBudget()
+        self.max_evals = int(max_evals)
         self.seed = int(seed)
         self.config_: CircuitConfig | None = None
         self.scale_chain_: _ScaleChain | None = None
@@ -354,9 +318,8 @@ class _TrainedCircuitClassifier:
             head = _fit_head(features, y, INNER_HEAD_MAX_ITER)
             return -_training_accuracy(head, features, y)
 
-        result = _budgeted_search(
-            loss, n_params, self.budget, self.seed, start_scale=self._start_scale(n_params)
-        )
+        start = random_init(n_params, self.seed) * self._start_scale(n_params)
+        result = minimize(loss, start, self.max_evals)
         if not result.ok:
             raise TrainingError("every objective evaluation was non-finite")
         self.opt_result_ = result
@@ -368,8 +331,9 @@ class _TrainedCircuitClassifier:
     def _fit_circuit(self, X_angle: np.ndarray) -> None:
         """Fit circuit parts other than the trained angles (none by default)."""
 
-    def _start_scale(self, n_params: int) -> np.ndarray | None:
-        return None
+    def _start_scale(self, n_params: int) -> np.ndarray | float:
+        """Elementwise factor on the U[0, 2pi) start, for narrower angle ranges."""
+        return 1.0
 
     def features(self, X) -> np.ndarray:
         self._check_fitted()
@@ -573,12 +537,12 @@ class HybridQcPipeline:
 
     kind = "hybrid_qc"
 
-    def __init__(self, head_kind: str, seed: int = 0, budget: OptBudget | None = None):
+    def __init__(self, head_kind: str, seed: int = 0, max_evals: int = TRAINING_EVALS):
         if head_kind not in _QC_HEADS:
             raise UsageError(f"head_kind must be one of {_QC_HEADS}, got {head_kind!r}")
         self.head_kind = head_kind
         self.seed = int(seed)
-        self.budget = budget if budget is not None else OptBudget()
+        self.max_evals = int(max_evals)
         self.extractor_: VqcClassifier | None = None
         self.head_ = None
 
@@ -596,7 +560,7 @@ class HybridQcPipeline:
     def fit(self, X, y):
         vqc_seed, head_seed = _spawn_seeds(self.seed, 2)
         self.extractor_ = VqcClassifier(
-            HYBRID_QC_QUBITS, HYBRID_QC_LAYERS, budget=self.budget, seed=vqc_seed
+            HYBRID_QC_QUBITS, HYBRID_QC_LAYERS, max_evals=self.max_evals, seed=vqc_seed
         ).fit(X, y)
         features = self.extractor_.features(X)
         self.head_ = self._build_head(head_seed)
@@ -644,19 +608,17 @@ class HybridCqPipeline:
 
     kind = "hybrid_cq"
 
-    def __init__(self, quantum_kind: str, seed: int = 0, budget: OptBudget | None = None):
+    def __init__(self, quantum_kind: str, seed: int = 0, max_evals: int = TRAINING_EVALS):
         if quantum_kind not in _CQ_KINDS:
             raise UsageError(f"quantum_kind must be one of {_CQ_KINDS}, got {quantum_kind!r}")
         self.quantum_kind = quantum_kind
         self.seed = int(seed)
-        self.budget = budget if budget is not None else OptBudget()
+        self.max_evals = int(max_evals)
         self.zscore_ = None
         self.pca_ = None
         self.model_ = None
 
     def fit(self, X, y):
-        from .classical import fit_pca, pca_transform
-
         X = np.asarray(X, dtype=float)
         if X.shape[1] < HYBRID_CQ_COMPONENTS:
             raise UsageError(
@@ -671,14 +633,12 @@ class HybridCqPipeline:
         else:
             circuit = VqcClassifier if self.quantum_kind == "vqc" else QaoaClassifier
             self.model_ = circuit(
-                HYBRID_CQ_COMPONENTS, HYBRID_CQ_LAYERS, budget=self.budget, seed=self.seed
+                HYBRID_CQ_COMPONENTS, HYBRID_CQ_LAYERS, max_evals=self.max_evals, seed=self.seed
             )
         self.model_.fit(projected, np.asarray(y))
         return self
 
     def project(self, X) -> np.ndarray:
-        from .classical import pca_transform
-
         if self.pca_ is None:
             raise UsageError("pipeline is not fitted")
         return pca_transform(self.pca_, apply_scaler(self.zscore_, np.asarray(X, dtype=float)))

@@ -8,7 +8,6 @@ from qcb.circuits import (
     CorrelationGraph,
     CostHamiltonian,
     ExpressibilityResult,
-    ParamVector,
     apply_vqc_layers,
     build_correlation_graph,
     build_cost_hamiltonian,
@@ -185,12 +184,6 @@ class TestVqcCircuit:
         cnots = [g.targets for g in gates if g.kind is GateKind.CNOT]
         assert cnots[0] == (0, 3)
         assert cnots[1:] == [(0, 1), (1, 2), (2, 3)]
-
-    def test_param_vector_family_checked(self):
-        config = CircuitConfig(CircuitFamily.VQC, 2, 1)
-        theta = ParamVector(np.zeros(2), CircuitFamily.QAOA)
-        with pytest.raises(UsageError):
-            build_vqc_circuit(config, [0.0, 0.0], theta)
 
     def test_dimension_mismatches(self):
         config = CircuitConfig(CircuitFamily.VQC, 2, 1)

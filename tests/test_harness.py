@@ -78,6 +78,16 @@ class TestRegistry:
         assert registry["qaoa_4q2l"].metadata["param_count"] == 16
         assert registry["qaoa_6q3l"].metadata["param_count"] == 36
 
+    def test_trained_circuits_use_the_150_evaluation_budget(self):
+        trained = {
+            name: spec
+            for name, spec in default_registry().items()
+            if name.startswith(("vqc_", "qaoa_", "q_")) or name in ("pca_vqc", "pca_qaoa")
+        }
+        assert len(trained) == 10
+        for name, spec in trained.items():
+            assert spec.build(0).max_evals == 150, name
+
     def test_select_models(self):
         subset = select_models("vqc_4q2l, random_forest")
         assert list(subset) == ["vqc_4q2l", "random_forest"]
@@ -225,14 +235,23 @@ class TestParallelRuns:
         )
         assert serial == parallel
 
-    def test_pool_size_bounds(self):
+    def test_pool_size_bounds(self, monkeypatch):
         assert _pool_size(1, 10) == 1
         assert _pool_size(4, 3) <= 3
         assert _pool_size(4, 100) <= (os.cpu_count() or 1)
         with pytest.raises(UsageError):
             _pool_size(0, 5)
+        # an affinity mask narrower than the machine (taskset, a cgroup cpuset) bounds the pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+        assert _pool_size(8, 100) == 2
+        # without affinity support the core count is the bound
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _pool_size(8, 100) == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _pool_size(8, 100) == 1
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a one-core host runs cells serially")
+    @pytest.mark.skipif(_pool_size(2, 2) < 2, reason="a one-core host runs cells serially")
     def test_dead_worker_records_failed_cells(self):
         script = """
 import os
@@ -264,6 +283,34 @@ print(report["failures_total"], crash["failures"], crash["cells"][0]["error"].sp
         assert int(crash_failures) == 2
         assert int(failures_total) >= 2
         assert error == "BrokenProcessPool"
+
+
+class TestBenchmarkTracer:
+    def test_spantrace_installs_and_traces_a_fit(self):
+        """``perfbench/spantrace.install`` wraps qcb names by ``getattr``; a renamed
+        or deleted name, or a ``fit`` that stops calling ``minimize`` through the
+        module, breaks the benchmark's traced runs."""
+        script = """
+import numpy as np
+from spantrace import Tracer, install
+from qcb.qmodels import VqcClassifier
+
+tracer = Tracer()
+install(tracer)
+X = np.random.default_rng(0).uniform(-1, 1, size=(20, 2))
+VqcClassifier(2, 1, max_evals=5).fit(X, (X[:, 0] > 0).astype(int))
+names = [span[0] for span in tracer.spans]
+assert names.count("optimize.minimize") == 1, names
+assert tracer.counters["optimize.loss_evals"] == 5, dict(tracer.counters)
+"""
+        root = Path(qcb.__file__).resolve().parents[2]
+        src = str(Path(qcb.__file__).resolve().parents[1])
+        path = [src, str(root / "perfbench"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestChecksums:

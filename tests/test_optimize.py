@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcb.errors import ConfigurationError, UsageError
-from qcb.optimize import OptBudget, OptResult, minimize, random_init
+from qcb.optimize import OptResult, minimize, random_init
 
 
 class TestRandomInit:
@@ -25,11 +25,7 @@ class TestRandomInit:
 
 class TestMinimize:
     def test_quadratic_reaches_minimum(self):
-        result = minimize(
-            lambda v: float(np.sum((v - 1.0) ** 2)),
-            [0.0, 0.0],
-            OptBudget(max_evals=150),
-        )
+        result = minimize(lambda v: float(np.sum((v - 1.0) ** 2)), [0.0, 0.0], 150)
         assert result.ok
         assert result.best_loss < 1e-3
         assert np.all(np.abs(result.best_params - 1.0) < 0.05)
@@ -41,23 +37,19 @@ class TestMinimize:
             calls.append(v.copy())
             return 5.0
 
-        result = minimize(loss, [0.0, 0.0], OptBudget(max_evals=150))
+        result = minimize(loss, [0.0, 0.0], 150)
         assert result.best_loss == 5.0
         assert np.array_equal(result.best_params, [0.0, 0.0])
         assert result.n_evals < 150
 
     def test_cosine_valley(self):
-        result = minimize(
-            lambda v: -np.cos(v[0]), [2.5], OptBudget(max_evals=150)
-        )
+        result = minimize(lambda v: -np.cos(v[0]), [2.5], 150)
         assert result.best_loss < -1 + 1e-2
         folded = np.mod(result.best_params[0] + np.pi, 2 * np.pi) - np.pi
         assert abs(folded) < 0.2
 
     def test_budget_of_one_returns_x0(self):
-        result = minimize(
-            lambda v: float(np.sum(v**2)), [3.0, 4.0], OptBudget(max_evals=1)
-        )
+        result = minimize(lambda v: float(np.sum(v**2)), [3.0, 4.0], 1)
         assert result.n_evals == 1
         assert np.array_equal(result.best_params, [3.0, 4.0])
         assert result.best_loss == 25.0
@@ -71,7 +63,7 @@ class TestMinimize:
                 count += 1
                 return float(np.sin(v).sum())
 
-            result = minimize(loss, np.zeros(4), OptBudget(max_evals=cap))
+            result = minimize(loss, np.zeros(4), cap)
             assert count == result.n_evals
             assert result.n_evals <= cap + 5  # cap + dim + 1 allowance
 
@@ -81,13 +73,13 @@ class TestMinimize:
                 return np.nan
             return float((v[0] + 1.0) ** 2)
 
-        result = minimize(loss, [0.0], OptBudget(max_evals=80))
+        result = minimize(loss, [0.0], 80)
         assert result.ok
         assert result.best_params[0] <= 0.4
         assert result.best_loss < 1e-2
 
     def test_all_non_finite_flagged(self):
-        result = minimize(lambda v: np.inf, [0.0, 0.0], OptBudget(max_evals=10))
+        result = minimize(lambda v: np.inf, [0.0, 0.0], 10)
         assert not result.ok
         assert result.best_loss == np.inf
 
@@ -97,7 +89,7 @@ class TestMinimize:
         def loss(v):
             return float(np.sum(v**2) + np.sin(5 * v).sum())
 
-        result = minimize(loss, rng.uniform(-2, 2, size=3), OptBudget(max_evals=120))
+        result = minimize(loss, rng.uniform(-2, 2, size=3), 120)
         running = np.minimum.accumulate([v for _, v in result.trace])
         assert np.all(np.diff(running) <= 0)
         assert result.best_loss == running[-1]
@@ -106,8 +98,8 @@ class TestMinimize:
         def loss(v):
             return float(np.sum((v - 0.3) ** 2) * (1 + 0.1 * np.cos(v[0])))
 
-        a = minimize(loss, [1.0, -1.0], OptBudget(max_evals=90))
-        b = minimize(loss, [1.0, -1.0], OptBudget(max_evals=90))
+        a = minimize(loss, [1.0, -1.0], 90)
+        b = minimize(loss, [1.0, -1.0], 90)
         assert np.array_equal(a.best_params, b.best_params)
         assert a.best_loss == b.best_loss
         assert a.trace == b.trace
@@ -119,25 +111,21 @@ class TestMinimize:
             evaluated.append(v.tobytes())
             return 1.0  # fully flat: triggers shrink steps that revisit vertices
 
-        minimize(loss, np.zeros(2), OptBudget(max_evals=100))
+        minimize(loss, np.zeros(2), 100)
         assert len(evaluated) == len(set(evaluated))
 
     def test_piecewise_constant_loss_stays_deterministic(self):
         def loss(v):
             return float(np.floor(np.abs(v[0]) * 2) / 2)
 
-        a = minimize(loss, [1.3], OptBudget(max_evals=40))
-        b = minimize(loss, [1.3], OptBudget(max_evals=40))
+        a = minimize(loss, [1.3], 40)
+        b = minimize(loss, [1.3], 40)
         assert np.array_equal(a.best_params, b.best_params)
 
     def test_empty_x0_rejected(self):
         with pytest.raises(UsageError):
-            minimize(lambda v: 0.0, [], OptBudget())
+            minimize(lambda v: 0.0, [], 150)
 
     def test_budget_validation(self):
         with pytest.raises(ConfigurationError):
-            OptBudget(max_evals=0)
-        with pytest.raises(ConfigurationError):
-            OptBudget(initial_step=0.0)
-        with pytest.raises(ConfigurationError):
-            OptBudget(tolerance=-1.0)
+            minimize(lambda v: 0.0, [0.0], 0)

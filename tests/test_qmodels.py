@@ -13,7 +13,6 @@ from qcb.circuits import (
     build_vqc_circuit,
 )
 from qcb.errors import ConfigurationError, UsageError
-from qcb.optimize import OptBudget
 from qcb.qmodels import (
     HybridCqPipeline,
     HybridQcPipeline,
@@ -296,13 +295,13 @@ class TestVqcTraining:
     def test_separable_reaches_high_training_accuracy(self):
         rng = np.random.default_rng(10)
         X, y = separable_data(rng)
-        model = VqcClassifier(2, 1, budget=OptBudget(max_evals=150), seed=0).fit(X, y)
+        model = VqcClassifier(2, 1, max_evals=150, seed=0).fit(X, y)
         assert np.mean(model.predict(X) == y) >= 0.9
 
     def test_budget_one_keeps_initial_parameters(self):
         rng = np.random.default_rng(11)
         X, y = separable_data(rng, 30)
-        model = VqcClassifier(2, 1, budget=OptBudget(max_evals=1), seed=7).fit(X, y)
+        model = VqcClassifier(2, 1, max_evals=1, seed=7).fit(X, y)
         from qcb.optimize import random_init
 
         assert np.array_equal(model.theta_, random_init(2, 7))
@@ -311,8 +310,8 @@ class TestVqcTraining:
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(12)
         X, y = separable_data(rng, 40)
-        a = VqcClassifier(2, 2, budget=OptBudget(max_evals=40), seed=3).fit(X, y)
-        b = VqcClassifier(2, 2, budget=OptBudget(max_evals=40), seed=3).fit(X, y)
+        a = VqcClassifier(2, 2, max_evals=40, seed=3).fit(X, y)
+        b = VqcClassifier(2, 2, max_evals=40, seed=3).fit(X, y)
         assert np.array_equal(a.theta_, b.theta_)
         holdout = rng.uniform(-1, 1, size=(20, 2))
         assert np.array_equal(a.predict(holdout), b.predict(holdout))
@@ -320,20 +319,20 @@ class TestVqcTraining:
     def test_objective_trace_best_accuracy_non_decreasing(self):
         rng = np.random.default_rng(13)
         X, y = separable_data(rng, 50)
-        model = VqcClassifier(2, 2, budget=OptBudget(max_evals=60), seed=1).fit(X, y)
+        model = VqcClassifier(2, 2, max_evals=60, seed=1).fit(X, y)
         losses = [value for _, value in model.opt_result_.trace]
         best_acc = np.maximum.accumulate([-v for v in losses])
         assert np.all(np.diff(best_acc) >= 0)
 
     def test_single_class_constant(self):
         X = np.random.default_rng(14).uniform(size=(10, 2))
-        model = VqcClassifier(2, 1, budget=OptBudget(max_evals=5)).fit(X, np.zeros(10))
+        model = VqcClassifier(2, 1, max_evals=5).fit(X, np.zeros(10))
         assert np.all(model.predict(X) == 0.0)
 
     def test_theta_holds_one_angle_per_qubit_and_layer(self):
         rng = np.random.default_rng(15)
         X, y = separable_data(rng, 30)
-        model = VqcClassifier(2, 2, budget=OptBudget(max_evals=20), seed=2).fit(X, y)
+        model = VqcClassifier(2, 2, max_evals=20, seed=2).fit(X, y)
         assert model.theta_.shape == (4,)
         assert model.metadata()["param_count"] == 4
 
@@ -343,20 +342,20 @@ class TestQaoaTraining:
         rng = np.random.default_rng(16)
         X = rng.uniform(-1, 1, size=(60, 4))
         y = (X[:, 0] + X[:, 1] > 0).astype(int)
-        model = QaoaClassifier(4, 2, budget=OptBudget(max_evals=10), seed=0).fit(X, y)
+        model = QaoaClassifier(4, 2, max_evals=10, seed=0).fit(X, y)
         assert len(model.gamma_) + len(model.beta_) == 16
 
     def test_separable_reaches_high_training_accuracy(self):
         rng = np.random.default_rng(17)
         X, y = separable_data(rng)
-        model = QaoaClassifier(2, 1, budget=OptBudget(max_evals=150), seed=0).fit(X, y)
+        model = QaoaClassifier(2, 1, max_evals=150, seed=0).fit(X, y)
         assert np.mean(model.predict(X) == y) >= 0.9
 
     def test_uncorrelated_features_yield_z_only_hamiltonian(self):
         rng = np.random.default_rng(18)
         X = rng.normal(size=(80, 3))
         y = (X[:, 0] > 0).astype(int)
-        model = QaoaClassifier(3, 1, budget=OptBudget(max_evals=15), seed=0).fit(X, y)
+        model = QaoaClassifier(3, 1, max_evals=15, seed=0).fit(X, y)
         assert model.hamiltonian_.zz_terms == ()
         assert len(model.hamiltonian_.z_terms) == 3
         model.predict(X)
@@ -364,8 +363,8 @@ class TestQaoaTraining:
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(19)
         X, y = separable_data(rng, 40)
-        a = QaoaClassifier(2, 2, budget=OptBudget(max_evals=25), seed=5).fit(X, y)
-        b = QaoaClassifier(2, 2, budget=OptBudget(max_evals=25), seed=5).fit(X, y)
+        a = QaoaClassifier(2, 2, max_evals=25, seed=5).fit(X, y)
+        b = QaoaClassifier(2, 2, max_evals=25, seed=5).fit(X, y)
         assert np.array_equal(a.gamma_, b.gamma_)
         assert np.array_equal(a.beta_, b.beta_)
 
@@ -399,9 +398,7 @@ class TestHybridQc:
         rng = np.random.default_rng(23)
         X = rng.uniform(-1, 1, size=(50, 8))
         y = (X[:, 0] + X[:, 5] > 0).astype(int)
-        pipeline = HybridQcPipeline(
-            "logistic_regression", seed=0, budget=OptBudget(max_evals=10)
-        ).fit(X, y)
+        pipeline = HybridQcPipeline("logistic_regression", seed=0, max_evals=10).fit(X, y)
         holdout = rng.uniform(-1, 1, size=(15, 8))
         direct = pipeline.head_.predict(pipeline.features(holdout))
         assert np.array_equal(pipeline.predict(holdout), direct)
@@ -411,7 +408,7 @@ class TestHybridQc:
         X = rng.uniform(-1, 1, size=(40, 7))
         y = (X[:, 1] > 0).astype(int)
         for head in ("random_forest", "svm_rbf", "logistic_regression", "decision_tree"):
-            pipeline = HybridQcPipeline(head, seed=1, budget=OptBudget(max_evals=5)).fit(X, y)
+            pipeline = HybridQcPipeline(head, seed=1, max_evals=5).fit(X, y)
             assert pipeline.metadata()["intermediate_features"] == 6
             pipeline.predict(X[:5])
 
@@ -419,25 +416,21 @@ class TestHybridQc:
         rng = np.random.default_rng(25)
         X = rng.uniform(-1, 1, size=(40, 6))
         y = (X[:, 0] > 0).astype(int)
-        pipeline = HybridQcPipeline(
-            "random_forest", seed=0, budget=OptBudget(max_evals=3)
-        ).fit(X, y)
+        pipeline = HybridQcPipeline("random_forest", seed=0, max_evals=3).fit(X, y)
         assert len(pipeline.head_.trees_) == 100
 
     def test_deterministic(self):
         rng = np.random.default_rng(26)
         X = rng.uniform(-1, 1, size=(30, 6))
         y = (X[:, 2] > 0).astype(int)
-        a = HybridQcPipeline("decision_tree", seed=4, budget=OptBudget(max_evals=5)).fit(X, y)
-        b = HybridQcPipeline("decision_tree", seed=4, budget=OptBudget(max_evals=5)).fit(X, y)
+        a = HybridQcPipeline("decision_tree", seed=4, max_evals=5).fit(X, y)
+        b = HybridQcPipeline("decision_tree", seed=4, max_evals=5).fit(X, y)
         holdout = rng.uniform(-1, 1, size=(10, 6))
         assert np.array_equal(a.predict(holdout), b.predict(holdout))
 
     def test_rejects_narrow_input(self):
         with pytest.raises(UsageError):
-            HybridQcPipeline("svm_rbf", budget=OptBudget(max_evals=2)).fit(
-                np.zeros((10, 3)), np.arange(10) % 2
-            )
+            HybridQcPipeline("svm_rbf", max_evals=2).fit(np.zeros((10, 3)), np.arange(10) % 2)
 
 
 class TestHybridCq:
@@ -445,7 +438,7 @@ class TestHybridCq:
         rng = np.random.default_rng(27)
         X = rng.normal(size=(60, 9))
         y = (X[:, 0] > 0).astype(int)
-        pipeline = HybridCqPipeline("vqc", seed=0, budget=OptBudget(max_evals=5)).fit(X, y)
+        pipeline = HybridCqPipeline("vqc", seed=0, max_evals=5).fit(X, y)
         assert pipeline.project(X).shape == (60, 4)
         assert pipeline.metadata()["pca_components"] == 4
 
@@ -454,15 +447,15 @@ class TestHybridCq:
         X = rng.normal(size=(50, 6))
         y = (X[:, 0] + X[:, 1] > 0).astype(int)
         for kind in ("vqc", "qaoa", "qkernel"):
-            pipeline = HybridCqPipeline(kind, seed=2, budget=OptBudget(max_evals=5)).fit(X, y)
+            pipeline = HybridCqPipeline(kind, seed=2, max_evals=5).fit(X, y)
             assert pipeline.predict(X[:6]).shape == (6,)
 
     def test_deterministic(self):
         rng = np.random.default_rng(29)
         X = rng.normal(size=(40, 5))
         y = (X[:, 1] > 0).astype(int)
-        a = HybridCqPipeline("qaoa", seed=3, budget=OptBudget(max_evals=8)).fit(X, y)
-        b = HybridCqPipeline("qaoa", seed=3, budget=OptBudget(max_evals=8)).fit(X, y)
+        a = HybridCqPipeline("qaoa", seed=3, max_evals=8).fit(X, y)
+        b = HybridCqPipeline("qaoa", seed=3, max_evals=8).fit(X, y)
         holdout = rng.normal(size=(12, 5))
         assert np.array_equal(a.predict(holdout), b.predict(holdout))
 
@@ -475,9 +468,9 @@ class TestSingleRecordPredict:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: VqcClassifier(6, 3, budget=OptBudget(max_evals=20), seed=1),
-            lambda: QaoaClassifier(6, 3, budget=OptBudget(max_evals=20), seed=1),
-            lambda: HybridQcPipeline("logistic_regression", seed=1, budget=OptBudget(max_evals=20)),
+            lambda: VqcClassifier(6, 3, max_evals=20, seed=1),
+            lambda: QaoaClassifier(6, 3, max_evals=20, seed=1),
+            lambda: HybridQcPipeline("logistic_regression", seed=1, max_evals=20),
         ],
         ids=["vqc", "qaoa", "hybrid_qc"],
     )
@@ -499,7 +492,7 @@ class TestFittedFootprint:
         rng = np.random.default_rng(34)
         X = rng.normal(size=(144, 8))
         y = rng.integers(0, 4, 144)
-        model = circuit(6, 3, budget=OptBudget(max_evals=5), seed=0).fit(X, y)
+        model = circuit(6, 3, max_evals=5, seed=0).fit(X, y)
         assert len(pickle.dumps(model)) < 16 * 1024
 
 
@@ -508,15 +501,15 @@ class TestTrainedCircuitState:
         rng = np.random.default_rng(31)
         X, y = separable_data(rng, 30)
         shared = {"kind", "scalers", "constant_class", "head"}
-        vqc = VqcClassifier(2, 1, budget=OptBudget(max_evals=5)).fit(X, y)
+        vqc = VqcClassifier(2, 1, max_evals=5).fit(X, y)
         assert set(vqc.fitted_state()) == shared | {"theta", "correlation_pairs"}
-        qaoa = QaoaClassifier(2, 1, budget=OptBudget(max_evals=5)).fit(X, y)
+        qaoa = QaoaClassifier(2, 1, max_evals=5).fit(X, y)
         assert set(qaoa.fitted_state()) == shared | {"gamma", "beta", "zz_terms", "z_offsets"}
         assert np.array_equal(np.concatenate([qaoa.gamma_, qaoa.beta_]), qaoa.params_)
 
     def test_single_class_qaoa_keeps_zero_angles(self):
         X = np.random.default_rng(32).uniform(size=(10, 2))
-        model = QaoaClassifier(2, 2, budget=OptBudget(max_evals=5)).fit(X, np.ones(10))
+        model = QaoaClassifier(2, 2, max_evals=5).fit(X, np.ones(10))
         assert np.array_equal(model.gamma_, np.zeros(4))
         assert np.array_equal(model.beta_, np.zeros(4))
         assert model.opt_result_ is None
@@ -533,7 +526,7 @@ class TestNoLeakageIntoFittedState:
     def test_fitted_state_ignores_unseen_rows(self):
         rng = np.random.default_rng(30)
         X, y = separable_data(rng, 40)
-        model = VqcClassifier(2, 1, budget=OptBudget(max_evals=10), seed=0).fit(X, y)
+        model = VqcClassifier(2, 1, max_evals=10, seed=0).fit(X, y)
         state_before = repr(model.fitted_state())
         model.predict(rng.uniform(-1, 1, size=(25, 2)))
         assert repr(model.fitted_state()) == state_before
