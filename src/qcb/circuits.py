@@ -335,9 +335,20 @@ def build_feature_map(x: Sequence[float]) -> list[GateOp]:
     return gates
 
 
-def circuit_depth(gates: Sequence[GateOp]) -> int:
-    """Total gate count (the resource metric used throughout the reports)."""
-    return len(gates)
+def circuit_depth(config: CircuitConfig, h: CostHamiltonian | None = None) -> int:
+    """Total gate count (the resource metric used throughout the reports).
+
+    Counted from the configuration and, for QAOA, its cost Hamiltonian
+    ``h``; it equals the length of the family builder's gate list.
+    """
+    n = config.n_qubits
+    if config.family is CircuitFamily.VQC:
+        return n + sum(n + len(pairs) for pairs in vqc_layer_pairs(config))
+    if config.family is CircuitFamily.QAOA:
+        if h is None:
+            raise UsageError("the QAOA gate count needs its cost Hamiltonian")
+        return config.layers * (len(h.zz_terms) + len(h.z_terms) + n)
+    return 2 * n + n * (n - 1) // 2
 
 
 def param_count(config: CircuitConfig) -> int:

@@ -17,10 +17,11 @@ class LogisticRegressionClassifier:
 
     Plain gradient descent with a backtracking (Armijo) line search: at the
     problem sizes this package targets, determinism and a provably
-    non-increasing loss trace matter more than quasi-Newton speed.
-    Training stops when the gradient norm drops below ``tol`` or after
-    ``max_iter`` accepted steps.  The bias lives as an extra all-ones design
-    column internally, excluded from the penalty.
+    non-increasing loss matter more than quasi-Newton speed.  Training stops
+    when the gradient norm drops below ``tol`` or after ``max_iter``
+    accepted steps; ``n_iter_`` counts the accepted steps, and the fitted
+    model keeps no per-step history.  The bias lives as an extra all-ones
+    design column internally, excluded from the penalty.
     """
 
     def __init__(self, C: float = 1.0, max_iter: int = 1000, tol: float = 1e-5):
@@ -32,7 +33,6 @@ class LogisticRegressionClassifier:
         self.classes_: np.ndarray | None = None
         self.weights_: np.ndarray | None = None
         self.bias_: np.ndarray | None = None
-        self.loss_trace_: list[float] = []
         self.n_iter_ = 0
         self.constant_class_ = None
 
@@ -48,7 +48,6 @@ class LogisticRegressionClassifier:
             self.constant_class_ = self.classes_[0]
             self.weights_ = np.zeros((d, 1))
             self.bias_ = np.zeros(1)
-            self.loss_trace_ = [0.0]
             return self
 
         design = np.hstack([X, np.ones((n, 1))])
@@ -87,7 +86,6 @@ class LogisticRegressionClassifier:
         params = np.zeros((d + 1, k))
         loss, probs = loss_and_probs(params)
         grad = grad_from_probs(params, probs)
-        self.loss_trace_ = [loss]
         step = 1.0
         for iteration in range(self.max_iter):
             grad_norm_sq = float(_sum(grad * grad, axis=None))
@@ -105,7 +103,6 @@ class LogisticRegressionClassifier:
                 break
             params, loss = candidate, candidate_loss
             grad = grad_from_probs(params, candidate_probs)
-            self.loss_trace_.append(loss)
             step = min(step * 1.5, 64.0)
             self.n_iter_ = iteration + 1
         self.weights_ = params[:d]

@@ -15,23 +15,28 @@ of the two values around the cut.  Each child's class counts come from its
 parent's cumulative counts, so a leaf costs no NumPy call; its class is the
 majority, ties going to the lowest class.
 
-RNG contract.  A tree with ``max_features`` below the column count draws one
-``rng.choice(d, size=max_features, replace=False)`` at each splittable node
-(not at a leaf made by depth, size or purity), in depth-first, left-first
-preorder.  Trees grow from an explicit stack in that order, never level by
-level, so the stream is consumed as by the recursive definition, and a deep
-tree needs no recursion.
+RNG contract.  A forest's tree searches ``ceil(sqrt(d))`` features per split;
+when that is below the column count it draws one
+``rng.choice(d, size=ceil(sqrt(d)), replace=False)`` from its own stream at
+each splittable node (not at a leaf made by depth, size or purity), in
+depth-first, left-first preorder.  Trees grow from an explicit stack in that
+order, never level by level, so the stream is consumed as by the recursive
+definition, and a deep tree needs no recursion.  A plain tree searches every
+feature and draws nothing.
 
 Node layout.  A fitted tree is a ``_Nodes`` table of flat preorder arrays, in
 the smallest integer dtypes that hold them: ``feature``, ``threshold``,
 ``right`` and ``value`` (the leaf's class code).  The left child of node ``i``
 is ``i + 1``.  A leaf has a NaN threshold and a ``right`` that points to
 itself, so ``x <= threshold`` is false and a descent step leaves it in place.
-A tree predicts by walking its nodes row by row.  A forest concatenates its
-trees into one table, with leaf codes mapped to the forest's classes once at
-fit time; its trees keep that table and their root offset instead of copies,
-so the node data is held, and pickled, once.  The forest scores every row
-through every tree in ``depth`` vectorised gather steps over a
+A tree predicts by walking its nodes row by row.  A forest grows each tree
+on the codes of the classes its bootstrap holds, as a stand-alone tree would
+be grown, maps its leaf codes to the forest's classes, and concatenates the
+trees into one table.  It keeps that table, each tree's root offset, the
+deepest tree's depth and a ``(trees, classes)`` mask of the classes each bootstrap held,
+from which a tree's text is rendered in its own codes; no per-tree object
+is made.  The forest scores rows in blocks of ``PREDICT_BLOCK_ROWS``: each
+block goes through every tree in ``depth`` vectorised gather steps over a
 ``(trees, rows)`` node-index array, and votes with one ``bincount``.
 """
 from __future__ import annotations
@@ -177,39 +182,26 @@ def _tree_text(nodes: list[list], root: int, leaf_codes: list[int]) -> str:
 class DecisionTreeClassifier:
     """CART with Gini impurity, midpoint thresholds, and no pruning.
 
-    ``max_features`` enables per-split random feature subsets (used by the
-    forest); the plain tree considers every feature at every split.
+    Every split searches every feature.
     """
 
-    def __init__(self, max_depth: int = 15, max_features: int | None = None, rng=None):
+    def __init__(self, max_depth: int = 15):
         if max_depth < 1:
             raise UsageError("max_depth must be >= 1")
         self.max_depth = int(max_depth)
-        self.max_features = max_features
-        self._rng = rng
         self.classes_: np.ndarray | None = None
         self.depth_ = 0
         self._nodes: _Nodes | None = None
-        self._root = 0
-        self._labels: np.ndarray | None = None  # the labels of the leaf codes
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         if X.ndim != 2 or len(X) != len(y):
             raise UsageError("X must be 2-D with one label per row")
-        d = X.shape[1]
-        if self.max_features is not None and self.max_features < d and self._rng is None:
-            raise UsageError("feature subsets need an rng, and a tree's rng is spent by its fit")
         self.classes_, codes = np.unique(y, return_inverse=True)
-        n_candidates = d if self.max_features is None else self.max_features
         self._nodes, self.depth_ = _grow(
-            X, codes, len(self.classes_), self.max_depth, n_candidates, self._rng
+            X, codes, len(self.classes_), self.max_depth, X.shape[1], None
         )
-        self._root = 0
-        self._labels = self.classes_
-        # the split stream is spent; a fitted tree does not carry (or pickle) it
-        self._rng = None
         return self
 
     def _check_fitted(self) -> None:
@@ -223,19 +215,20 @@ class DecisionTreeClassifier:
         feature, threshold, right, value = (a.tolist() for a in self._nodes)
         codes = []
         for row in X.tolist():
-            i = self._root
+            i = 0
             while right[i] != i:
                 i = i + 1 if row[feature[i]] <= threshold[i] else right[i]
             codes.append(value[i])
-        return self._labels[codes]
+        return self.classes_[codes]
 
     def fitted_state(self) -> dict:
         self._check_fitted()
-        return {"classes": self.classes_, "tree": self._text([a.tolist() for a in self._nodes])}
+        nodes = [a.tolist() for a in self._nodes]
+        return {"classes": self.classes_, "tree": _tree_text(nodes, 0, range(len(self.classes_)))}
 
-    def _text(self, nodes: list[list]) -> str:
-        leaf_codes = np.searchsorted(self.classes_, self._labels).tolist()
-        return _tree_text(nodes, self._root, leaf_codes)
+
+# rows scored together by a forest; a block's (trees, rows) node indices bound predict's memory
+PREDICT_BLOCK_ROWS = 1024
 
 
 class RandomForestClassifier:
@@ -254,35 +247,34 @@ class RandomForestClassifier:
         self.max_depth = int(max_depth)
         self.seed = int(seed)
         self.classes_: np.ndarray | None = None
-        self.trees_: list[DecisionTreeClassifier] = []
         self._nodes: _Nodes | None = None
         self._roots: np.ndarray | None = None
         self._depth = 0
+        self._held: np.ndarray | None = None  # (trees, classes): the classes each bootstrap held
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         if X.ndim != 2 or len(X) != len(y):
             raise UsageError("X must be 2-D with one label per row")
-        self.classes_ = np.unique(y)
+        self.classes_, codes = np.unique(y, return_inverse=True)
         n, d = X.shape
-        max_features = int(np.ceil(np.sqrt(d)))
-        self.trees_ = []
-        streams = np.random.SeedSequence(self.seed).spawn(self.n_trees)
-        for stream in streams:
+        k = len(self.classes_)
+        n_candidates = int(np.ceil(np.sqrt(d)))
+        self._held = np.zeros((self.n_trees, k), dtype=bool)
+        tables, depths = [], []
+        for held, stream in zip(self._held, np.random.SeedSequence(self.seed).spawn(self.n_trees)):
             rng = np.random.default_rng(stream)
             sample = rng.integers(0, n, size=n)
-            tree = DecisionTreeClassifier(
-                max_depth=self.max_depth, max_features=max_features, rng=rng
+            # a tree is grown on the codes of the classes its bootstrap holds,
+            # as a stand-alone tree would be, then its leaves get forest codes
+            held[codes[sample]] = True
+            local = np.cumsum(held) - 1
+            nodes, depth = _grow(
+                X[sample], local[codes[sample]], int(local[-1]) + 1, self.max_depth, n_candidates, rng
             )
-            tree.fit(X[sample], y[sample])
-            self.trees_.append(tree)
-        self._join_trees()
-        return self
-
-    def _join_trees(self) -> None:
-        """Move every tree's nodes into one forest table that the trees then share."""
-        tables = [tree._nodes for tree in self.trees_]
+            tables.append(nodes._replace(value=np.flatnonzero(held)[nodes.value]))
+            depths.append(depth)
         sizes = np.array([len(t.right) for t in tables])
         roots = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         total = int(sizes.sum())
@@ -292,25 +284,23 @@ class RandomForestClassifier:
             right=_compact(
                 np.concatenate([t.right + root for t, root in zip(tables, roots)]), total - 1
             ),
-            value=_compact(
-                np.concatenate(
-                    [
-                        np.searchsorted(self.classes_, tree.classes_)[t.value]
-                        for tree, t in zip(self.trees_, tables)
-                    ]
-                ),
-                len(self.classes_) - 1,
-            ),
+            value=_compact(np.concatenate([t.value for t in tables]), k - 1),
         )
         self._roots = _compact(roots, total - 1)
-        self._depth = max(tree.depth_ for tree in self.trees_)
-        for tree, root in zip(self.trees_, roots.tolist()):
-            tree._nodes, tree._root, tree._labels = self._nodes, root, self.classes_
+        self._depth = max(depths)
+        return self
+
+    def _check_fitted(self) -> None:
+        if self._nodes is None:
+            raise UsageError("model is not fitted")
 
     def predict(self, X):
-        if not self.trees_:
-            raise UsageError("model is not fitted")
+        self._check_fitted()
         X = np.asarray(X, dtype=float)
+        starts = range(0, max(len(X), 1), PREDICT_BLOCK_ROWS)
+        return np.concatenate([self._vote(X[i : i + PREDICT_BLOCK_ROWS]) for i in starts])
+
+    def _vote(self, X: np.ndarray) -> np.ndarray:
         n_rows, d = X.shape
         values = X.ravel()
         row_starts = np.arange(0, n_rows * d, d)
@@ -325,11 +315,14 @@ class RandomForestClassifier:
         return self.classes_[np.argmax(votes, axis=1)]
 
     def fitted_state(self) -> dict:
-        if not self.trees_:
-            raise UsageError("model is not fitted")
+        self._check_fitted()
         nodes = [a.tolist() for a in self._nodes]
+        # each tree's text shows the codes of the classes its own bootstrap held
         return {
             "classes": self.classes_,
             "seed": self.seed,
-            "trees": [t._text(nodes) for t in self.trees_],
+            "trees": [
+                _tree_text(nodes, root, (np.cumsum(held) - 1).tolist())
+                for root, held in zip(self._roots.tolist(), self._held)
+            ],
         }

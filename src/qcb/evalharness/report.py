@@ -85,6 +85,16 @@ _CSV_COLUMNS = [
 ]
 
 
+def _output_dir(out_dir) -> Path:
+    """Create ``out_dir`` if needed; a path that cannot be a directory is a data error."""
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {out_dir}: {exc}") from exc
+    return out_dir
+
+
 def emit_report(report: dict, out_dir, formats: str = "both") -> list[Path]:
     """Write the report as JSON and/or CSV views; returns the written paths.
 
@@ -93,11 +103,7 @@ def emit_report(report: dict, out_dir, formats: str = "both") -> list[Path]:
     """
     if formats not in ("json", "csv", "both"):
         raise UsageError(f"formats must be json|csv|both, got {formats!r}")
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output directory {out_dir}: {exc}") from exc
+    out_dir = _output_dir(out_dir)
     written = []
     if formats in ("json", "both"):
         path = out_dir / REPORT_JSON
@@ -153,9 +159,7 @@ def load_report(path) -> dict:
 
 def emit_expressibility_csv(rows: list[dict], out_dir) -> Path:
     """Write the layer-sweep expressibility table (one row per layer count)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / EXPRESSIBILITY_CSV
+    path = _output_dir(out_dir) / EXPRESSIBILITY_CSV
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["n_qubits", "layers", "score", "kl_divergence", "n_pairs", "low_precision"])

@@ -10,7 +10,7 @@ re-visits do not count against the cap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,12 +31,14 @@ _TOLERANCE = 1e-4
 
 @dataclass
 class OptResult:
-    """Best point ever evaluated, evaluation count, and the loss trace."""
+    """Best point ever evaluated, its loss, and the count of loss evaluations.
+
+    No per-evaluation history is kept: a trained model stores this result.
+    """
 
     best_params: np.ndarray
     best_loss: float
     n_evals: int
-    trace: list[tuple[int, float]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -62,7 +64,6 @@ class _Evaluator:
         self._max = max_evals
         self._cache: dict[bytes, float] = {}
         self.n_evals = 0
-        self.trace: list[tuple[int, float]] = []
         self.best_loss = np.inf
         self.best_params: np.ndarray | None = None
 
@@ -77,7 +78,6 @@ class _Evaluator:
         self.n_evals += 1
         value = float(raw) if np.isfinite(raw) else np.inf
         self._cache[key] = value
-        self.trace.append((self.n_evals, value))
         # on ties the first point evaluated wins, so a flat landscape keeps x0
         if value < self.best_loss or self.best_params is None:
             self.best_loss = value
@@ -166,5 +166,4 @@ def minimize(
         best_params=np.asarray(best_params, dtype=float),
         best_loss=evaluate.best_loss,
         n_evals=evaluate.n_evals,
-        trace=evaluate.trace,
     )

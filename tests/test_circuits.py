@@ -274,19 +274,49 @@ class TestFeatureMap:
 
 class TestResourceMetrics:
     def test_depth_empty(self):
-        assert circuit_depth([]) == 0
+        # a zero-layer ansatz is its encoding alone
+        config = CircuitConfig(CircuitFamily.VQC, 3, 0)
+        assert circuit_depth(config) == len(build_vqc_circuit(config, np.zeros(3), [])) == 3
 
     def test_depth_vqc_ladder_only(self):
         config = CircuitConfig(CircuitFamily.VQC, 4, 2)
         gates = build_vqc_circuit(config, np.zeros(4), np.zeros(8))
-        assert circuit_depth(gates) == 4 + 8 + 3 + 3 == 18
+        assert circuit_depth(config) == len(gates) == 4 + 8 + 3 + 3 == 18
 
     def test_depth_qaoa(self):
         graph = _graph_with_pairs(4, [(0, 1, 0.7), (1, 2, 0.6), (2, 3, 0.9)])
         config = CircuitConfig(CircuitFamily.QAOA, 4, 2, graph)
         h = build_cost_hamiltonian(graph, np.zeros(4))
         gates = build_qaoa_circuit(config, h, np.zeros(8), np.zeros(8))
-        assert circuit_depth(gates) == 2 * (3 + 4 + 4) == 22
+        assert circuit_depth(config, h) == len(gates) == 2 * (3 + 4 + 4) == 22
+        with pytest.raises(UsageError):
+            circuit_depth(config)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_depth_closed_form_matches_builders(self, n):
+        rng = np.random.default_rng(n)
+        # a dense graph: its pairs are not the ladder, and drive VQC layer 0 and the ZZ terms
+        base = rng.normal(size=(30, 1))
+        graphs = [None]
+        if n > 1:
+            graphs.append(build_correlation_graph(base + 0.3 * rng.normal(size=(30, n))))
+            assert len(graphs[1].pairs) == n * (n - 1) // 2
+        for correlation in graphs:
+            for layers in range(4):
+                vqc = CircuitConfig(CircuitFamily.VQC, n, layers, correlation)
+                gates = build_vqc_circuit(vqc, np.zeros(n), np.zeros(n * layers))
+                assert circuit_depth(vqc) == len(gates)
+                if layers == 0:
+                    continue
+                qaoa = CircuitConfig(CircuitFamily.QAOA, n, layers, correlation)
+                if correlation is None:
+                    h = CostHamiltonian(zz_terms=(), z_terms=tuple((q, 0.5) for q in range(n)))
+                else:
+                    h = build_cost_hamiltonian(correlation, np.zeros(n))
+                angles = np.zeros(n * layers)
+                assert circuit_depth(qaoa, h) == len(build_qaoa_circuit(qaoa, h, angles, angles))
+        feature_map = CircuitConfig(CircuitFamily.FEATURE_MAP, n, 1)
+        assert circuit_depth(feature_map) == len(build_feature_map(np.zeros(n)))
 
     def test_param_counts_match_configurations(self):
         assert param_count(CircuitConfig(CircuitFamily.VQC, 4, 2)) == 8

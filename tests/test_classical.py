@@ -1,5 +1,6 @@
 import io
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qcb.classical import (
     pca_transform,
 )
 from qcb.classical.svm import rbf_kernel
+from qcb.classical.trees import PREDICT_BLOCK_ROWS
 from qcb.data import build_dataset, select_features, synthesize
 from qcb.errors import UsageError
 
@@ -169,11 +171,16 @@ class TestLogisticRegression:
         assert np.mean(model.predict(holdout) == yh) == 1.0
 
     def test_loss_trace_non_increasing(self):
+        # the model keeps no trace; it is bit for bit the textbook form, whose
+        # loss trace never rises
         rng = np.random.default_rng(12)
         X, y = make_blobs(rng, [(-1.0, 0.0), (1.0, 0.0), (0.0, 2.0)], 30)
         model = LogisticRegressionClassifier().fit(X, y)
-        trace = np.array(model.loss_trace_)
+        weights, bias, trace, n_iter = logistic_regression_fit(X, y)
         assert np.all(np.diff(trace) <= 1e-12)
+        assert np.array_equal(model.weights_, weights)
+        assert np.array_equal(model.bias_, bias)
+        assert model.n_iter_ == n_iter == len(trace) - 1
 
     def test_multinomial_four_classes(self):
         rng = np.random.default_rng(13)
@@ -210,12 +217,11 @@ class TestLogisticRegression:
         y = (X[:, 0] > 0).astype(int) + (X[:, 1 % case["d"]] > 0.3) * (case["k"] - 2)
         y[: case["k"]] = np.arange(case["k"])  # every class present
         model = LogisticRegressionClassifier(C=case["C"], max_iter=case["max_iter"]).fit(X, y)
-        weights, bias, trace, n_iter = logistic_regression_fit(
+        weights, bias, _, n_iter = logistic_regression_fit(
             X, y, C=case["C"], max_iter=case["max_iter"]
         )
         assert np.array_equal(model.weights_, weights)
         assert np.array_equal(model.bias_, bias)
-        assert np.array_equal(model.loss_trace_, trace)
         assert model.n_iter_ == n_iter
 
 
@@ -276,7 +282,8 @@ class TestRandomForest:
     def test_tree_count_matches_configuration(self):
         rng = np.random.default_rng(20)
         X, y = make_blobs(rng, [(-1.0,), (1.0,)], 15)
-        assert len(RandomForestClassifier(n_trees=7, seed=0).fit(X, y).trees_) == 7
+        forest = RandomForestClassifier(n_trees=7, seed=0).fit(X, y)
+        assert len(forest.fitted_state()["trees"]) == 7
 
     def test_pickled_forest_holds_no_generator(self):
         rng = np.random.default_rng(21)
@@ -292,9 +299,6 @@ class TestRandomForest:
 
         Probe(io.BytesIO()).dump(forest)
         assert found == []
-        assert all(tree._rng is None for tree in forest.trees_)
-        with pytest.raises(UsageError):
-            forest.trees_[0].fit(X, y)  # its split stream is spent
 
 
 def _tree_cases():
@@ -358,19 +362,25 @@ class TestTreesMatchRecursiveOracle:
         assert new_state["trees"] == old_state["trees"]
         assert np.array_equal(new_state["classes"], old_state["classes"])
         _assert_same_predictions(new, old, X, X_eval)
-        for new_tree, old_tree in zip(new.trees_, old.trees_):
-            assert new_tree.fitted_state()["tree"] == old_tree.fitted_state()["tree"]
-            assert np.array_equal(new_tree.predict(X_eval), old_tree.predict(X_eval))
 
     def test_bootstrap_missing_a_class(self):
         X, y, X_eval = TREE_CASES["lone_class_row"]
         new = RandomForestClassifier(n_trees=12, seed=9).fit(X, y)
         old = RecursiveRandomForest(n_trees=12, seed=9).fit(X, y)
-        # some tree's class codes are not the forest's, so the leaf codes are remapped
-        assert any(len(t.classes_) < len(new.classes_) for t in new.trees_)
-        assert any(len(t.classes_) == len(new.classes_) for t in new.trees_)
+        # some bootstrap misses the lone row's class, so that tree's class codes
+        # are not the forest's and its leaf codes are remapped
+        assert any(len(t.classes_) < len(old.classes_) for t in old.trees_)
+        assert any(len(t.classes_) == len(old.classes_) for t in old.trees_)
         assert new.fitted_state()["trees"] == old.fitted_state()["trees"]
         _assert_same_predictions(new, old, X, X_eval)
+
+
+@pytest.fixture(scope="module")
+def registry_forest():
+    """The registry forest, fitted on 144 records of the synthetic set, and all 288 rows."""
+    dataset = select_features(build_dataset(synthesize(seed=0)), k=10)
+    forest = RandomForestClassifier(n_trees=150, seed=0).fit(dataset.X[::2], dataset.y[::2])
+    return forest, dataset.X
 
 
 class TestTreeStorage:
@@ -388,12 +398,24 @@ class TestTreeStorage:
         assert text.count("('leaf', ") == n_nodes // 2 + 1
         assert text.count("(") == text.count(")")
 
-    def test_pickled_forest_is_compact(self):
-        # the registry forest's size, fitted on 144 records of the synthetic set
-        dataset = select_features(build_dataset(synthesize(seed=0)), k=10)
-        forest = RandomForestClassifier(n_trees=150, seed=0).fit(dataset.X[::2], dataset.y[::2])
-        assert all(tree._nodes is forest._nodes for tree in forest.trees_)
-        assert len(pickle.dumps(forest)) < 128 * 1024
+    def test_pickled_forest_is_compact(self, registry_forest):
+        forest, _ = registry_forest
+        assert len(pickle.dumps(forest)) < 64 * 1024
+
+    def test_predict_memory_is_bounded_by_row_blocks(self, registry_forest):
+        forest, X = registry_forest
+        tiled = np.tile(X, (70, 1))  # 20,160 rows
+        tracemalloc.start()
+        try:
+            predicted = forest.predict(tiled)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024 * 1024
+        assert np.array_equal(predicted, np.tile(forest.predict(X), 70))
+        block = PREDICT_BLOCK_ROWS
+        for lo, hi in [(0, block), (block - 5, block + 5), (2 * block - 1, 3 * block + 1)]:
+            assert np.array_equal(predicted[lo:hi], forest.predict(tiled[lo:hi]))
 
 
 class TestSvm:

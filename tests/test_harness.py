@@ -429,6 +429,13 @@ class TestCli:
         missing = tmp_path / "missing.csv"
         assert cli.main(["run", "--data", str(missing), "--out-dir", str(tmp_path)]) == 2
 
+    def test_expressibility_out_under_a_file_is_data_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        args = ["expressibility", "--qubits", "2", "--max-layers", "1", "--pairs", "10"]
+        assert cli.main([*args, "--out", str(blocker / "out")]) == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_holdout_mode(self, tmp_path):
         data = tmp_path / "data.csv"
         cli.main(["synth", "--units", "12", "--years", "10", "--seed", "4", "--out", str(data)])

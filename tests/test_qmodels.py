@@ -12,8 +12,13 @@ from qcb.circuits import (
     build_qaoa_circuit,
     build_vqc_circuit,
 )
+from qcb import optimize, qmodels
+from qcb.classical import LogisticRegressionClassifier, RandomForestClassifier
+from qcb.data import build_dataset, select_features, synthesize
 from qcb.errors import ConfigurationError, UsageError
+from qcb.evalharness.runner import state_checksum
 from qcb.qmodels import (
+    TRAINING_EVALS,
     HybridCqPipeline,
     HybridQcPipeline,
     QKernelClassifier,
@@ -316,13 +321,25 @@ class TestVqcTraining:
         holdout = rng.uniform(-1, 1, size=(20, 2))
         assert np.array_equal(a.predict(holdout), b.predict(holdout))
 
-    def test_objective_trace_best_accuracy_non_decreasing(self):
+    def test_best_params_are_first_argmin_of_evaluated_losses(self, monkeypatch):
+        recorded = []
+
+        def recording_minimize(loss, x0, max_evals):
+            def recording_loss(params):
+                value = loss(params)
+                recorded.append((params.copy(), value))
+                return value
+
+            return optimize.minimize(recording_loss, x0, max_evals)
+
+        monkeypatch.setattr(qmodels, "minimize", recording_minimize)
         rng = np.random.default_rng(13)
         X, y = separable_data(rng, 50)
         model = VqcClassifier(2, 2, max_evals=60, seed=1).fit(X, y)
-        losses = [value for _, value in model.opt_result_.trace]
-        best_acc = np.maximum.accumulate([-v for v in losses])
-        assert np.all(np.diff(best_acc) >= 0)
+        losses = [value for _, value in recorded]
+        assert len(recorded) == model.opt_result_.n_evals == 60
+        assert model.opt_result_.best_loss == min(losses)
+        assert np.array_equal(model.params_, recorded[losses.index(min(losses))][0])
 
     def test_single_class_constant(self):
         X = np.random.default_rng(14).uniform(size=(10, 2))
@@ -417,7 +434,7 @@ class TestHybridQc:
         X = rng.uniform(-1, 1, size=(40, 6))
         y = (X[:, 0] > 0).astype(int)
         pipeline = HybridQcPipeline("random_forest", seed=0, max_evals=3).fit(X, y)
-        assert len(pipeline.head_.trees_) == 100
+        assert len(pipeline.head_.fitted_state()["trees"]) == 100
 
     def test_deterministic(self):
         rng = np.random.default_rng(26)
@@ -484,6 +501,13 @@ class TestSingleRecordPredict:
         assert np.array_equal(batch, singles)
 
 
+@pytest.fixture(scope="module")
+def synthetic_half():
+    """144 records of the synthetic set with its 10 selected features."""
+    dataset = select_features(build_dataset(synthesize(seed=0)), k=10)
+    return dataset.X[::2], dataset.y[::2]
+
+
 class TestFittedFootprint:
     @pytest.mark.parametrize("circuit", [VqcClassifier, QaoaClassifier])
     def test_six_qubit_model_pickles_small(self, circuit):
@@ -494,6 +518,37 @@ class TestFittedFootprint:
         y = rng.integers(0, 4, 144)
         model = circuit(6, 3, max_evals=5, seed=0).fit(X, y)
         assert len(pickle.dumps(model)) < 16 * 1024
+
+    @pytest.mark.parametrize("circuit", [VqcClassifier, QaoaClassifier])
+    def test_six_qubit_model_at_registry_budget_pickles_under_4kib(self, circuit, synthetic_half):
+        # the fitted model keeps no per-evaluation history of its search
+        X, y = synthetic_half
+        model = circuit(6, 3, max_evals=TRAINING_EVALS, seed=0).fit(X, y)
+        assert model.opt_result_.n_evals == TRAINING_EVALS
+        assert len(pickle.dumps(model)) < 4 * 1024
+
+    def test_logistic_regression_pickles_under_2kib(self, synthetic_half):
+        X, y = synthetic_half
+        model = LogisticRegressionClassifier().fit(X, y)
+        assert model.n_iter_ > 0
+        assert len(pickle.dumps(model)) < 2 * 1024
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RandomForestClassifier(n_trees=150, seed=0),
+            lambda: LogisticRegressionClassifier(),
+            lambda: VqcClassifier(6, 3, max_evals=20, seed=0),
+        ],
+        ids=["random_forest", "logistic_regression", "vqc"],
+    )
+    def test_pickle_round_trip_keeps_predictions_and_state(self, build, synthetic_half):
+        X, y = synthetic_half
+        model = build().fit(X, y)
+        loaded = pickle.loads(pickle.dumps(model))
+        X_all = select_features(build_dataset(synthesize(seed=0)), k=10).X
+        assert np.array_equal(loaded.predict(X_all), model.predict(X_all))
+        assert state_checksum(loaded.fitted_state()) == state_checksum(model.fitted_state())
 
 
 class TestTrainedCircuitState:
