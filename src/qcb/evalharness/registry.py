@@ -148,10 +148,8 @@ def default_registry() -> dict[str, ModelSpec]:
         ModelSpec(
             "logistic_regression",
             "classical",
-            lambda seed: StandardizedModel(
-                LogisticRegressionClassifier(C=1.0, max_iter=1000)
-            ),
-            {"C": 1.0, "max_iter": 1000},
+            lambda seed: StandardizedModel(LogisticRegressionClassifier(C=1.0)),
+            {"C": 1.0},
         ),
         ModelSpec(
             "decision_tree",

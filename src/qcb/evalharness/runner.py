@@ -72,6 +72,15 @@ DEVIATIONS = [
         "description": "Multi-class SVMs use one-vs-one voting; gamma='scale' means 1/(n_features * Var(X)).",
     },
     {
+        "id": "head_solver",
+        "description": (
+            "Logistic-regression heads and the logistic_regression baseline "
+            "are fitted by damped multinomial Newton iterations to a gradient "
+            "norm below 1e-5; a trained circuit keeps the head fitted at its "
+            "best loss evaluation instead of refitting it."
+        ),
+    },
+    {
         "id": "aggregate_defaults",
         "description": (
             "Property aggregate = {Theft, Robbery, Dacoity, Burglary}; "

@@ -53,8 +53,6 @@ from .optimize import OptResult, minimize, random_init
 
 # loss evaluations per trained-circuit fit, the initial simplex included
 TRAINING_EVALS = 150
-INNER_HEAD_MAX_ITER = 100
-FINAL_HEAD_MAX_ITER = 1000
 
 HYBRID_QC_QUBITS = 6
 HYBRID_QC_LAYERS = 3
@@ -244,10 +242,6 @@ def _training_accuracy(head, features: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(head.predict(features) == y))
 
 
-def _fit_head(features: np.ndarray, y: np.ndarray, max_iter: int):
-    return LogisticRegressionClassifier(C=1.0, max_iter=max_iter).fit(features, y)
-
-
 def _correlation_or_none(X_scaled: np.ndarray) -> CorrelationGraph | None:
     if X_scaled.shape[1] < 2:
         return None
@@ -263,13 +257,13 @@ class _TrainedCircuitClassifier:
 
     Training is bilevel: one Nelder-Mead simplex, started from seeded
     U[0, 2pi) angles and capped at ``max_evals`` loss evaluations, minimizes
-    the negative training accuracy of a head refit on the training features
-    for each candidate parameter vector (reduced iteration cap); the stored
-    model keeps the best parameters with a fully trained head.  The
-    circuit's data-only part is compiled once per fit and dropped when
-    ``fit`` returns.  Subclasses supply the circuit family, its plan
-    compiler and feature function, the start scale and the family part of
-    the fitted state.
+    the negative training accuracy of a converged head fitted on the
+    training features of each candidate parameter vector; the stored model
+    keeps the best parameters with the head fitted at that evaluation, so
+    nothing is refit afterwards.  The circuit's data-only part is compiled
+    once per fit and dropped when ``fit`` returns.  Subclasses supply the
+    circuit family, its plan compiler and feature function, the start
+    scale and the family part of the fitted state.
     """
 
     kind: str
@@ -300,6 +294,9 @@ class _TrainedCircuitClassifier:
 
     def fit(self, X, y):
         y = np.asarray(y)
+        self.constant_class_ = None
+        self.head_ = None
+        self.opt_result_ = None
         self.classes_ = np.unique(y)
         self.scale_chain_, X_angle = _fit_scale_chain(X, self.n_qubits)
         graph = _correlation_or_none(X_angle)
@@ -313,11 +310,16 @@ class _TrainedCircuitClassifier:
             return self
 
         plan = self._compile(X_angle)
+        best = []  # (loss, head) of the first strictly best evaluation
 
         def loss(params):
             features = self._features(params, X_angle, plan)
-            head = _fit_head(features, y, INNER_HEAD_MAX_ITER)
-            return -_training_accuracy(head, features, y)
+            head = LogisticRegressionClassifier().fit(features, y)
+            value = -_training_accuracy(head, features, y)
+            # the tie rule of minimize's best_params: the first point evaluated wins
+            if not best or value < best[0]:
+                best[:] = [value, head]
+            return value
 
         start = random_init(n_params, self.seed) * self._start_scale(n_params)
         result = minimize(loss, start, self.max_evals)
@@ -325,8 +327,7 @@ class _TrainedCircuitClassifier:
             raise TrainingError("every objective evaluation was non-finite")
         self.opt_result_ = result
         self.params_ = result.best_params
-        final_features = self._features(self.params_, X_angle, plan)
-        self.head_ = _fit_head(final_features, y, FINAL_HEAD_MAX_ITER)
+        self.head_ = best[1]
         return self
 
     def _fit_circuit(self, X_angle: np.ndarray) -> None:
@@ -368,6 +369,8 @@ class _TrainedCircuitClassifier:
             "layers": self.layers,
             "param_count": param_count(CircuitConfig(self.family, self.n_qubits, self.layers)),
             "circuit_depth": self.circuit_depth_,
+            "loss_evals": self.opt_result_.n_evals if self.opt_result_ else 0,
+            "head_iters": self.head_.n_iter_ if self.head_ else 0,
         }
 
 
@@ -462,6 +465,8 @@ class QKernelClassifier:
 
     def fit(self, X, y):
         y = np.asarray(y)
+        self.constant_class_ = None
+        self.svm_ = None
         self.classes_ = np.unique(y)
         self.scale_chain_, X_angle = _fit_scale_chain(X, self.n_qubits)
         self.circuit_depth_ = circuits.circuit_depth(
@@ -544,7 +549,7 @@ class HybridQcPipeline:
         if self.head_kind == "svm_rbf":
             return SvmClassifier(C=1.0, gamma="scale")
         if self.head_kind == "logistic_regression":
-            return LogisticRegressionClassifier(C=1.0, max_iter=FINAL_HEAD_MAX_ITER)
+            return LogisticRegressionClassifier()
         return DecisionTreeClassifier(max_depth=15)
 
     def fit(self, X, y):

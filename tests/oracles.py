@@ -131,45 +131,53 @@ def two_pass_std(values) -> float:
     return float(np.sqrt(np.sum((values - mean) ** 2) / len(values)))
 
 
+def logistic_regression_objective(X, y, weights, bias, C: float = 1.0):
+    """Penalised softmax log-loss and its gradient at ``(weights, bias)``.
+
+    The textbook formulas: mean negative log-likelihood plus
+    ``0.5 / (C n) * ||W||^2`` (bias excluded), gradient
+    ``D^T (P - Y) / n`` plus the penalty term on the weight rows.  Returns
+    ``(loss, grad)`` with ``grad`` shaped like ``vstack([weights, bias])``.
+    """
+    X = np.asarray(X, dtype=float)
+    classes, codes = np.unique(np.asarray(y), return_inverse=True)
+    n, d = X.shape
+    design = np.hstack([X, np.ones((n, 1))])
+    params = np.vstack([weights, bias])
+    onehot = np.zeros((n, len(classes)))
+    onehot[np.arange(n), codes] = 1.0
+    reg = 1.0 / (C * n)
+    Z = design @ params
+    shift = Z.max(axis=1, keepdims=True)
+    probs = np.exp(Z - shift)
+    norm = probs.sum(axis=1, keepdims=True)
+    log_norm = np.log(norm[:, 0]) + shift[:, 0]
+    loss = float(np.mean(log_norm - Z[np.arange(n), codes]))
+    loss += 0.5 * reg * float(np.sum(params[:d] ** 2))
+    grad = design.T @ ((probs / norm - onehot) / n)
+    grad[:d] += reg * params[:d]
+    return loss, grad
+
+
 def logistic_regression_fit(X, y, C: float = 1.0, max_iter: int = 1000, tol: float = 1e-5):
     """Softmax-regression gradient descent in its textbook form.
 
-    A verbatim copy of ``LogisticRegressionClassifier.fit`` before its inner
-    loop was tuned; the tuned loop must reproduce it bit for bit.  Returns
-    ``(weights, bias, loss_trace, n_iter)`` for two or more classes.
+    A reference solver for small, well-conditioned problems, not a twin of
+    the production Newton solver: fixed-step descent with Armijo
+    backtracking and a growing step, stopping when the gradient norm drops
+    below ``tol`` or after ``max_iter`` accepted steps.  Returns
+    ``(weights, bias, n_iter)`` for two or more classes.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    classes, codes = np.unique(y, return_inverse=True)
-    n, d = X.shape
-    k = len(classes)
-    n_iter = 0
+    k = len(np.unique(np.asarray(y)))
+    d = X.shape[1]
 
-    design = np.hstack([X, np.ones((n, 1))])
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), codes] = 1.0
-    rows = np.arange(n)
-    reg = 1.0 / (C * n)
-
-    def loss_and_probs(params):
-        Z = design @ params
-        shift = Z.max(axis=1, keepdims=True)
-        probs = np.exp(Z - shift)
-        norm = probs.sum(axis=1, keepdims=True)
-        log_norm = np.log(norm[:, 0]) + shift[:, 0]
-        data_term = float(np.mean(log_norm - Z[rows, codes]))
-        penalty = 0.5 * reg * float(np.sum(params[:d] ** 2))
-        return data_term + penalty, probs / norm
-
-    def grad_from_probs(params, probs):
-        grad = design.T @ ((probs - onehot) / n)
-        grad[:d] += reg * params[:d]
-        return grad
+    def objective(params):
+        return logistic_regression_objective(X, y, params[:d], params[d], C)
 
     params = np.zeros((d + 1, k))
-    loss, probs = loss_and_probs(params)
-    grad = grad_from_probs(params, probs)
-    loss_trace = [loss]
+    loss, grad = objective(params)
+    n_iter = 0
     step = 1.0
     for iteration in range(max_iter):
         grad_norm_sq = float(np.sum(grad**2))
@@ -178,19 +186,17 @@ def logistic_regression_fit(X, y, C: float = 1.0, max_iter: int = 1000, tol: flo
         accepted = False
         for _ in range(40):
             candidate = params - step * grad
-            candidate_loss, candidate_probs = loss_and_probs(candidate)
+            candidate_loss, candidate_grad = objective(candidate)
             if candidate_loss <= loss - 1e-4 * step * grad_norm_sq:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break
-        params, loss = candidate, candidate_loss
-        grad = grad_from_probs(params, candidate_probs)
-        loss_trace.append(loss)
+        params, loss, grad = candidate, candidate_loss, candidate_grad
         step = min(step * 1.5, 64.0)
         n_iter = iteration + 1
-    return params[:d], params[d], loss_trace, n_iter
+    return params[:d], params[d], n_iter
 
 
 # --- CART and random forest -------------------------------------------------

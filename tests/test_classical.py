@@ -22,11 +22,13 @@ from qcb.classical.svm import rbf_kernel
 from qcb.classical.trees import PREDICT_BLOCK_ROWS
 from qcb.data import build_dataset, select_features, synthesize
 from qcb.errors import UsageError
+from qcb.evalharness.runner import state_checksum
 
 from oracles import (
     RecursiveDecisionTree,
     RecursiveRandomForest,
     logistic_regression_fit,
+    logistic_regression_objective,
     two_pass_std,
 )
 
@@ -170,17 +172,19 @@ class TestLogisticRegression:
         model = LogisticRegressionClassifier(C=1.0, max_iter=1000).fit(X, y)
         assert np.mean(model.predict(holdout) == yh) == 1.0
 
-    def test_loss_trace_non_increasing(self):
-        # the model keeps no trace; it is bit for bit the textbook form, whose
-        # loss trace never rises
+    def test_loss_never_rises_across_newton_steps(self):
+        # the model keeps no trace; refits capped at 0, 1, 2, ... steps replay
+        # the iterates, and the Armijo condition keeps each loss below the last
         rng = np.random.default_rng(12)
         X, y = make_blobs(rng, [(-1.0, 0.0), (1.0, 0.0), (0.0, 2.0)], 30)
-        model = LogisticRegressionClassifier().fit(X, y)
-        weights, bias, trace, n_iter = logistic_regression_fit(X, y)
-        assert np.all(np.diff(trace) <= 1e-12)
-        assert np.array_equal(model.weights_, weights)
-        assert np.array_equal(model.bias_, bias)
-        assert model.n_iter_ == n_iter == len(trace) - 1
+        n_iter = LogisticRegressionClassifier().fit(X, y).n_iter_
+        losses = []
+        for cap in range(n_iter + 1):
+            model = LogisticRegressionClassifier(max_iter=cap).fit(X, y)
+            assert model.n_iter_ == cap
+            losses.append(logistic_regression_objective(X, y, model.weights_, model.bias_)[0])
+        assert 1 <= n_iter < 10
+        assert np.all(np.diff(losses) < 0)
 
     def test_multinomial_four_classes(self):
         rng = np.random.default_rng(13)
@@ -205,24 +209,55 @@ class TestLogisticRegression:
         "case",
         [
             # the inner head of a 6-qubit circuit: bounded features, 4 classes
-            dict(seed=41, n=144, d=6, k=4, C=1.0, max_iter=100),
-            dict(seed=42, n=60, d=12, k=4, C=1.0, max_iter=1000),
-            dict(seed=43, n=30, d=2, k=2, C=0.1, max_iter=300),
-            dict(seed=44, n=50, d=3, k=3, C=10.0, max_iter=50),
+            dict(seed=41, n=144, d=6, k=4, C=1.0),
+            dict(seed=42, n=60, d=12, k=4, C=1.0),
+            dict(seed=43, n=30, d=2, k=2, C=0.1),
+            dict(seed=44, n=50, d=3, k=3, C=10.0),
+            # a constant column, collinear with the bias column
+            dict(seed=45, n=80, d=4, k=3, C=1.0, constant=2),
+            # all-zero features, as QAOA gives at zero angles: only the biases move
+            dict(seed=46, n=60, d=6, k=4, C=1.0, zero=True),
         ],
     )
-    def test_matches_textbook_form_bit_for_bit(self, case):
+    def test_converges_to_the_minimiser(self, case):
         rng = np.random.default_rng(case["seed"])
         X = np.clip(rng.normal(size=(case["n"], case["d"])), -1.0, 1.0)
         y = (X[:, 0] > 0).astype(int) + (X[:, 1 % case["d"]] > 0.3) * (case["k"] - 2)
         y[: case["k"]] = np.arange(case["k"])  # every class present
-        model = LogisticRegressionClassifier(C=case["C"], max_iter=case["max_iter"]).fit(X, y)
-        weights, bias, _, n_iter = logistic_regression_fit(
-            X, y, C=case["C"], max_iter=case["max_iter"]
-        )
-        assert np.array_equal(model.weights_, weights)
-        assert np.array_equal(model.bias_, bias)
-        assert model.n_iter_ == n_iter
+        if "constant" in case:
+            X[:, case["constant"]] = 0.7
+        if case.get("zero"):
+            X[:] = 0.0
+        model = LogisticRegressionClassifier(C=case["C"]).fit(X, y)
+        again = LogisticRegressionClassifier(C=case["C"]).fit(X, y)
+        assert np.array_equal(model.weights_, again.weights_)
+        assert np.array_equal(model.bias_, again.bias_)
+        assert model.n_iter_ == again.n_iter_
+
+        # the loss is strictly convex, so a small gradient pins the minimiser
+        loss, grad = logistic_regression_objective(X, y, model.weights_, model.bias_, case["C"])
+        assert np.linalg.norm(grad) < model.tol
+        assert 1 <= model.n_iter_ < model.max_iter
+
+        # descent to the same tolerance lands no lower than convexity allows:
+        # f(x) <= f(x_gd) + grad(x) . (x - x_gd)
+        weights, bias, n_iter = logistic_regression_fit(X, y, C=case["C"], max_iter=100_000)
+        oracle_loss, oracle_grad = logistic_regression_objective(X, y, weights, bias, case["C"])
+        assert np.linalg.norm(oracle_grad) < model.tol and n_iter < 100_000
+        gap = np.vstack([model.weights_, model.bias_]) - np.vstack([weights, bias])
+        assert loss <= oracle_loss + float(np.sum(grad * gap)) + 1e-15
+
+    def test_refit_after_one_class_matches_fresh_fit(self):
+        rng = np.random.default_rng(15)
+        X, y = make_blobs(rng, [(-1.0, 0.0), (1.5, 0.5)], 25)
+        model = LogisticRegressionClassifier().fit(X, np.ones(len(y), dtype=int))
+        assert model.constant_class_ == 1
+        model.fit(X, y)
+        fresh = LogisticRegressionClassifier().fit(X, y)
+        assert model.constant_class_ is None
+        assert model.n_iter_ == fresh.n_iter_
+        assert np.array_equal(model.predict(X), fresh.predict(X))
+        assert state_checksum(model.fitted_state()) == state_checksum(fresh.fitted_state())
 
 
 class TestDecisionTree:

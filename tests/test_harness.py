@@ -11,6 +11,7 @@ import pytest
 import qcb
 from qcb import cli
 from qcb.data import build_dataset, select_features, synthesize
+from qcb.classical import LogisticRegressionClassifier
 from qcb.errors import UsageError
 from qcb.evalharness import (
     CvPlan,
@@ -26,6 +27,7 @@ from qcb.evalharness import (
 from qcb.evalharness.registry import MajorityClassBaseline, ModelSpec
 from qcb.evalharness.runner import _pool_size, derive_seed, state_checksum
 from qcb.evalharness.cv import stratified_folds
+from qcb.qmodels import TRAINING_EVALS
 
 
 class LowestLabelBaseline(MajorityClassBaseline):
@@ -288,11 +290,13 @@ print(report["failures_total"], crash["failures"], crash["cells"][0]["error"].sp
 class TestBenchmarkTracer:
     def test_spantrace_installs_and_traces_a_fit(self):
         """``perfbench/spantrace.install`` wraps qcb names by ``getattr``; a renamed
-        or deleted name, or a ``fit`` that stops calling ``minimize`` through the
-        module, breaks the benchmark's traced runs."""
+        or deleted name, a ``fit`` that stops calling ``minimize`` through the
+        module, or a head without ``n_iter_`` breaks the benchmark's traced runs.
+        One head is fitted per loss evaluation and none after the search."""
         script = """
 import numpy as np
 from spantrace import Tracer, install
+from qcb.classical import LogisticRegressionClassifier
 from qcb.qmodels import VqcClassifier
 
 tracer = Tracer()
@@ -302,6 +306,9 @@ VqcClassifier(2, 1, max_evals=5).fit(X, (X[:, 0] > 0).astype(int))
 names = [span[0] for span in tracer.spans]
 assert names.count("optimize.minimize") == 1, names
 assert tracer.counters["optimize.loss_evals"] == 5, dict(tracer.counters)
+assert names.count("classical.logreg_fit") == 5, names
+cap = LogisticRegressionClassifier().max_iter
+assert 0 < tracer.counters["classical.logreg_iters"] <= 5 * cap, dict(tracer.counters)
 """
         root = Path(qcb.__file__).resolve().parents[2]
         src = str(Path(qcb.__file__).resolve().parents[1])
@@ -311,6 +318,35 @@ assert tracer.counters["optimize.loss_evals"] == 5, dict(tracer.counters)
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
         )
         assert done.returncode == 0, done.stderr
+
+
+class TestCellCounters:
+    def test_trained_circuit_cells_count_search_and_head_work(self, small_dataset):
+        registry = select_models("vqc_4q2l,qaoa_4q2l,pca_qaoa")
+        plan = CvPlan(n_folds=2, seeds=(0,))
+
+        def counters():
+            report = run_benchmark(
+                small_dataset, registry, plan, master_seed=3, reference="vqc_4q2l"
+            )
+            return {
+                (name, cell["fold"]): (
+                    cell["model_metadata"]["loss_evals"],
+                    cell["model_metadata"]["head_iters"],
+                )
+                for name, entry in report["models"].items()
+                for cell in entry["cells"]
+            }
+
+        first = counters()
+        cap = LogisticRegressionClassifier().max_iter
+        assert len(first) == 6
+        # the simplex may stop before its budget once it is flat and tight;
+        # on these 120 records one vqc_4q2l cell does, at 144 evaluations
+        for loss_evals, head_iters in first.values():
+            assert 1 <= loss_evals <= TRAINING_EVALS
+            assert 1 <= head_iters < cap
+        assert counters() == first
 
 
 class TestChecksums:

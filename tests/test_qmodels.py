@@ -42,6 +42,10 @@ from qcb.qsim import (
 from oracles import dense_gate_matrix, dense_simulate
 
 
+def _accuracy(model, X, y) -> float:
+    return float(np.mean(model.predict(X) == y))
+
+
 def separable_data(rng, n_samples=60, n_features=2):
     X = rng.uniform(-1.0, 1.0, size=(n_samples, n_features))
     y = (X[:, 0] > 0).astype(int)
@@ -570,6 +574,36 @@ class TestTrainedCircuitState:
         assert model.opt_result_ is None
         assert "head" not in model.fitted_state()
         assert np.all(model.predict(X) == 1.0)
+
+    @pytest.mark.parametrize("circuit", [VqcClassifier, QaoaClassifier])
+    def test_head_is_the_best_evaluations_head(self, circuit, synthetic_half):
+        # no refit after the search: the kept head is the one fitted at the
+        # best evaluation, which a fresh fit on the stored angles reproduces
+        X, y = synthetic_half
+        model = circuit(4, 2, max_evals=30, seed=0).fit(X, y)
+        fresh = LogisticRegressionClassifier().fit(model.features(X), y)
+        assert state_checksum(model.head_.fitted_state()) == state_checksum(fresh.fitted_state())
+        assert -_accuracy(model, X, y) == model.opt_result_.best_loss
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: VqcClassifier(2, 1, max_evals=10, seed=0),
+            lambda: QaoaClassifier(2, 1, max_evals=10, seed=0),
+            lambda: QKernelClassifier(2),
+        ],
+        ids=["vqc", "qaoa", "qkernel"],
+    )
+    def test_refit_after_one_class_matches_fresh_fit(self, build):
+        rng = np.random.default_rng(33)
+        X, y = separable_data(rng, 40)
+        model = build().fit(X, np.ones(len(y), dtype=int))
+        assert model.constant_class_ == 1
+        model.fit(X, y)
+        fresh = build().fit(X, y)
+        assert model.constant_class_ is None
+        assert np.array_equal(model.predict(X), fresh.predict(X))
+        assert state_checksum(model.fitted_state()) == state_checksum(fresh.fitted_state())
 
     def test_predict_before_fit_rejected(self):
         for model in (VqcClassifier(2, 1), QaoaClassifier(2, 1)):
