@@ -172,6 +172,10 @@ class SvmClassifier:
         y = np.asarray(y)
         if X.ndim != 2 or len(X) != len(y):
             raise UsageError("X must be 2-D with one label per row")
+        self.constant_class_ = None
+        self.gamma_ = None
+        self._X_train = None
+        self._pairs = []
         self.classes_ = np.unique(y)
         self._n_train = len(y)
         if len(self.classes_) == 1:
@@ -181,14 +185,12 @@ class SvmClassifier:
             if X.shape[0] != X.shape[1]:
                 raise UsageError("precomputed kernel must be square on fit")
             gram = X
-            self._X_train = None
         else:
             self.gamma_ = self._resolve_gamma(X)
             self._X_train = X
             gram = rbf_kernel(X, X, self.gamma_)
 
         _, codes = np.unique(y, return_inverse=True)
-        self._pairs = []
         k = len(self.classes_)
         for a in range(k):
             for b in range(a + 1, k):

@@ -9,7 +9,7 @@ whole pipeline runs without the original (unpublished) source data.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -128,13 +128,12 @@ def severity_inputs(record: CrimeRecord, schema: CrimeSchema = DEFAULT_SCHEMA) -
 
 @dataclass
 class LabeledDataset:
-    """Feature matrix, optional severity labels, and engineering metadata."""
+    """Feature matrix, optional severity labels, and where they came from."""
 
     feature_names: list[str]
     X: np.ndarray
     y: np.ndarray | None
     provenance: str
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=float)
@@ -194,17 +193,7 @@ def engineer_features(
         rows[r, 5] = np.count_nonzero(counts)
         for c, type_name in enumerate(_RAW_FEATURE_TYPES):
             rows[r, 6 + c] = get(type_name, 0)
-    metadata = {
-        "violent_types": list(schema.violent_types),
-        "property_types": list(schema.property_types),
-        "social_types": list(schema.social_types),
-        "raw_feature_types": list(_RAW_FEATURE_TYPES),
-        "units": sorted({rec.unit for rec in records}),
-        "years": sorted({rec.year for rec in records}),
-    }
-    return LabeledDataset(
-        feature_names=names, X=rows, y=None, provenance="ingested", metadata=metadata
-    )
+    return LabeledDataset(feature_names=names, X=rows, y=None, provenance="ingested")
 
 
 def label_records(
@@ -243,17 +232,11 @@ def select_features(dataset: LabeledDataset, k: int = 10, n_bins: int = 10) -> L
     )
     order = sorted(range(dataset.n_features), key=lambda j: (-scores[j], j))
     keep = order[:k]
-    metadata = dict(dataset.metadata)
-    metadata["mi_scores"] = {
-        dataset.feature_names[j]: float(scores[j]) for j in range(dataset.n_features)
-    }
-    metadata["selected_features"] = [dataset.feature_names[j] for j in keep]
     return LabeledDataset(
         feature_names=[dataset.feature_names[j] for j in keep],
         X=dataset.X[:, keep].copy(),
         y=dataset.y.copy(),
         provenance=dataset.provenance,
-        metadata=metadata,
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..data import SEVERITY_LEVELS, LabeledDataset
 from ..errors import UsageError
-from .cv import CvPlan, HoldoutPlan, derive_seed, stratified_folds
+from .cv import CvPlan, HoldoutPlan, derive_seed
 from .metrics import classification_metrics
 from .registry import ModelSpec
 from .stats import confidence_interval, paired_ttest, significance_stars
@@ -479,15 +479,17 @@ def audit_leakage(
 
     Fitted-state checksums must match: preprocessing statistics, correlation
     graphs, circuit parameters and heads may depend on training rows only.
+    The audited split is fold ``fold`` of seed round ``seed_index`` of a
+    5-fold ``CvPlan``.
     """
     if dataset.y is None:
         raise UsageError("dataset must be labeled")
     X, y = dataset.X, dataset.y
     class_labels = [label for label in SEVERITY_LEVELS if label in set(y)]
-    fold_seed = derive_seed(master_seed, "folds", seed_index)
-    folds = stratified_folds(y, 5, fold_seed)
-    test_idx = np.nonzero(folds == fold)[0]
-    train_idx = np.nonzero(folds != fold)[0]
+    if not 0 <= fold < 5:
+        raise UsageError(f"fold must be in 0..4, got {fold}")
+    _, splits = CvPlan(n_folds=5, seeds=tuple(range(seed_index + 1))).splits(y, master_seed)
+    _, _, _, train_idx, test_idx = splits[5 * seed_index + fold]
     permuted_test = test_idx[::-1].copy()
     results = {}
     for name, spec in registry.items():

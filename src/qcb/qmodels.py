@@ -208,12 +208,7 @@ class _ScaleChain:
     angle: object
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] < self.n_qubits:
-            raise UsageError(
-                f"need at least {self.n_qubits} feature columns, got {X.shape}"
-            )
-        truncated = X[:, : self.n_qubits]
+        truncated = _register_columns(X, self.n_qubits)
         return apply_scaler(self.angle, apply_scaler(self.zscore, truncated))
 
     def state(self) -> dict:
@@ -226,16 +221,21 @@ class _ScaleChain:
         }
 
 
-def _fit_scale_chain(X: np.ndarray, n_qubits: int) -> tuple[_ScaleChain, np.ndarray]:
+def _register_columns(X, n_qubits: int) -> np.ndarray:
+    """The first ``n_qubits`` columns of X, one per qubit of the register."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < n_qubits:
         raise UsageError(f"need at least {n_qubits} feature columns, got {X.shape}")
-    truncated = X[:, :n_qubits]
+    return X[:, :n_qubits]
+
+
+def _fit_scale_chain(X: np.ndarray, n_qubits: int) -> tuple[_ScaleChain, np.ndarray]:
+    """Fit the chain on X and return it with X transformed by it."""
+    truncated = _register_columns(X, n_qubits)
     zscore = fit_scaler(ScalerKind.ZSCORE, truncated)
-    standardized = apply_scaler(zscore, truncated)
-    angle = fit_scaler(ScalerKind.ANGLE, standardized)
+    angle = fit_scaler(ScalerKind.ANGLE, apply_scaler(zscore, truncated))
     chain = _ScaleChain(n_qubits=n_qubits, zscore=zscore, angle=angle)
-    return chain, apply_scaler(angle, standardized)
+    return chain, chain.transform(X)
 
 
 def _training_accuracy(head, features: np.ndarray, y: np.ndarray) -> float:

@@ -4,6 +4,12 @@ Amplitude ordering is little-endian: qubit ``k`` corresponds to bit ``k`` of
 the basis-state index, so for two qubits the basis order is
 ``|00>, |01>, |10>, |11>`` with the rightmost digit being qubit 0.
 
+The module has one API: functions over plain complex (or, for the compiled
+RY/CNOT family, real) amplitude arrays.  ``GateOp`` describes one gate;
+``apply_gate_amplitudes`` applies it, ``z_expectations`` and
+``x_expectations`` read out every qubit, and ``cross_overlap_sq`` compares
+two batches of states.  Callers build their own initial arrays.
+
 Gate application is matrix-free (the test suite checks the simulator against
 an explicit dense matrix-chain oracle, which keeps the two code paths
 independent).  Each gate kind has one kernel: a diagonal gate (RZ, ZZPhase)
@@ -26,7 +32,6 @@ import numpy as np
 from .errors import ConfigurationError, UsageError
 
 MAX_QUBITS = 12
-NORM_ATOL = 1e-10
 
 _SQRT1_2 = 2.0 ** -0.5
 
@@ -120,37 +125,13 @@ def x_mixer(qubit: int, angle: float) -> GateOp:
     return GateOp(GateKind.XMIXER, (qubit,), angle)
 
 
-@dataclass(frozen=True)
-class QuantumState:
-    """Normalized amplitude vector over the 2**n_qubits computational basis.
-
-    Instances are immutable: the amplitude array is copied on construction
-    and marked read-only, and every operation returns a new state.
-    """
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ConfigurationError(
-                f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}"
-            )
-        amps = np.array(self.amplitudes, dtype=np.complex128)
-        dim = 1 << self.n_qubits
-        if amps.shape != (dim,):
-            raise UsageError(
-                f"amplitude vector must have shape ({dim},), got {amps.shape}"
-            )
-        norm_sq = float(np.sum(amps.real**2 + amps.imag**2))
-        if abs(norm_sq - 1.0) > NORM_ATOL:
-            raise UsageError(f"state norm**2 deviates from 1 by {abs(norm_sq - 1.0):.3e}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-
 # ---------------------------------------------------------------------------
 # cached sign tables for diagonal gates and expectations
+
+
+def _check_count(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ConfigurationError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
 
 
 @lru_cache(maxsize=None)
@@ -308,24 +289,6 @@ def zz_phase_rows(amps: np.ndarray, qubit_a: int, qubit_b: int, angles) -> np.nd
     return _apply_zz_phase(amps, qubit_a, qubit_b, angles)
 
 
-def zero_amplitudes(n_qubits: int, batch: int | None = None) -> np.ndarray:
-    """Amplitude array for |0...0>, optionally replicated over a batch."""
-    _check_count(n_qubits)
-    dim = 1 << n_qubits
-    shape = (dim,) if batch is None else (batch, dim)
-    amps = np.zeros(shape, dtype=np.complex128)
-    amps[..., 0] = 1.0
-    return amps
-
-
-def plus_amplitudes(n_qubits: int, batch: int | None = None) -> np.ndarray:
-    """Amplitude array for the uniform superposition |+...+>."""
-    _check_count(n_qubits)
-    dim = 1 << n_qubits
-    shape = (dim,) if batch is None else (batch, dim)
-    return np.full(shape, dim**-0.5, dtype=np.complex128)
-
-
 def z_expectations(amps: np.ndarray, n_qubits: int) -> np.ndarray:
     """<Z_q> for every qubit of real or complex amplitudes; shape ``(..., n_qubits)``."""
     probs = amps.real**2 + amps.imag**2 if np.iscomplexobj(amps) else amps * amps
@@ -442,68 +405,3 @@ def x_mixer_product(angles) -> np.ndarray:
         k = len(m)
         m = (u[q][:, None, :, None] * m[None, :, None, :]).reshape(2 * k, 2 * k)
     return m
-
-
-# ---------------------------------------------------------------------------
-# state-level API
-
-
-def _check_count(n_qubits: int) -> None:
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ConfigurationError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
-
-
-def init_zero(n_qubits: int) -> QuantumState:
-    """|0...0>: amplitude 1 at index 0."""
-    return QuantumState(n_qubits, zero_amplitudes(n_qubits))
-
-
-def init_plus(n_qubits: int) -> QuantumState:
-    """|+...+>: all amplitudes equal to 1/sqrt(2**n)."""
-    return QuantumState(n_qubits, plus_amplitudes(n_qubits))
-
-
-def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
-    """Return the state after applying one gate; the input is untouched."""
-    for t in gate.targets:
-        if t >= state.n_qubits:
-            raise UsageError(
-                f"{gate.kind.value} target {t} out of range for {state.n_qubits} qubits"
-            )
-    return QuantumState(state.n_qubits, apply_gate_amplitudes(state.amplitudes, gate))
-
-
-def apply_circuit(state: QuantumState, gates) -> QuantumState:
-    """Apply a gate sequence left to right."""
-    amps = state.amplitudes
-    for gate in gates:
-        for t in gate.targets:
-            if t >= state.n_qubits:
-                raise UsageError(
-                    f"{gate.kind.value} target {t} out of range for "
-                    f"{state.n_qubits} qubits"
-                )
-        amps = apply_gate_amplitudes(amps, gate)
-    return QuantumState(state.n_qubits, amps)
-
-
-def expectation_z(state: QuantumState, qubit: int) -> float:
-    """<Z_qubit> = sum of |amp|**2 signed by the qubit's bit value."""
-    if not 0 <= qubit < state.n_qubits:
-        raise UsageError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
-    return float(z_expectations(state.amplitudes, state.n_qubits)[qubit])
-
-
-def expectation_x(state: QuantumState, qubit: int) -> float:
-    """<X_qubit>, computed by pairing amplitudes that differ in the qubit bit."""
-    if not 0 <= qubit < state.n_qubits:
-        raise UsageError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
-    return float(x_expectations(state.amplitudes, state.n_qubits)[qubit])
-
-
-def overlap_sq(a: QuantumState, b: QuantumState) -> float:
-    """|<a|b>|**2."""
-    if a.n_qubits != b.n_qubits:
-        raise UsageError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    inner = np.vdot(a.amplitudes, b.amplitudes)
-    return float(np.clip(abs(inner) ** 2, 0.0, 1.0))

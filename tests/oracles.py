@@ -60,12 +60,22 @@ def dense_gate_matrix(gate: GateOp, n_qubits: int) -> np.ndarray:
     raise AssertionError(f"oracle has no matrix for {kind}")
 
 
+def zero_state(n_qubits: int) -> np.ndarray:
+    """|0...0>: amplitude 1 at index 0."""
+    state = np.zeros(2**n_qubits, dtype=complex)
+    state[0] = 1.0
+    return state
+
+
+def plus_state(n_qubits: int) -> np.ndarray:
+    """|+...+>: all 2**n amplitudes equal to 1/sqrt(2**n)."""
+    return np.full(2**n_qubits, 1.0 / np.sqrt(2**n_qubits), dtype=complex)
+
+
 def dense_simulate(gates, n_qubits: int, initial: np.ndarray | None = None) -> np.ndarray:
-    """Multiply explicit gate matrices onto an initial vector."""
-    dim = 2**n_qubits
+    """Multiply explicit gate matrices onto an initial vector (default |0...0>)."""
     if initial is None:
-        state = np.zeros(dim, dtype=complex)
-        state[0] = 1.0
+        state = zero_state(n_qubits)
     else:
         state = np.asarray(initial, dtype=complex).copy()
     for gate in gates:

@@ -8,13 +8,14 @@ training-fold leakage, so this module dominates the suite's runtime.
 import json
 import os
 from contextlib import contextmanager
+from functools import reduce
 from time import perf_counter
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from qcb import cli
+from qcb import cli, qsim
 from qcb.circuits import (
     CircuitConfig,
     CircuitFamily,
@@ -46,10 +47,15 @@ from qcb.qmodels import (
     quantum_kernel_matrix,
     vqc_features,
 )
-from qcb.qsim import apply_circuit, init_zero
 from qcb.circuits import build_cost_hamiltonian
 
-from oracles import dense_simulate, random_circuit, rank_then_pearson, states_match_up_to_phase
+from oracles import (
+    dense_simulate,
+    random_circuit,
+    rank_then_pearson,
+    states_match_up_to_phase,
+    zero_state,
+)
 
 mp.mp.dps = 30
 
@@ -110,7 +116,7 @@ def test_01_simulator_matches_dense_oracle():
         for _ in range(200):
             depth = int(rng.integers(1, 11))
             gates = random_circuit(rng, 3, depth)
-            ours = apply_circuit(init_zero(3), gates).amplitudes
+            ours = reduce(qsim.apply_gate_amplitudes, gates, zero_state(3))
             dense = dense_simulate(gates, 3)
             assert states_match_up_to_phase(ours, dense, atol=1e-10)
         assert perf_counter() - started < 5.0

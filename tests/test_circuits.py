@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qcb import qsim
 from qcb.circuits import (
     CircuitConfig,
     CircuitFamily,
@@ -23,9 +22,9 @@ from qcb.circuits import (
     vqc_trainable_gates,
 )
 from qcb.errors import ConfigurationError, UsageError
-from qcb.qsim import GateKind, apply_circuit, init_plus, init_zero
+from qcb.qsim import GateKind
 
-from oracles import dense_simulate, rank_then_pearson
+from oracles import dense_simulate, plus_state, rank_then_pearson
 
 
 class TestSpearman:
@@ -199,20 +198,20 @@ class TestQaoaCircuit:
         config = CircuitConfig(CircuitFamily.QAOA, 3, 2, graph)
         h = build_cost_hamiltonian(graph, [0.4, 0.5, 0.6])
         gates = build_qaoa_circuit(config, h, np.zeros(6), np.zeros(6))
-        final = apply_circuit(init_plus(3), gates)
-        assert np.allclose(final.amplitudes, init_plus(3).amplitudes, atol=1e-15)
+        final = dense_simulate(gates, 3, plus_state(3))
+        assert np.allclose(final, plus_state(3), atol=1e-15)
 
     def test_single_qubit_matches_dense_oracle(self):
         h = CostHamiltonian(zz_terms=(), z_terms=((0, 1.0),))
         config = CircuitConfig(CircuitFamily.QAOA, 1, 1)
         gamma, beta = [0.45], [0.27]
         gates = build_qaoa_circuit(config, h, gamma, beta)
-        ours = apply_circuit(init_plus(1), gates)
+        ours = dense_simulate(gates, 1, plus_state(1))
         # dense chain: exp(-i beta X) exp(-i gamma Z) |+>
         z = np.diag([np.exp(-1j * 0.45), np.exp(1j * 0.45)])
         x = np.array([[np.cos(0.27), -1j * np.sin(0.27)], [-1j * np.sin(0.27), np.cos(0.27)]])
-        expected = x @ z @ init_plus(1).amplitudes
-        assert np.allclose(ours.amplitudes, expected, atol=1e-12)
+        expected = x @ z @ plus_state(1)
+        assert np.allclose(ours, expected, atol=1e-12)
 
     def test_two_qubit_zz_matches_dense_oracle(self):
         graph = _graph_with_pairs(2, [(0, 1, 1.0)])
@@ -221,9 +220,15 @@ class TestQaoaCircuit:
         gamma = np.array([0.3, 0.3])
         beta = np.array([0.3, 0.3])
         gates = build_qaoa_circuit(config, h, gamma, beta)
-        ours = apply_circuit(init_plus(2), gates)
-        expected = dense_simulate(gates, 2, init_plus(2).amplitudes)
-        assert np.allclose(ours.amplitudes, expected, atol=1e-10)
+        ours = dense_simulate(gates, 2, plus_state(2))
+        # exp(-i beta X) on both qubits after the cost phase
+        # exp(-i gamma (w Z0 Z1 + h0 Z0 + h1 Z1)), written out per basis state
+        bits = np.arange(4)
+        z0, z1 = 1 - 2 * (bits & 1), 1 - 2 * ((bits >> 1) & 1)
+        cost = np.exp(-1j * 0.3 * (1.0 * z0 * z1 + 0.2 * z0 - 0.4 * z1))
+        m = np.array([[np.cos(0.3), -1j * np.sin(0.3)], [-1j * np.sin(0.3), np.cos(0.3)]])
+        expected = np.kron(m, m) @ (cost * plus_state(2))
+        assert np.allclose(ours, expected, atol=1e-10)
 
     def test_zz_angle_uses_lower_qubit_gamma(self):
         graph = _graph_with_pairs(3, [(1, 2, 0.9)])
@@ -250,18 +255,18 @@ class TestQaoaCircuit:
 class TestFeatureMap:
     def test_single_qubit_zero_input_gives_plus(self):
         gates = build_feature_map([0.0])
-        state = apply_circuit(init_zero(1), gates)
-        assert np.allclose(state.amplitudes, init_plus(1).amplitudes)
+        state = dense_simulate(gates, 1)
+        assert np.allclose(state, plus_state(1))
 
     def test_single_qubit_kernel_is_cos_squared(self):
         for x, xp in [(0.0, np.pi / 2), (0.3, 1.1), (1.0, 2.5)]:
-            a = apply_circuit(init_zero(1), build_feature_map([x]))
-            b = apply_circuit(init_zero(1), build_feature_map([xp]))
-            assert abs(qsim.overlap_sq(a, b) - np.cos(x - xp) ** 2) < 1e-12
+            a = dense_simulate(build_feature_map([x]), 1)
+            b = dense_simulate(build_feature_map([xp]), 1)
+            assert abs(abs(np.vdot(a, b)) ** 2 - np.cos(x - xp) ** 2) < 1e-12
 
     def test_two_qubit_zero_input_uniform(self):
-        state = apply_circuit(init_zero(2), build_feature_map([0.0, 0.0]))
-        assert np.allclose(state.amplitudes, [0.5, 0.5, 0.5, 0.5])
+        state = dense_simulate(build_feature_map([0.0, 0.0]), 2)
+        assert np.allclose(state, [0.5, 0.5, 0.5, 0.5])
 
     def test_structure(self):
         gates = build_feature_map([0.1, 0.2, 0.3])

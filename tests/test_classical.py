@@ -504,6 +504,21 @@ class TestSvm:
         model = SvmClassifier().fit(np.zeros((4, 2)), np.zeros(4))
         assert np.all(model.predict(np.ones((3, 2))) == 0.0)
 
+    @pytest.mark.parametrize("kernel", ["rbf", "precomputed"])
+    @pytest.mark.parametrize("order", ["one_class_first", "two_class_first"])
+    def test_refit_across_class_counts_matches_fresh_fit(self, kernel, order):
+        rng = np.random.default_rng(27)
+        X, y = make_blobs(rng, [(-1.0, 0.0), (1.5, 0.5)], 20)
+        inputs = X if kernel == "rbf" else rbf_kernel(X, X, 0.5)
+        one_class = np.ones(len(y), dtype=int)
+        labels = [one_class, y] if order == "one_class_first" else [y, one_class]
+        model = SvmClassifier(kernel=kernel)
+        for fit_labels in labels:
+            model.fit(inputs, fit_labels)
+        fresh = SvmClassifier(kernel=kernel).fit(inputs, labels[-1])
+        assert np.array_equal(model.predict(inputs), fresh.predict(inputs))
+        assert state_checksum(model.fitted_state()) == state_checksum(fresh.fitted_state())
+
     def test_gamma_scale_convention(self):
         rng = np.random.default_rng(26)
         X, y = make_blobs(rng, [(-1.0, 0.0), (1.0, 0.0)], 20)

@@ -25,9 +25,10 @@ from qcb.evalharness import (
     strip_timing,
 )
 from qcb.evalharness.registry import MajorityClassBaseline, ModelSpec
+from qcb.evalharness import runner
 from qcb.evalharness.runner import _pool_size, derive_seed, state_checksum
 from qcb.evalharness.cv import stratified_folds
-from qcb.qmodels import TRAINING_EVALS
+from qcb.qmodels import HYBRID_QC_FOREST_TREES, TRAINING_EVALS
 
 
 class LowestLabelBaseline(MajorityClassBaseline):
@@ -89,6 +90,19 @@ class TestRegistry:
         assert len(trained) == 10
         for name, spec in trained.items():
             assert spec.build(0).max_evals == 150, name
+
+    @pytest.mark.parametrize("name", sorted(default_registry()))
+    def test_config_matches_fitted_model(self, small_dataset, name):
+        spec = default_registry()[name]
+        model = spec.build(0).fit(small_dataset.X[::4], small_dataset.y[::4])
+        meta = model.metadata()
+        shared = spec.metadata.keys() & meta.keys()
+        assert {k: spec.metadata[k] for k in shared} == {k: meta[k] for k in shared}
+        if spec.category == "hybrid_qc":
+            assert spec.metadata["head"] == meta["head_kind"]
+        if "head_trees" in spec.metadata:
+            assert spec.metadata["head_trees"] == HYBRID_QC_FOREST_TREES
+            assert len(model.head_.fitted_state()["trees"]) == HYBRID_QC_FOREST_TREES
 
     def test_select_models(self):
         subset = select_models("vqc_4q2l, random_forest")
@@ -372,6 +386,29 @@ class TestLeakageAudit:
         registry = select_models("decision_tree,majority_class,svm_rbf")
         results = audit_leakage(small_dataset, registry, master_seed=0)
         assert all(entry["match"] for entry in results.values())
+
+    def test_audits_the_cv_plan_split(self, small_dataset, monkeypatch):
+        calls = []
+
+        def capture(spec, X, y, train_idx, test_idx, *rest):
+            calls.append((train_idx, test_idx))
+            return {"checksum": "same"}
+
+        monkeypatch.setattr(runner, "run_cell", capture)
+        audit_leakage(small_dataset, select_models("majority_class"), 7, seed_index=2, fold=3)
+        _, splits = CvPlan(n_folds=5, seeds=(0, 1, 2)).splits(small_dataset.y, 7)
+        seed_index, _, fold, train_idx, test_idx = splits[13]
+        assert (seed_index, fold) == (2, 3)
+        assert len(calls) == 2
+        for got_train, _ in calls:
+            assert np.array_equal(got_train, train_idx)
+        assert np.array_equal(calls[0][1], test_idx)
+        assert np.array_equal(calls[1][1], test_idx[::-1])
+
+    @pytest.mark.parametrize("fold", [-1, 5])
+    def test_fold_out_of_range(self, small_dataset, fold):
+        with pytest.raises(UsageError):
+            audit_leakage(small_dataset, select_models("majority_class"), fold=fold)
 
 
 class TestReportEmission:

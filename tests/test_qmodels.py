@@ -29,17 +29,9 @@ from qcb.qmodels import (
     quantum_kernel_matrix,
     vqc_features,
 )
-from qcb.qsim import (
-    QuantumState,
-    apply_circuit,
-    expectation_x,
-    expectation_z,
-    init_plus,
-    init_zero,
-    pauli_x,
-)
+from qcb.qsim import pauli_x
 
-from oracles import dense_gate_matrix, dense_simulate
+from oracles import dense_gate_matrix, dense_simulate, plus_state
 
 
 def _accuracy(model, X, y) -> float:
@@ -91,8 +83,8 @@ class TestVqcFeatures:
         X = rng.uniform(0, np.pi, size=(8, 3))
         feats = vqc_features(config, theta, X)
         for row in range(8):
-            state = apply_circuit(init_zero(3), build_vqc_circuit(config, X[row], theta))
-            expected = [expectation_z(state, q) for q in range(3)]
+            state = dense_simulate(build_vqc_circuit(config, X[row], theta), 3)
+            expected, _ = _dense_expectations(state, 3)
             assert np.allclose(feats[row], expected, atol=1e-12)
 
     def test_bounds(self):
@@ -129,9 +121,9 @@ class TestQaoaFeatures:
         feats = qaoa_features(config, h, gamma, beta, np.array([[x_value]]))
         sample_h = CostHamiltonian(zz_terms=(), z_terms=((0, x_value),))
         gates = build_qaoa_circuit(config, sample_h, gamma, beta)
-        state = apply_circuit(init_plus(1), gates)
-        assert abs(feats[0, 0] - expectation_z(state, 0)) < 1e-12
-        assert abs(feats[0, 1] - expectation_x(state, 0)) < 1e-12
+        z, x = _dense_expectations(dense_simulate(gates, 1, plus_state(1)), 1)
+        assert abs(feats[0, 0] - z[0]) < 1e-12
+        assert abs(feats[0, 1] - x[0]) < 1e-12
 
     def test_batch_equals_per_sample_circuit_path(self):
         rng = np.random.default_rng(5)
@@ -149,13 +141,9 @@ class TestQaoaFeatures:
                 zz_terms=h.zz_terms,
                 z_terms=tuple((q, float(X[row, q])) for q in range(3)),
             )
-            state = apply_circuit(
-                init_plus(3), build_qaoa_circuit(config, sample_h, gamma, beta)
-            )
-            expected = [expectation_z(state, q) for q in range(3)] + [
-                expectation_x(state, q) for q in range(3)
-            ]
-            assert np.allclose(feats[row], expected, atol=1e-12)
+            gates = build_qaoa_circuit(config, sample_h, gamma, beta)
+            z, x = _dense_expectations(dense_simulate(gates, 3, plus_state(3)), 3)
+            assert np.allclose(feats[row], np.concatenate([z, x]), atol=1e-12)
 
     def test_features_within_bounds(self):
         rng = np.random.default_rng(6)

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -6,16 +8,8 @@ from qcb.errors import ConfigurationError, UsageError
 from qcb.qsim import (
     GateKind,
     GateOp,
-    QuantumState,
-    apply_circuit,
-    apply_gate,
     cnot,
-    expectation_x,
-    expectation_z,
     hadamard,
-    init_plus,
-    init_zero,
-    overlap_sq,
     ry,
     rz,
     x_mixer,
@@ -25,41 +19,61 @@ from qcb.qsim import (
 from oracles import (
     dense_gate_matrix,
     dense_simulate,
+    plus_state,
     random_circuit,
     states_match_up_to_phase,
+    zero_state,
 )
+
+
+def simulate(gates, amps):
+    """The simulator under test: apply_gate_amplitudes folded over a gate list."""
+    return reduce(qsim.apply_gate_amplitudes, gates, amps)
+
+
+def z_of(amps, qubit):
+    return qsim.z_expectations(amps, amps.shape[-1].bit_length() - 1)[qubit]
+
+
+def x_of(amps, qubit):
+    return qsim.x_expectations(amps, amps.shape[-1].bit_length() - 1)[qubit]
+
+
+def overlap(a, b):
+    return qsim.cross_overlap_sq(a[None], b[None])[0, 0]
 
 
 def random_state(rng, n_qubits):
     amps = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
-    amps /= np.linalg.norm(amps)
-    return QuantumState(n_qubits, amps)
+    return amps / np.linalg.norm(amps)
 
 
 class TestInit:
+    """The initial states every simulator test starts from, and register bounds."""
+
     def test_zero_single_qubit(self):
-        assert np.array_equal(init_zero(1).amplitudes, [1, 0])
+        assert np.array_equal(zero_state(1), [1, 0])
 
     def test_zero_two_qubits(self):
-        assert np.array_equal(init_zero(2).amplitudes, [1, 0, 0, 0])
+        assert np.array_equal(zero_state(2), [1, 0, 0, 0])
 
     def test_zero_four_qubits(self):
-        state = init_zero(4)
-        assert state.amplitudes.shape == (16,)
-        assert state.amplitudes[0] == 1.0
-        assert not state.amplitudes[1:].any()
+        state = zero_state(4)
+        assert state.shape == (16,)
+        assert state[0] == 1.0
+        assert not state[1:].any()
 
     def test_plus_values(self):
-        assert np.allclose(init_plus(1).amplitudes, [2**-0.5, 2**-0.5])
-        assert np.allclose(init_plus(2).amplitudes, [0.5] * 4)
-        assert np.allclose(init_plus(3).amplitudes, [8**-0.5] * 8, atol=1e-15)
+        assert np.allclose(plus_state(1), [2**-0.5, 2**-0.5])
+        assert np.allclose(plus_state(2), [0.5] * 4)
+        assert np.allclose(plus_state(3), [8**-0.5] * 8, atol=1e-15)
 
     @pytest.mark.parametrize("n", [0, 13, -1])
     def test_qubit_count_bounds(self, n):
         with pytest.raises(ConfigurationError):
-            init_zero(n)
+            qsim.z_signs(n)
         with pytest.raises(ConfigurationError):
-            init_plus(n)
+            qsim.cnot_permutation(n, ())
 
 
 class TestGateOpValidation:
@@ -81,7 +95,7 @@ class TestGateOpValidation:
 
     def test_out_of_range_target_rejected_at_application(self):
         with pytest.raises(UsageError):
-            apply_gate(init_zero(2), ry(2, 0.1))
+            qsim.apply_gate_amplitudes(zero_state(2), ry(2, 0.1))
 
     @pytest.mark.parametrize("gate", [cnot(0, 1), rz(0, 0.3), zz_phase(0, 1, 0.3)])
     def test_amplitude_axis_must_be_a_power_of_two(self, gate):
@@ -91,79 +105,78 @@ class TestGateOpValidation:
 
 class TestSingleGates:
     def test_ry_pi_flips_zero(self):
-        state = apply_gate(init_zero(1), ry(0, np.pi))
-        assert np.allclose(state.amplitudes, [0, 1], atol=1e-15)
+        state = qsim.apply_gate_amplitudes(zero_state(1), ry(0, np.pi))
+        assert np.allclose(state, [0, 1], atol=1e-15)
 
     def test_cnot_truth_table(self):
         # qubit 0 = 1 controls a flip of qubit 1: |01> -> |11>
-        state = QuantumState(2, [0, 1, 0, 0])
-        out = apply_gate(state, cnot(0, 1))
-        assert np.allclose(out.amplitudes, [0, 0, 0, 1])
+        state = np.array([0, 1, 0, 0], dtype=complex)
+        out = qsim.apply_gate_amplitudes(state, cnot(0, 1))
+        assert np.allclose(out, [0, 0, 0, 1])
 
     def test_rz_on_plus_matches_dense_product(self):
-        out = apply_gate(init_plus(1), rz(0, np.pi / 2))
-        expected = dense_simulate([rz(0, np.pi / 2)], 1, init_plus(1).amplitudes)
-        assert np.allclose(out.amplitudes, expected, atol=1e-12)
+        out = qsim.apply_gate_amplitudes(plus_state(1), rz(0, np.pi / 2))
+        expected = dense_simulate([rz(0, np.pi / 2)], 1, plus_state(1))
+        assert np.allclose(out, expected, atol=1e-12)
         assert np.allclose(
-            out.amplitudes,
+            out,
             [np.exp(-1j * np.pi / 4) / np.sqrt(2), np.exp(1j * np.pi / 4) / np.sqrt(2)],
         )
 
     def test_hadamard_makes_plus(self):
-        out = apply_gate(init_zero(1), hadamard(0))
-        assert np.allclose(out.amplitudes, init_plus(1).amplitudes)
+        out = qsim.apply_gate_amplitudes(zero_state(1), hadamard(0))
+        assert np.allclose(out, plus_state(1))
 
     def test_x_flips_bit_on_three_qubits(self):
-        out = apply_gate(init_zero(3), qsim.pauli_x(1))
+        out = qsim.apply_gate_amplitudes(zero_state(3), qsim.pauli_x(1))
         expected = np.zeros(8)
         expected[2] = 1.0
-        assert np.allclose(out.amplitudes, expected)
+        assert np.allclose(out, expected)
 
     def test_zz_phase_signs(self):
         # |00> and |11> agree -> exp(-i a); |01>, |10> -> exp(+i a)
         amps = np.full(4, 0.5, dtype=complex)
-        out = apply_gate(QuantumState(2, amps), zz_phase(0, 1, 0.7))
+        out = qsim.apply_gate_amplitudes(amps, zz_phase(0, 1, 0.7))
         assert np.allclose(
-            out.amplitudes,
+            out,
             0.5 * np.array(
                 [np.exp(-0.7j), np.exp(0.7j), np.exp(0.7j), np.exp(-0.7j)]
             ),
         )
 
     def test_x_mixer_matches_dense(self):
-        state = apply_gate(init_zero(1), qsim.pauli_x(0))
-        out = apply_gate(state, x_mixer(0, np.pi / 4))
-        expected = dense_simulate([x_mixer(0, np.pi / 4)], 1, state.amplitudes)
-        assert np.allclose(out.amplitudes, expected, atol=1e-12)
+        state = qsim.apply_gate_amplitudes(zero_state(1), qsim.pauli_x(0))
+        out = qsim.apply_gate_amplitudes(state, x_mixer(0, np.pi / 4))
+        expected = dense_simulate([x_mixer(0, np.pi / 4)], 1, state)
+        assert np.allclose(out, expected, atol=1e-12)
 
 
 class TestExpectations:
     def test_z_on_computational_states(self):
-        assert expectation_z(init_zero(1), 0) == 1.0
-        one = apply_gate(init_zero(1), qsim.pauli_x(0))
-        assert expectation_z(one, 0) == -1.0
+        assert z_of(zero_state(1), 0) == 1.0
+        one = qsim.apply_gate_amplitudes(zero_state(1), qsim.pauli_x(0))
+        assert z_of(one, 0) == -1.0
 
     def test_z_on_plus_is_zero(self):
-        assert abs(expectation_z(init_plus(1), 0)) < 1e-15
+        assert abs(z_of(plus_state(1), 0)) < 1e-15
 
     def test_z_equals_cos_after_ry(self):
         x = np.pi / 3
-        state = apply_gate(init_zero(1), ry(0, x))
-        assert abs(expectation_z(state, 0) - np.cos(x)) < 1e-12
+        state = qsim.apply_gate_amplitudes(zero_state(1), ry(0, x))
+        assert abs(z_of(state, 0) - np.cos(x)) < 1e-12
         # cross-check against the dense oracle
         dense = dense_simulate([ry(0, x)], 1)
         probs = np.abs(dense) ** 2
-        assert abs(expectation_z(state, 0) - (probs[0] - probs[1])) < 1e-12
+        assert abs(z_of(state, 0) - (probs[0] - probs[1])) < 1e-12
 
     def test_x_on_plus_and_zero(self):
-        assert abs(expectation_x(init_plus(1), 0) - 1.0) < 1e-15
-        assert abs(expectation_x(init_zero(1), 0)) < 1e-15
+        assert abs(x_of(plus_state(1), 0) - 1.0) < 1e-15
+        assert abs(x_of(zero_state(1), 0)) < 1e-15
 
     def test_x_matches_h_then_z_identity(self):
-        one = apply_gate(init_zero(1), qsim.pauli_x(0))
-        state = apply_gate(one, x_mixer(0, np.pi / 4))
-        rotated = apply_gate(state, hadamard(0))
-        assert abs(expectation_x(state, 0) - expectation_z(rotated, 0)) < 1e-12
+        state = simulate([qsim.pauli_x(0), x_mixer(0, np.pi / 4)], zero_state(1))
+        rotated = qsim.apply_gate_amplitudes(state, hadamard(0))
+        assert abs(x_of(state, 0) - z_of(rotated, 0)) < 1e-12
 
     def test_x_two_ways_agreement_random_states(self):
         rng = np.random.default_rng(7)
@@ -171,46 +184,40 @@ class TestExpectations:
             n = int(rng.integers(1, 5))
             state = random_state(rng, n)
             for q in range(n):
-                via_h = expectation_z(apply_gate(state, hadamard(q)), q)
-                assert abs(expectation_x(state, q) - via_h) < 1e-12
+                via_h = z_of(qsim.apply_gate_amplitudes(state, hadamard(q)), q)
+                assert abs(x_of(state, q) - via_h) < 1e-12
 
     def test_bounds_on_random_states(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             n = int(rng.integers(1, 6))
             state = random_state(rng, n)
-            for q in range(n):
-                assert -1.0 <= expectation_z(state, q) <= 1.0
-                assert -1.0 <= expectation_x(state, q) <= 1.0
-
-    def test_invalid_qubit_index(self):
-        with pytest.raises(UsageError):
-            expectation_z(init_zero(2), 2)
-        with pytest.raises(UsageError):
-            expectation_x(init_zero(2), -1)
+            for readout in (qsim.z_expectations, qsim.x_expectations):
+                values = readout(state, n)
+                assert np.all(values >= -1.0) and np.all(values <= 1.0)
 
 
 class TestOverlap:
     def test_self_overlap_is_one(self):
         rng = np.random.default_rng(3)
         psi = random_state(rng, 3)
-        assert abs(overlap_sq(psi, psi) - 1.0) < 1e-12
+        assert abs(overlap(psi, psi) - 1.0) < 1e-12
 
     def test_orthogonal_states(self):
-        one = apply_gate(init_zero(1), qsim.pauli_x(0))
-        assert overlap_sq(init_zero(1), one) == 0.0
+        one = qsim.apply_gate_amplitudes(zero_state(1), qsim.pauli_x(0))
+        assert overlap(zero_state(1), one) == 0.0
 
     def test_matches_dense_inner_product(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
             a = random_state(rng, 3)
             b = random_state(rng, 3)
-            expected = abs(np.sum(np.conj(a.amplitudes) * b.amplitudes)) ** 2
-            assert abs(overlap_sq(a, b) - expected) < 1e-12
+            expected = abs(np.sum(np.conj(a) * b)) ** 2
+            assert abs(overlap(a, b) - expected) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
-            overlap_sq(init_zero(2), init_zero(3))
+            overlap(zero_state(2), zero_state(3))
 
 
 class TestInvariants:
@@ -218,9 +225,8 @@ class TestInvariants:
         rng = np.random.default_rng(23)
         for _ in range(10):
             n = int(rng.integers(2, 7))
-            state = init_zero(n)
-            state = apply_circuit(state, random_circuit(rng, n, 100))
-            norm_sq = float(np.sum(np.abs(state.amplitudes) ** 2))
+            state = simulate(random_circuit(rng, n, 100), zero_state(n))
+            norm_sq = float(np.sum(np.abs(state) ** 2))
             assert abs(norm_sq - 1.0) < 1e-9
 
     def test_gate_then_inverse_restores_state(self):
@@ -233,15 +239,15 @@ class TestInvariants:
                 inverse = gate
             else:
                 inverse = GateOp(gate.kind, gate.targets, -gate.angle)
-            back = apply_gate(apply_gate(state, gate), inverse)
-            assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-10)
+            back = simulate([gate, inverse], state)
+            assert np.allclose(back, state, atol=1e-10)
 
     def test_simulator_matches_dense_oracle(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             depth = int(rng.integers(1, 11))
             gates = random_circuit(rng, 3, depth)
-            ours = apply_circuit(init_zero(3), gates).amplitudes
+            ours = simulate(gates, zero_state(3))
             dense = dense_simulate(gates, 3)
             assert states_match_up_to_phase(ours, dense, atol=1e-10)
 
@@ -255,21 +261,20 @@ class TestInvariants:
 
 class TestImmutability:
     def test_apply_gate_leaves_input_untouched(self):
-        state = init_zero(1)
-        before = state.amplitudes.copy()
-        apply_gate(state, ry(0, 1.0))
-        assert np.array_equal(state.amplitudes, before)
-
-    def test_amplitudes_are_read_only(self):
-        state = init_zero(2)
-        with pytest.raises(ValueError):
-            state.amplitudes[0] = 0.0
-
-    def test_norm_validated_on_construction(self):
-        with pytest.raises(UsageError):
-            QuantumState(1, [1.0, 1.0])
-        with pytest.raises(UsageError):
-            QuantumState(2, [1.0, 0.0])
+        state = random_state(np.random.default_rng(13), 2)
+        before = state.copy()
+        gates = [
+            ry(0, 1.0),
+            rz(1, 0.4),
+            hadamard(0),
+            qsim.pauli_x(1),
+            cnot(0, 1),
+            zz_phase(0, 1, 0.3),
+            x_mixer(1, 0.2),
+        ]
+        for gate in gates:
+            qsim.apply_gate_amplitudes(state, gate)
+            assert np.array_equal(state, before)
 
 
 class TestBatchKernels:
@@ -277,43 +282,29 @@ class TestBatchKernels:
         rng = np.random.default_rng(41)
         n = 3
         xs = rng.uniform(0, np.pi, size=(10, n))
-        amps = qsim.zero_amplitudes(n, batch=10)
+        amps = np.tile(zero_state(n), (10, 1))
         for q in range(n):
             amps = qsim.ry_rows(amps, q, xs[:, q])
         amps = qsim.apply_gate_amplitudes(amps, cnot(0, 1))
         amps = qsim.zz_phase_rows(amps, 1, 2, xs[:, 1] * xs[:, 2])
         amps = qsim.rz_rows(amps, 0, 2 * xs[:, 0])
         for row in range(10):
-            state = init_zero(n)
             gates = [ry(q, xs[row, q]) for q in range(n)]
             gates += [
                 cnot(0, 1),
                 zz_phase(1, 2, xs[row, 1] * xs[row, 2]),
                 rz(0, 2 * xs[row, 0]),
             ]
-            single = apply_circuit(state, gates).amplitudes
-            assert np.allclose(amps[row], single, atol=1e-12)
-
-    def test_batch_expectations_match_state_api(self):
-        rng = np.random.default_rng(43)
-        n = 3
-        amps = np.stack([random_state(rng, n).amplitudes for _ in range(6)])
-        z = qsim.z_expectations(amps, n)
-        x = qsim.x_expectations(amps, n)
-        for row in range(6):
-            state = QuantumState(n, amps[row])
-            for q in range(n):
-                assert abs(z[row, q] - expectation_z(state, q)) < 1e-12
-                assert abs(x[row, q] - expectation_x(state, q)) < 1e-12
+            assert np.allclose(amps[row], dense_simulate(gates, n), atol=1e-12)
 
     def test_cross_overlap_matches_pairwise(self):
         rng = np.random.default_rng(47)
-        a = np.stack([random_state(rng, 2).amplitudes for _ in range(4)])
-        b = np.stack([random_state(rng, 2).amplitudes for _ in range(3)])
+        a = np.stack([random_state(rng, 2) for _ in range(4)])
+        b = np.stack([random_state(rng, 2) for _ in range(3)])
         grid = qsim.cross_overlap_sq(a, b)
         for i in range(4):
             for j in range(3):
-                expected = overlap_sq(QuantumState(2, a[i]), QuantumState(2, b[j]))
+                expected = abs(np.vdot(a[i], b[j])) ** 2
                 assert abs(grid[i, j] - expected) < 1e-12
 
 
