@@ -3,11 +3,15 @@
 Three model families: expectation-value features from the trained
 variational circuit, cost/mixer expectation features from the alternating
 ansatz, and a fidelity-kernel SVM.  Feature extraction runs batched (one
-amplitude matrix for all samples).  The two trained families run the
-compiled kernels of :mod:`qcb.qsim` (a real RY/CNOT path; one merged phase
-and one mixer matrix per cost/mixer layer), and the feature map is one
-merged phase on |+...+>.  The tests pin batched output to the dense oracle
-of the per-sample gate lists.
+amplitude matrix for all samples).  A trained family evaluates in two
+parts: a data part that depends only on the rows (the RY encodings; each
+row's Z weights) and an angle part that depends only on the trained
+parameters (the RY/CNOT layers folded into one real matrix; each cost/mixer
+layer's ZZ phase vector and mixer matrix).  The training plan is the data
+part, built once per fit and never stored; a fitted model builds the angle
+part once, caches it for every predict and never pickles it.  The feature
+map is one merged phase on |+...+>.  The tests pin batched output to the
+dense oracle of the per-sample gate lists.
 
 Each classifier owns its preprocessing: features are truncated to the
 register width (feature k -> qubit k), standardized, then min-max mapped to
@@ -64,10 +68,14 @@ HYBRID_CQ_LAYERS = 2
 # ---------------------------------------------------------------------------
 # feature extraction (spec-level operations, batched over samples)
 #
-# Each trained-circuit family splits into a plan, the part that depends only
-# on the rows (built once per fit), and the evaluation for one angle vector.
-# A plan holds training rows, so it lives only inside ``fit``: a model never
-# stores or pickles one.
+# Each trained-circuit family evaluates in two parts.  The plan is the part
+# that depends only on the rows: it is built once per fit and holds training
+# rows, so it lives only inside ``fit`` and a model never stores or pickles
+# one.  The operators are the part that depends only on the angles: training
+# builds them once per evaluated angle vector, and a fitted model builds them
+# once from its trained angles, caches them for every ``predict`` and never
+# pickles them.  Both parts are optional arguments of the one feature
+# function per family, so training and predict run the same path.
 
 
 class VqcPlan(NamedTuple):
@@ -80,9 +88,13 @@ class QaoaPlan(NamedTuple):
     """Data-only part of the cost/mixer circuit on a fixed set of rows."""
 
     x_z: np.ndarray  # (rows, n) each row's Z weight per qubit (0 without a Z term)
-    zz_slots: np.ndarray  # per ZZ coupling, the qubit min(i, j) whose gamma it uses
-    zz_weights: np.ndarray  # per ZZ coupling, its weight
-    zz_signs: np.ndarray  # (couplings, 2**n) <b|Z_i Z_j|b>
+
+
+class QaoaOperators(NamedTuple):
+    """Angle-only part of the cost/mixer circuit, one entry per layer."""
+
+    zz_phases: tuple[np.ndarray, ...]  # (2**n,) exp(-i * ZZ angle) per basis state
+    mixers: tuple[np.ndarray, ...]  # (2**n, 2**n) exp(-i beta_q X_q) over the register
 
 
 def _checked_rows(X_scaled, n_qubits: int) -> np.ndarray:
@@ -100,23 +112,40 @@ def compile_vqc(config: CircuitConfig, X_scaled: np.ndarray) -> VqcPlan:
     return VqcPlan(encoded=qsim.ry_product_columns(X))
 
 
+def vqc_operator(config: CircuitConfig, theta) -> np.ndarray:
+    """The trainable RY/CNOT layers folded into one real 2**n x 2**n matrix.
+
+    Column b is the layers applied to basis state |b>, so ``U @ cols``
+    applies them to real state columns.
+    """
+    n = config.n_qubits
+    theta = coerce_params(theta, n * config.layers, "theta")
+    return circuits.apply_vqc_layers(config, np.eye(1 << n), theta)
+
+
 def vqc_features(
-    config: CircuitConfig, theta, X_scaled: np.ndarray, plan: VqcPlan | None = None
+    config: CircuitConfig,
+    theta,
+    X_scaled: np.ndarray,
+    plan: VqcPlan | None = None,
+    operator: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-sample <Z_q> features of the variational circuit, shape (n, n_qubits).
 
     ``plan`` is ``compile_vqc(config, X_scaled)``, passed by callers that
-    evaluate many angle vectors on the same rows.
+    evaluate many angle vectors on the same rows; ``operator`` is
+    ``vqc_operator(config, theta)``, passed by callers that evaluate one
+    angle vector on many row sets.
     """
     if plan is None:
         plan = compile_vqc(config, X_scaled)
-    n = config.n_qubits
-    theta = coerce_params(theta, n * config.layers, "theta")
-    return qsim.z_expectations(circuits.apply_vqc_layers(config, plan.encoded, theta).T, n)
+    if operator is None:
+        operator = vqc_operator(config, theta)
+    return qsim.z_expectations((operator @ plan.encoded).T, config.n_qubits)
 
 
 def compile_qaoa(config: CircuitConfig, h: CostHamiltonian, X_scaled: np.ndarray) -> QaoaPlan:
-    """The rows' Z-term values and the sign tables of every diagonal term."""
+    """The rows' Z-term values: each row's feature on every qubit with a Z term."""
     if config.family is not CircuitFamily.QAOA:
         raise UsageError("config.family must be QAOA")
     n = config.n_qubits
@@ -124,12 +153,33 @@ def compile_qaoa(config: CircuitConfig, h: CostHamiltonian, X_scaled: np.ndarray
     qubits = [q for i, j, _ in h.zz_terms for q in (i, j)] + [q for q, _ in h.z_terms]
     if any(not 0 <= q < n for q in qubits):
         raise UsageError(f"Hamiltonian term out of range for {n} qubits")
-    z_count = np.bincount([q for q, _ in h.z_terms], minlength=n)
-    return QaoaPlan(
-        x_z=X * z_count,
-        zz_slots=np.array([min(i, j) for i, j, _ in h.zz_terms], dtype=int),
-        zz_weights=np.array([w for _, _, w in h.zz_terms], dtype=float),
-        zz_signs=qsim.zz_signs(n, tuple((i, j) for i, j, _ in h.zz_terms)),
+    return QaoaPlan(x_z=X * np.bincount([q for q, _ in h.z_terms], minlength=n))
+
+
+def _qaoa_angles(config: CircuitConfig, gamma, beta) -> tuple[np.ndarray, np.ndarray]:
+    expected = config.n_qubits * config.layers
+    g = np.asarray(gamma, dtype=float).ravel()
+    b = np.asarray(beta, dtype=float).ravel()
+    if len(g) != expected or len(b) != expected:
+        raise UsageError(f"gamma and beta must each hold {expected} angles")
+    return g, b
+
+
+def qaoa_operators(config: CircuitConfig, h: CostHamiltonian, gamma, beta) -> QaoaOperators:
+    """Each layer's ZZ phase vector and mixer matrix for one angle vector.
+
+    ZZPhase(g w) is exp(-i g w Z Z): a coupling (i, j) of weight w uses the
+    gamma of qubit min(i, j).
+    """
+    n = config.n_qubits
+    g, b = _qaoa_angles(config, gamma, beta)
+    slots = np.array([min(i, j) for i, j, _ in h.zz_terms], dtype=int)
+    weights = np.array([w for _, _, w in h.zz_terms], dtype=float)
+    signs = qsim.zz_signs(n, tuple((i, j) for i, j, _ in h.zz_terms))
+    layers = [slice(layer * n, (layer + 1) * n) for layer in range(config.layers)]
+    return QaoaOperators(
+        zz_phases=tuple(np.exp(-1j * ((g[s][slots] * weights) @ signs)) for s in layers),
+        mixers=tuple(qsim.x_mixer_product(b[s]) for s in layers),
     )
 
 
@@ -140,6 +190,7 @@ def qaoa_features(
     beta,
     X_scaled: np.ndarray,
     plan: QaoaPlan | None = None,
+    operators: QaoaOperators | None = None,
 ) -> np.ndarray:
     """Cost-basis then mixer-basis expectations, shape (n, 2 * n_qubits).
 
@@ -147,25 +198,23 @@ def qaoa_features(
     weight is each sample's own scaled feature value (the weights stored in
     ``h`` are the training means, kept as recorded offsets).  Each layer's
     cost step is diagonal, so its ZZ and Z terms merge into one phase per
-    row and basis state; its mixer is one matrix over the register.  ``plan`` is
-    ``compile_qaoa(config, h, X_scaled)``, passed by callers that evaluate
-    many angle vectors on the same rows.
+    row and basis state; its mixer is one matrix over the register.  ``plan``
+    is ``compile_qaoa(config, h, X_scaled)``, passed by callers that
+    evaluate many angle vectors on the same rows; ``operators`` is
+    ``qaoa_operators(config, h, gamma, beta)``, passed by callers that
+    evaluate one angle vector on many row sets.
     """
     if plan is None:
         plan = compile_qaoa(config, h, X_scaled)
     n = config.n_qubits
-    expected = n * config.layers
-    g = np.asarray(gamma, dtype=float).ravel()
-    b = np.asarray(beta, dtype=float).ravel()
-    if len(g) != expected or len(b) != expected:
-        raise UsageError(f"gamma and beta must each hold {expected} angles")
+    g, b = _qaoa_angles(config, gamma, beta)
+    if operators is None:
+        operators = qaoa_operators(config, h, g, b)
     amps = (1 << n) ** -0.5  # |+...+>: every amplitude is 2**(-n/2)
-    for layer in range(config.layers):
-        g_layer = g[layer * n : (layer + 1) * n]
-        # RZ(2 g x) is exp(-i g x Z); ZZPhase(g w) is exp(-i g w Z Z)
-        zz_angle = (g_layer[plan.zz_slots] * plan.zz_weights) @ plan.zz_signs
-        phase = qsim.z_phase_rows(plan.x_z * g_layer) * np.exp(-1j * zz_angle)
-        amps = (amps * phase) @ qsim.x_mixer_product(b[layer * n : (layer + 1) * n])
+    for layer, (zz_phase, mixer) in enumerate(zip(*operators)):
+        # RZ(2 g x) is exp(-i g x Z)
+        phase = qsim.z_phase_rows(plan.x_z * g[layer * n : (layer + 1) * n]) * zz_phase
+        amps = (amps * phase) @ mixer
     return np.hstack([qsim.z_expectations(amps, n), qsim.x_expectations(amps, n)])
 
 
@@ -261,14 +310,17 @@ class _TrainedCircuitClassifier:
     training features of each candidate parameter vector; the stored model
     keeps the best parameters with the head fitted at that evaluation, so
     nothing is refit afterwards.  The circuit's data-only part is compiled
-    once per fit and dropped when ``fit`` returns.  Subclasses supply the
-    circuit family, its plan compiler and feature function, the start
-    scale and the family part of the fitted state.
+    once per fit and dropped when ``fit`` returns.  The angle-only part of
+    the trained parameters is built on the first ``features`` call and
+    cached until the next ``fit``; pickles leave it out.  Subclasses supply
+    the circuit family, its plan compiler, operator builder and feature
+    function, the start scale and the family part of the fitted state.
     """
 
     kind: str
     family: CircuitFamily
     hamiltonian_: CostHamiltonian | None = None  # the cost operator; QAOA only
+    _operators = None  # operators of params_, built on first use
 
     def __init__(
         self,
@@ -297,6 +349,7 @@ class _TrainedCircuitClassifier:
         self.constant_class_ = None
         self.head_ = None
         self.opt_result_ = None
+        self._operators = None
         self.classes_ = np.unique(y)
         self.scale_chain_, X_angle = _fit_scale_chain(X, self.n_qubits)
         graph = _correlation_or_none(X_angle)
@@ -339,7 +392,11 @@ class _TrainedCircuitClassifier:
 
     def features(self, X) -> np.ndarray:
         self._check_fitted()
-        return self._features(self.params_, self.scale_chain_.transform(X))
+        if self._operators is None:
+            self._operators = self._build_operators(self.params_)
+        return self._features(
+            self.params_, self.scale_chain_.transform(X), operators=self._operators
+        )
 
     def predict(self, X):
         self._check_fitted()
@@ -350,6 +407,11 @@ class _TrainedCircuitClassifier:
     def _check_fitted(self):
         if self.params_ is None:
             raise UsageError("model is not fitted")
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_operators", None)  # rebuilt from params_ on first use
+        return state
 
     def fitted_state(self) -> dict:
         self._check_fitted()
@@ -387,8 +449,11 @@ class VqcClassifier(_TrainedCircuitClassifier):
     def _compile(self, X_angle):
         return compile_vqc(self.config_, X_angle)
 
-    def _features(self, theta, X_angle, plan=None):
-        return vqc_features(self.config_, theta, X_angle, plan)
+    def _build_operators(self, theta):
+        return vqc_operator(self.config_, theta)
+
+    def _features(self, theta, X_angle, plan=None, operators=None):
+        return vqc_features(self.config_, theta, X_angle, plan, operators)
 
     def _family_state(self) -> dict:
         graph = self.config_.correlation
@@ -433,10 +498,14 @@ class QaoaClassifier(_TrainedCircuitClassifier):
     def _compile(self, X_angle):
         return compile_qaoa(self.config_, self.hamiltonian_, X_angle)
 
-    def _features(self, params, X_angle, plan=None):
+    def _build_operators(self, params):
+        half = len(params) // 2
+        return qaoa_operators(self.config_, self.hamiltonian_, params[:half], params[half:])
+
+    def _features(self, params, X_angle, plan=None, operators=None):
         half = len(params) // 2
         return qaoa_features(
-            self.config_, self.hamiltonian_, params[:half], params[half:], X_angle, plan
+            self.config_, self.hamiltonian_, params[:half], params[half:], X_angle, plan, operators
         )
 
     def _family_state(self) -> dict:

@@ -24,7 +24,7 @@ from qcb.evalharness import (
     select_models,
     strip_timing,
 )
-from qcb.evalharness.registry import MajorityClassBaseline, ModelSpec
+from qcb.evalharness.registry import MajorityClassBaseline, ModelSpec, StandardizedModel
 from qcb.evalharness import runner
 from qcb.evalharness.runner import _pool_size, derive_seed, state_checksum
 from qcb.evalharness.cv import stratified_folds
@@ -103,6 +103,11 @@ class TestRegistry:
         if "head_trees" in spec.metadata:
             assert spec.metadata["head_trees"] == HYBRID_QC_FOREST_TREES
             assert len(model.head_.fitted_state()["trees"]) == HYBRID_QC_FOREST_TREES
+        if isinstance(model, StandardizedModel):
+            # the classical entries have no metadata(); their config restates
+            # the constructor arguments, which the wrapped model keeps
+            assert spec.metadata
+            assert spec.metadata == {k: getattr(model.inner, k) for k in spec.metadata}
 
     def test_select_models(self):
         subset = select_models("vqc_4q2l, random_forest")

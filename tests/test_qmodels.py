@@ -11,6 +11,7 @@ from qcb.circuits import (
     build_feature_map,
     build_qaoa_circuit,
     build_vqc_circuit,
+    vqc_trainable_gates,
 )
 from qcb import optimize, qmodels
 from qcb.classical import LogisticRegressionClassifier, RandomForestClassifier
@@ -28,6 +29,7 @@ from qcb.qmodels import (
     qaoa_features,
     quantum_kernel_matrix,
     vqc_features,
+    vqc_operator,
 )
 from qcb.qsim import pauli_x
 
@@ -210,6 +212,23 @@ class TestCompiledFeaturesMatchDenseOracle:
             z, _ = _dense_expectations(amps, n_qubits)
             assert np.max(np.abs(batch[row] - z)) < 1e-12
         assert np.max(np.abs(vqc_features(config, theta, X[7:8])[0] - batch[7])) < 1e-12
+
+    @pytest.mark.parametrize("n_qubits,layers", _SHAPES)
+    @pytest.mark.parametrize("with_graph", [True, False])
+    def test_vqc_operator(self, n_qubits, layers, with_graph):
+        # column b of the folded layers is the trainable gate list run from |b>
+        rng = np.random.default_rng(400 * n_qubits + 10 * layers + with_graph)
+        graph = _non_ladder_graph(n_qubits) if with_graph else None
+        config = CircuitConfig(CircuitFamily.VQC, n_qubits, layers, graph)
+        theta = rng.uniform(0, 2 * np.pi, n_qubits * layers)
+        U = vqc_operator(config, theta)
+        gates = vqc_trainable_gates(config, theta)
+        dim = 1 << n_qubits
+        assert U.shape == (dim, dim) and U.dtype == np.float64
+        for b in range(dim):
+            expected = dense_simulate(gates, n_qubits, np.eye(dim)[b])
+            assert np.max(np.abs(U[:, b] - expected)) < 1e-12
+        assert np.max(np.abs(U.T @ U - np.eye(dim))) < 1e-12
 
     @pytest.mark.parametrize("n_qubits,layers", _SHAPES)
     @pytest.mark.parametrize("with_zz", [True, False])
@@ -480,8 +499,10 @@ class TestSingleRecordPredict:
             lambda: VqcClassifier(6, 3, max_evals=20, seed=1),
             lambda: QaoaClassifier(6, 3, max_evals=20, seed=1),
             lambda: HybridQcPipeline("logistic_regression", seed=1, max_evals=20),
+            lambda: HybridCqPipeline("vqc", seed=1, max_evals=20),
+            lambda: HybridCqPipeline("qaoa", seed=1, max_evals=20),
         ],
-        ids=["vqc", "qaoa", "hybrid_qc"],
+        ids=["vqc", "qaoa", "hybrid_qc", "hybrid_cq_vqc", "hybrid_cq_qaoa"],
     )
     def test_single_record_equals_batch(self, build):
         rng = np.random.default_rng(33)
@@ -541,6 +562,56 @@ class TestFittedFootprint:
         X_all = select_features(build_dataset(synthesize(seed=0)), k=10).X
         assert np.array_equal(loaded.predict(X_all), model.predict(X_all))
         assert state_checksum(loaded.fitted_state()) == state_checksum(model.fitted_state())
+
+
+_CACHING_MODELS = [
+    lambda: VqcClassifier(6, 3, max_evals=20, seed=0),
+    lambda: QaoaClassifier(6, 3, max_evals=20, seed=0),
+    lambda: HybridQcPipeline("svm_rbf", seed=0, max_evals=20),
+    lambda: HybridCqPipeline("qaoa", seed=0, max_evals=20),
+]
+_CACHING_IDS = ["vqc", "qaoa", "hybrid_qc", "hybrid_cq_qaoa"]
+
+
+def _circuit_features(model, X):
+    """The trained circuit's features of X, through the model's own path."""
+    if isinstance(model, HybridCqPipeline):
+        return model.model_.features(model.project(X))
+    return model.features(X)
+
+
+class TestOperatorCache:
+    """A fitted circuit caches the operators of its trained angles for predict."""
+
+    @pytest.mark.parametrize("build", _CACHING_MODELS, ids=_CACHING_IDS)
+    def test_refit_matches_fresh_fit(self, build, synthetic_half):
+        X, y = synthetic_half
+        X_a, y_a, X_b, y_b = X[:72], y[:72], X[72:], y[72:]
+        model = build().fit(X_a, y_a)
+        model.predict(X)
+        model.fit(X_b, y_b)
+        fresh = build().fit(X_b, y_b)
+        assert np.array_equal(model.predict(X), fresh.predict(X))
+        assert np.array_equal(_circuit_features(model, X), _circuit_features(fresh, X))
+        assert state_checksum(model.fitted_state()) == state_checksum(fresh.fitted_state())
+
+    @pytest.mark.parametrize("build", _CACHING_MODELS, ids=_CACHING_IDS)
+    def test_pickle_leaves_the_cache_out(self, build, synthetic_half):
+        X, y = synthetic_half
+        model = build().fit(X, y)
+        before = pickle.dumps(model)
+        labels = model.predict(X)
+        after = pickle.dumps(model)
+        assert after == before
+        assert b"_operators" not in after
+        assert np.array_equal(pickle.loads(after).predict(X), labels)
+
+    def test_cache_holds_the_operators_of_the_trained_angles(self, synthetic_half):
+        X, y = synthetic_half
+        model = VqcClassifier(4, 2, max_evals=10, seed=0).fit(X, y)
+        assert model._operators is None
+        model.predict(X[:1])
+        assert np.array_equal(model._operators, vqc_operator(model.config_, model.theta_))
 
 
 class TestTrainedCircuitState:
