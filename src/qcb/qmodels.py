@@ -7,11 +7,13 @@ amplitude matrix for all samples).  A trained family evaluates in two
 parts: a data part that depends only on the rows (the RY encodings; each
 row's Z weights) and an angle part that depends only on the trained
 parameters (the RY/CNOT layers folded into one real matrix; each cost/mixer
-layer's ZZ phase vector and mixer matrix).  The training plan is the data
-part, built once per fit and never stored; a fitted model builds the angle
-part once, caches it for every predict and never pickles it.  The feature
-map is one merged phase on |+...+>.  The tests pin batched output to the
-dense oracle of the per-sample gate lists.
+layer's ZZ phase vector and mixer matrix).  The cost/mixer angle part also
+carries the Hamiltonian's checked Z weights, so its data part of new rows
+is one multiply.  The training plan is the data part, built once per fit
+and never stored; a fitted model builds the angle part once, caches it for
+every predict and never pickles it.  The feature map is one merged phase on
+|+...+>.  The tests pin batched output to the dense oracle of the
+per-sample gate lists.
 
 Each classifier owns its preprocessing: features are truncated to the
 register width (feature k -> qubit k), standardized, then min-max mapped to
@@ -71,11 +73,13 @@ HYBRID_CQ_LAYERS = 2
 # Each trained-circuit family evaluates in two parts.  The plan is the part
 # that depends only on the rows: it is built once per fit and holds training
 # rows, so it lives only inside ``fit`` and a model never stores or pickles
-# one.  The operators are the part that depends only on the angles: training
-# builds them once per evaluated angle vector, and a fitted model builds them
-# once from its trained angles, caches them for every ``predict`` and never
-# pickles them.  Both parts are optional arguments of the one feature
-# function per family, so training and predict run the same path.
+# one.  The operators are the part that depends only on the angles (and, for
+# the cost/mixer family, the Hamiltonian's Z weights, checked where they are
+# built): training builds them once per evaluated angle vector, and a fitted
+# model builds them once from its trained angles, caches them for every
+# ``predict`` and never pickles them.  Both parts are optional arguments of
+# the one feature function per family, so training and predict run the same
+# path.
 
 
 class VqcPlan(NamedTuple):
@@ -91,10 +95,12 @@ class QaoaPlan(NamedTuple):
 
 
 class QaoaOperators(NamedTuple):
-    """Angle-only part of the cost/mixer circuit, one entry per layer."""
+    """Angle-only part of the cost/mixer circuit, one entry per layer, and the
+    Hamiltonian's checked Z weights, which turn rows into a plan."""
 
     zz_phases: tuple[np.ndarray, ...]  # (2**n,) exp(-i * ZZ angle) per basis state
     mixers: tuple[np.ndarray, ...]  # (2**n, 2**n) exp(-i beta_q X_q) over the register
+    z_weights: np.ndarray  # (n,) Z terms per qubit
 
 
 def _checked_rows(X_scaled, n_qubits: int) -> np.ndarray:
@@ -144,16 +150,20 @@ def vqc_features(
     return qsim.z_expectations((operator @ plan.encoded).T, config.n_qubits)
 
 
-def compile_qaoa(config: CircuitConfig, h: CostHamiltonian, X_scaled: np.ndarray) -> QaoaPlan:
-    """The rows' Z-term values: each row's feature on every qubit with a Z term."""
+def _z_weights(config: CircuitConfig, h: CostHamiltonian) -> np.ndarray:
+    """Each qubit's number of Z terms, once every term is checked against the register."""
     if config.family is not CircuitFamily.QAOA:
         raise UsageError("config.family must be QAOA")
     n = config.n_qubits
-    X = _checked_rows(X_scaled, n)
     qubits = [q for i, j, _ in h.zz_terms for q in (i, j)] + [q for q, _ in h.z_terms]
     if any(not 0 <= q < n for q in qubits):
         raise UsageError(f"Hamiltonian term out of range for {n} qubits")
-    return QaoaPlan(x_z=X * np.bincount([q for q, _ in h.z_terms], minlength=n))
+    return np.bincount([q for q, _ in h.z_terms], minlength=n)
+
+
+def compile_qaoa(config: CircuitConfig, h: CostHamiltonian, X_scaled: np.ndarray) -> QaoaPlan:
+    """The rows' Z-term values: each row's feature on every qubit with a Z term."""
+    return QaoaPlan(x_z=_checked_rows(X_scaled, config.n_qubits) * _z_weights(config, h))
 
 
 def _qaoa_angles(config: CircuitConfig, gamma, beta) -> tuple[np.ndarray, np.ndarray]:
@@ -166,12 +176,14 @@ def _qaoa_angles(config: CircuitConfig, gamma, beta) -> tuple[np.ndarray, np.nda
 
 
 def qaoa_operators(config: CircuitConfig, h: CostHamiltonian, gamma, beta) -> QaoaOperators:
-    """Each layer's ZZ phase vector and mixer matrix for one angle vector.
+    """Each layer's ZZ phase vector and mixer matrix for one angle vector, and
+    the checked Z weights.
 
     ZZPhase(g w) is exp(-i g w Z Z): a coupling (i, j) of weight w uses the
     gamma of qubit min(i, j).
     """
     n = config.n_qubits
+    z_weights = _z_weights(config, h)
     g, b = _qaoa_angles(config, gamma, beta)
     slots = np.array([min(i, j) for i, j, _ in h.zz_terms], dtype=int)
     weights = np.array([w for _, _, w in h.zz_terms], dtype=float)
@@ -180,6 +192,7 @@ def qaoa_operators(config: CircuitConfig, h: CostHamiltonian, gamma, beta) -> Qa
     return QaoaOperators(
         zz_phases=tuple(np.exp(-1j * ((g[s][slots] * weights) @ signs)) for s in layers),
         mixers=tuple(qsim.x_mixer_product(b[s]) for s in layers),
+        z_weights=z_weights,
     )
 
 
@@ -202,16 +215,17 @@ def qaoa_features(
     is ``compile_qaoa(config, h, X_scaled)``, passed by callers that
     evaluate many angle vectors on the same rows; ``operators`` is
     ``qaoa_operators(config, h, gamma, beta)``, passed by callers that
-    evaluate one angle vector on many row sets.
+    evaluate one angle vector on many row sets; their checked Z weights make
+    the plan of ``X_scaled`` one multiply.
     """
-    if plan is None:
-        plan = compile_qaoa(config, h, X_scaled)
     n = config.n_qubits
     g, b = _qaoa_angles(config, gamma, beta)
     if operators is None:
         operators = qaoa_operators(config, h, g, b)
+    if plan is None:
+        plan = QaoaPlan(x_z=_checked_rows(X_scaled, n) * operators.z_weights)
     amps = (1 << n) ** -0.5  # |+...+>: every amplitude is 2**(-n/2)
-    for layer, (zz_phase, mixer) in enumerate(zip(*operators)):
+    for layer, (zz_phase, mixer) in enumerate(zip(operators.zz_phases, operators.mixers)):
         # RZ(2 g x) is exp(-i g x Z)
         phase = qsim.z_phase_rows(plan.x_z * g[layer * n : (layer + 1) * n]) * zz_phase
         amps = (amps * phase) @ mixer
@@ -596,7 +610,8 @@ class HybridQcPipeline:
     The feature extractor is the 6-qubit, 3-layer variational classifier
     trained with its usual accuracy objective; its logistic head is then
     replaced by the configured classical model fitted on the extracted
-    features.
+    features.  A logistic-regression head is the extractor's own, which a
+    refit on those features would reproduce bit for bit.
     """
 
     kind = "hybrid_qc"
@@ -626,6 +641,10 @@ class HybridQcPipeline:
         self.extractor_ = VqcClassifier(
             HYBRID_QC_QUBITS, HYBRID_QC_LAYERS, max_evals=self.max_evals, seed=vqc_seed
         ).fit(X, y)
+        if self.head_kind == "logistic_regression" and self.extractor_.head_ is not None:
+            # the extractor's own head: the same solver on the same features
+            self.head_ = self.extractor_.head_
+            return self
         features = self.extractor_.features(X)
         self.head_ = self._build_head(head_seed)
         self.head_.fit(features, np.asarray(y))

@@ -284,6 +284,12 @@ class TestDecisionTree:
         model = DecisionTreeClassifier(max_depth=5).fit(X, y)
         assert model.depth_ <= 5
 
+    def test_no_feature_columns_give_one_leaf(self):
+        X, y = np.zeros((6, 0)), np.array([0, 1, 1, 0, 1, 1])
+        model = DecisionTreeClassifier().fit(X, y)
+        assert len(model._nodes.right) == 1
+        assert np.array_equal(model.predict(X), np.ones(6))
+
     def test_string_labels_supported(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array(["low", "low", "high", "high"])
@@ -360,7 +366,21 @@ def _tree_cases():
     }
 
 
-TREE_CASES = _tree_cases()
+def _many_class_cases():
+    """Named (X, y, X_eval) problems with 5 to 7 classes, for the class-sum order."""
+    rng = np.random.default_rng(33)
+    cases = {}
+    for k, rounding in [(5, None), (6, 1), (7, None)]:
+        X = rng.normal(size=(100, 4))
+        y = np.digitize(X[:, 0] + 0.5 * X[:, 1] + 0.3 * rng.normal(size=100), np.linspace(-1.5, 1.5, k - 1))
+        X_eval = rng.normal(size=(25, 4))
+        if rounding is not None:
+            X, X_eval = np.round(X, rounding), np.round(X_eval, rounding)
+        cases[f"{k}_classes"] = (X, y, X_eval)
+    return cases
+
+
+TREE_CASES = {**_tree_cases(), **_many_class_cases()}
 
 
 def _assert_same_predictions(new, old, X, X_eval):
@@ -398,6 +418,37 @@ class TestTreesMatchRecursiveOracle:
         assert np.array_equal(new_state["classes"], old_state["classes"])
         _assert_same_predictions(new, old, X, X_eval)
 
+    @pytest.mark.parametrize("case", sorted(TREE_CASES))
+    def test_forest_of_one_tree(self, case):
+        X, y, X_eval = TREE_CASES[case]
+        new = RandomForestClassifier(n_trees=1, seed=4).fit(X, y)
+        old = RecursiveRandomForest(n_trees=1, seed=4).fit(X, y)
+        assert new.fitted_state()["trees"] == old.fitted_state()["trees"]
+        _assert_same_predictions(new, old, X, X_eval)
+
+    @pytest.mark.parametrize("n_classes, seed", [(5, 261), (6, 226), (7, 1394), (9, 63)])
+    def test_class_sum_order(self, n_classes, seed):
+        # small integer values tie many cuts in exact arithmetic, so the rounding
+        # of the Gini's class sum picks among them: np.sum adds the classes in
+        # sequence below 8 and pairwise from 8 up; these seeds tell the orders apart
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 4, size=(100, 3)).astype(float)
+        y = rng.integers(0, n_classes, size=100)
+        X_eval = rng.integers(0, 4, size=(25, 3)).astype(float)
+        tree = DecisionTreeClassifier().fit(X, y)
+        assert tree.fitted_state()["tree"] == RecursiveDecisionTree().fit(X, y).fitted_state()["tree"]
+        new = RandomForestClassifier(n_trees=12, seed=9).fit(X, y)
+        old = RecursiveRandomForest(n_trees=12, seed=9).fit(X, y)
+        assert new.fitted_state()["trees"] == old.fitted_state()["trees"]
+        _assert_same_predictions(new, old, X, X_eval)
+
+    def test_registry_forest(self, registry_forest):
+        new, X_all = registry_forest
+        X, y = _registry_rows()
+        old = RecursiveRandomForest(n_trees=150, seed=0).fit(X[::2], y[::2])
+        assert new.fitted_state()["trees"] == old.fitted_state()["trees"]
+        _assert_same_predictions(new, old, X[::2], X_all)
+
     def test_bootstrap_missing_a_class(self):
         X, y, X_eval = TREE_CASES["lone_class_row"]
         new = RandomForestClassifier(n_trees=12, seed=9).fit(X, y)
@@ -410,12 +461,17 @@ class TestTreesMatchRecursiveOracle:
         _assert_same_predictions(new, old, X, X_eval)
 
 
+def _registry_rows():
+    """The 288 records of the synthetic set on the registry's 10 features, and their labels."""
+    dataset = select_features(build_dataset(synthesize(seed=0)), k=10)
+    return dataset.X, dataset.y
+
+
 @pytest.fixture(scope="module")
 def registry_forest():
     """The registry forest, fitted on 144 records of the synthetic set, and all 288 rows."""
-    dataset = select_features(build_dataset(synthesize(seed=0)), k=10)
-    forest = RandomForestClassifier(n_trees=150, seed=0).fit(dataset.X[::2], dataset.y[::2])
-    return forest, dataset.X
+    X, y = _registry_rows()
+    return RandomForestClassifier(n_trees=150, seed=0).fit(X[::2], y[::2]), X
 
 
 class TestTreeStorage:
@@ -436,6 +492,18 @@ class TestTreeStorage:
     def test_pickled_forest_is_compact(self, registry_forest):
         forest, _ = registry_forest
         assert len(pickle.dumps(forest)) < 64 * 1024
+
+    def test_fit_memory_is_bounded(self):
+        # every tree grows at once: the trees' tables and one step's search
+        # temporaries, about 1.2 MiB when measured
+        X, y = _registry_rows()
+        tracemalloc.start()
+        try:
+            RandomForestClassifier(n_trees=150, seed=0).fit(X[::2], y[::2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
     def test_predict_memory_is_bounded_by_row_blocks(self, registry_forest):
         forest, X = registry_forest

@@ -115,6 +115,18 @@ class TestQaoaFeatures:
         assert np.all(feats[:, :4] == 0.0)
         assert np.all(feats[:, 4:] == 1.0)
 
+    def test_term_outside_the_register_rejected(self):
+        config = CircuitConfig(CircuitFamily.QAOA, 2, 1)
+        X = np.zeros((3, 2))
+        for h in (
+            CostHamiltonian(zz_terms=((0, 2, 0.5),), z_terms=((0, 0.0),)),
+            CostHamiltonian(zz_terms=(), z_terms=((2, 0.0),)),
+        ):
+            with pytest.raises(UsageError):
+                qaoa_features(config, h, np.zeros(2), np.zeros(2), X)
+            with pytest.raises(UsageError):
+                qmodels.compile_qaoa(config, h, X)
+
     def test_single_qubit_matches_dense_oracle(self):
         config = CircuitConfig(CircuitFamily.QAOA, 1, 1)
         h = CostHamiltonian(zz_terms=(), z_terms=((0, 0.0),))
@@ -460,6 +472,19 @@ class TestHybridQc:
         with pytest.raises(UsageError):
             HybridQcPipeline("svm_rbf", max_evals=2).fit(np.zeros((10, 3)), np.arange(10) % 2)
 
+    def test_logistic_head_is_the_extractors_own(self, synthetic_half):
+        X, y = synthetic_half
+        pipeline = HybridQcPipeline("logistic_regression", seed=0, max_evals=20).fit(X, y)
+        assert pipeline.head_ is pipeline.extractor_.head_
+        refit = LogisticRegressionClassifier().fit(pipeline.features(X), y)
+        assert state_checksum(refit.fitted_state()) == state_checksum(pipeline.head_.fitted_state())
+
+    def test_logistic_head_of_one_class_is_fitted(self):
+        X = np.random.default_rng(27).uniform(-1, 1, size=(12, 6))
+        pipeline = HybridQcPipeline("logistic_regression", max_evals=2).fit(X, np.full(12, 3))
+        assert pipeline.extractor_.head_ is None
+        assert np.all(pipeline.predict(X) == 3)
+
 
 class TestHybridCq:
     def test_projection_has_four_columns(self):
@@ -605,6 +630,25 @@ class TestOperatorCache:
         assert after == before
         assert b"_operators" not in after
         assert np.array_equal(pickle.loads(after).predict(X), labels)
+
+    def test_qaoa_terms_are_checked_once_per_fitted_model(self, synthetic_half, monkeypatch):
+        X, y = synthetic_half
+        model = QaoaClassifier(4, 2, max_evals=10, seed=0).fit(X, y)
+        first = model.features(X[:1])
+        h = model.hamiltonian_
+        assert np.array_equal(
+            model._operators.z_weights, np.bincount([q for q, _ in h.z_terms], minlength=4)
+        )
+
+        def recheck(*args):
+            raise AssertionError("the Hamiltonian's terms were checked again")
+
+        monkeypatch.setattr(qmodels, "_z_weights", recheck)
+        features = model.features(X)
+        monkeypatch.undo()
+        angles = model.scale_chain_.transform(X)
+        for rows, got in [(angles[:1], first), (angles, features)]:
+            assert np.array_equal(got, qaoa_features(model.config_, h, model.gamma_, model.beta_, rows))
 
     def test_cache_holds_the_operators_of_the_trained_angles(self, synthetic_half):
         X, y = synthetic_half
