@@ -454,7 +454,7 @@ class RandomForestClassifier:
     def _vote(self, X: np.ndarray) -> np.ndarray:
         n_rows, d = X.shape
         values = X.ravel()
-        row_starts = np.arange(0, n_rows * d, d)
+        row_starts = np.arange(n_rows) * d
         nodes = self._nodes
         node = np.repeat(self._roots.astype(np.intp)[:, None], n_rows, axis=1)  # (trees, rows)
         for _ in range(self._depth):

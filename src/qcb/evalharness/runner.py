@@ -11,13 +11,14 @@ import hashlib
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable
 
 import numpy as np
 
 from ..data import SEVERITY_LEVELS, LabeledDataset
 from ..errors import UsageError
+from ..qmodels import HybridQcPipeline, clear_extractor_memo, share_extractor
 from .cv import CvPlan, HoldoutPlan, derive_seed
 from .metrics import classification_metrics
 from .registry import ModelSpec
@@ -78,6 +79,15 @@ DEVIATIONS = [
             "are fitted by damped multinomial Newton iterations to a gradient "
             "norm below 1e-5; a trained circuit keeps the head fitted at its "
             "best loss evaluation instead of refitting it."
+        ),
+    },
+    {
+        "id": "hybrid_qc_shared_extractor",
+        "description": (
+            "The four quantum-to-classical hybrids of one training split share "
+            "one 6-qubit, 3-layer extractor, seeded from a digest of that "
+            "split's rows and labels, so their heads are compared on identical "
+            "features; a hybrid's own seed seeds only its head."
         ),
     },
     {
@@ -151,6 +161,8 @@ def run_cell(
         "checksum": checksum,
         "circuit_depth": meta.get("circuit_depth"),
         "model_metadata": meta,
+        # for the runner to hand to the split's other hybrids; never reported
+        "extractor": model.extractor_ if isinstance(model, HybridQcPipeline) else None,
     }
 
 
@@ -312,10 +324,16 @@ def _error_text(exc: BaseException) -> str:
 
 
 def _run_task(task):
-    """Run one (model, split) cell from the run context; failures are recorded."""
-    name, seed_index, fold, train_idx, test_idx, cell_seed = task
+    """Run one (model, split) cell from the run context; failures are recorded.
+
+    A task's last item is the split's extractor when the cell carries one;
+    it is memoised first, so the cell's hybrid fit does not train its own.
+    """
+    name, seed_index, fold, train_idx, test_idx, cell_seed, extractor = task
     ctx = _RUN_CTX
     try:
+        if extractor is not None:
+            share_extractor(extractor, ctx["X"][train_idx], ctx["y"][train_idx])
         outcome = run_cell(
             ctx["registry"][name],
             ctx["X"],
@@ -335,22 +353,83 @@ def _worker_run(task):
     return _run_task(task)
 
 
-def _run_cells_parallel(tasks, workers: int) -> list[tuple]:
-    """Cells over a fork pool, in task order.
+def _cell_tasks(registry, splits, master_seed) -> tuple[list[tuple], dict[int, list[int]]]:
+    """Cell tasks in registry order, and the cells that wait for an extractor.
 
-    A worker that dies (``os._exit``, an OOM kill) breaks the pool; every
-    cell without a result then records the error instead of the run hanging.
+    The first ``hybrid_qc`` cell of a split trains the split's extractor;
+    the second item maps its task index to the split's other ``hybrid_qc``
+    cells, which run after it and carry the extractor it returns.
     """
+    tasks, waiting, first = [], {}, {}
+    for name, spec in registry.items():
+        for seed_index, _, fold, train_idx, test_idx in splits:
+            index = len(tasks)
+            cell_seed = derive_seed(master_seed, name, seed_index, fold)
+            tasks.append((name, seed_index, fold, train_idx, test_idx, cell_seed, None))
+            if spec.category == "hybrid_qc":
+                producer = first.setdefault((seed_index, fold), index)
+                if producer != index:
+                    waiting.setdefault(producer, []).append(index)
+    return tasks, waiting
+
+
+def _release(tasks, waiting, index: int, result) -> list[int]:
+    """Take the extractor out of cell ``index``'s outcome and hand it to the
+    cells waiting for it; return their indices.
+
+    Without one (the cell failed), each waiting cell trains its own, and so
+    records its own error if training fails again.
+    """
+    outcome = result[3]
+    extractor = outcome.pop("extractor", None) if outcome is not None else None
+    released = waiting.get(index, [])
+    for j in released:
+        tasks[j] = tasks[j][:-1] + (extractor,)
+    return released
+
+
+def _run_cells_serial(tasks, waiting) -> list[tuple]:
+    """Cells in task order; every cell that waits comes after the one it waits for."""
+    results = []
+    for index in range(len(tasks)):
+        results.append(_run_task(tasks[index]))
+        _release(tasks, waiting, index, results[index])
+    return results
+
+
+def _run_cells_parallel(tasks, workers: int, waiting) -> list[tuple]:
+    """Cells over a fork pool, one result per task in task order.
+
+    A cell that waits for an extractor is submitted once the cell it waits
+    for has finished.  A worker that dies (``os._exit``, an OOM kill) breaks
+    the pool; every cell without a result then records the error instead of
+    the run hanging.
+    """
+    held = {j for dependents in waiting.values() for j in dependents}
+    results: list = [None] * len(tasks)
+    running = {}
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        futures = [pool.submit(_worker_run, task) for task in tasks]
-        results = []
-        for task, future in zip(tasks, futures):
+
+        def submit(index):
             try:
-                results.append(future.result())
-            except Exception as exc:  # BrokenProcessPool, or an unpicklable result
-                name, seed_index, fold = task[:3]
-                results.append((name, seed_index, fold, None, _error_text(exc)))
+                running[pool.submit(_worker_run, tasks[index])] = index
+            except Exception as exc:  # a broken pool takes no new cells
+                results[index] = (*tasks[index][:3], None, _error_text(exc))
+
+        for index in range(len(tasks)):
+            if index not in held:
+                submit(index)
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                index = running.pop(future)
+                try:
+                    results[index] = future.result()
+                except Exception as exc:  # BrokenProcessPool, or an unpicklable result
+                    results[index] = (*tasks[index][:3], None, _error_text(exc))
+                for j in _release(tasks, waiting, index, results[index]):
+                    submit(j)
     return results
 
 
@@ -377,10 +456,12 @@ def run_benchmark(
 ) -> dict:
     """Fit every registry model on every split of ``plan`` and aggregate the report.
 
-    ``workers > 1`` fans the independent (model, split) cells over a fork
-    pool; the workers inherit this call's registry and data, and every cell
-    draws from its own derived seed, so the non-timing report content is
-    identical to a serial run.
+    ``workers > 1`` fans the (model, split) cells over a fork pool; the
+    workers inherit this call's registry and data, and every cell draws from
+    its own derived seed.  The ``hybrid_qc`` cells of a split share one
+    extractor, which the first of them trains and the others carry, serial
+    or parallel.  So the non-timing report content is identical to a serial
+    run.
     """
     if dataset.y is None:
         raise UsageError("dataset must be labeled")
@@ -410,20 +491,17 @@ def run_benchmark(
         "models": {},
     }
 
-    tasks = [
-        (name, seed_index, fold, train_idx, test_idx, derive_seed(master_seed, name, seed_index, fold))
-        for name in registry
-        for seed_index, _, fold, train_idx, test_idx in splits
-    ]
+    tasks, waiting = _cell_tasks(registry, splits, master_seed)
     pool_size = _pool_size(workers, len(tasks))
     _RUN_CTX.update(registry=registry, X=X, y=y, labels=class_labels)
     try:
         if pool_size > 1:
-            raw_results = _run_cells_parallel(tasks, pool_size)
+            raw_results = _run_cells_parallel(tasks, pool_size, waiting)
         else:
-            raw_results = [_run_task(task) for task in tasks]
+            raw_results = _run_cells_serial(tasks, waiting)
     finally:
         _RUN_CTX.clear()
+        clear_extractor_memo()
 
     by_cell = {(name, s, f): (outcome, error) for name, s, f, outcome, error in raw_results}
     for name, spec in registry.items():
@@ -479,8 +557,9 @@ def audit_leakage(
 
     Fitted-state checksums must match: preprocessing statistics, correlation
     graphs, circuit parameters and heads may depend on training rows only.
-    The audited split is fold ``fold`` of seed round ``seed_index`` of a
-    5-fold ``CvPlan``.
+    The memoised hybrid extractor is forgotten before each fit, so both fits
+    train their own.  The audited split is fold ``fold`` of seed round
+    ``seed_index`` of a 5-fold ``CvPlan``.
     """
     if dataset.y is None:
         raise UsageError("dataset must be labeled")
@@ -494,7 +573,9 @@ def audit_leakage(
     results = {}
     for name, spec in registry.items():
         cell_seed = derive_seed(master_seed, name, seed_index, fold)
+        clear_extractor_memo()
         original = run_cell(spec, X, y, train_idx, test_idx, cell_seed, class_labels)
+        clear_extractor_memo()
         permuted = run_cell(spec, X, y, train_idx, permuted_test, cell_seed, class_labels)
         results[name] = {
             "checksum": original["checksum"],

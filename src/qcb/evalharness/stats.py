@@ -7,6 +7,7 @@ the statistics need no dependency beyond numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import exp, lgamma, log, log1p, sqrt
 from typing import NamedTuple
 
@@ -90,8 +91,9 @@ def student_t_two_sided_p(t: float, df: float) -> float:
     return min(1.0, regularized_incomplete_beta(df / 2.0, 0.5, x))
 
 
+@lru_cache(maxsize=256)
 def student_t_ppf(q: float, df: float) -> float:
-    """Quantile of Student's t via bisection on the CDF."""
+    """Quantile of Student's t via bisection on the CDF, cached by (q, df)."""
     if not 0.0 < q < 1.0:
         raise UsageError("q must be in (0, 1)")
     if df <= 0:

@@ -22,6 +22,7 @@ only.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -597,11 +598,58 @@ class QKernelClassifier:
 # hybrid pipelines
 
 
-def _spawn_seeds(seed: int, count: int) -> list[int]:
-    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(count)]
-
-
 _QC_HEADS = ("random_forest", "svm_rbf", "logistic_regression", "decision_tree")
+
+# the extractor of the split fitted last, under the key of that split; one
+# entry, so a process holds the extractor of the split it is working on
+_extractor_memo: dict[tuple, VqcClassifier] = {}
+
+
+def _extractor_key(X, y, max_evals: int) -> tuple:
+    """(digest of the rows and labels, qubits, layers, evaluation budget)."""
+    X = np.ascontiguousarray(X, dtype=float)
+    digest = hashlib.sha256(f"{X.shape}".encode())
+    digest.update(X.tobytes())
+    digest.update(repr(np.asarray(y).tolist()).encode())
+    return digest.hexdigest(), HYBRID_QC_QUBITS, HYBRID_QC_LAYERS, int(max_evals)
+
+
+def _key_seed(key: tuple) -> int:
+    return int(key[0][:8], 16)
+
+
+def split_extractor(X, y, max_evals: int = TRAINING_EVALS) -> VqcClassifier:
+    """The 6-qubit, 3-layer extractor of one training split, fitted once.
+
+    Its seed is drawn from a digest of the split's rows and labels, so every
+    hybrid fitted on the same split gets the same extractor, whichever model
+    asks first.  The memo keeps the extractor of the split fitted last, so a
+    hit returns the object that a fresh fit built.
+    """
+    key = _extractor_key(X, y, max_evals)
+    extractor = _extractor_memo.get(key)
+    if extractor is None:
+        extractor = VqcClassifier(
+            HYBRID_QC_QUBITS, HYBRID_QC_LAYERS, max_evals=max_evals, seed=_key_seed(key)
+        ).fit(X, y)
+        _extractor_memo.clear()
+        _extractor_memo[key] = extractor
+    return extractor
+
+
+def share_extractor(extractor: VqcClassifier, X, y) -> None:
+    """Memoise ``extractor``, which ``split_extractor(X, y)`` fitted in another
+    process, so that this process's hybrids on (X, y) use it."""
+    key = _extractor_key(X, y, extractor.max_evals)
+    if extractor.seed != _key_seed(key):
+        raise UsageError("the extractor was not fitted on this split")
+    _extractor_memo.clear()
+    _extractor_memo[key] = extractor
+
+
+def clear_extractor_memo() -> None:
+    """Forget the memoised extractor, so the next hybrid fit trains its own."""
+    _extractor_memo.clear()
 
 
 class HybridQcPipeline:
@@ -610,7 +658,10 @@ class HybridQcPipeline:
     The feature extractor is the 6-qubit, 3-layer variational classifier
     trained with its usual accuracy objective; its logistic head is then
     replaced by the configured classical model fitted on the extracted
-    features.  A logistic-regression head is the extractor's own, which a
+    features.  The extractor comes from ``split_extractor``: it is seeded
+    from the training split, not from ``seed``, so the four heads fitted on
+    one split read identical features.  ``seed`` seeds only the head (the
+    forest's).  A logistic-regression head is the extractor's own, which a
     refit on those features would reproduce bit for bit.
     """
 
@@ -637,16 +688,14 @@ class HybridQcPipeline:
         return DecisionTreeClassifier(max_depth=15)
 
     def fit(self, X, y):
-        vqc_seed, head_seed = _spawn_seeds(self.seed, 2)
-        self.extractor_ = VqcClassifier(
-            HYBRID_QC_QUBITS, HYBRID_QC_LAYERS, max_evals=self.max_evals, seed=vqc_seed
-        ).fit(X, y)
+        self.head_ = None
+        self.extractor_ = split_extractor(X, y, self.max_evals)
         if self.head_kind == "logistic_regression" and self.extractor_.head_ is not None:
             # the extractor's own head: the same solver on the same features
             self.head_ = self.extractor_.head_
             return self
         features = self.extractor_.features(X)
-        self.head_ = self._build_head(head_seed)
+        self.head_ = self._build_head(self.seed)
         self.head_.fit(features, np.asarray(y))
         return self
 
@@ -671,12 +720,14 @@ class HybridQcPipeline:
         }
 
     def metadata(self) -> dict:
-        meta = self.extractor_.metadata() if self.extractor_ else {
-            "n_qubits": HYBRID_QC_QUBITS,
-            "layers": HYBRID_QC_LAYERS,
-            "param_count": HYBRID_QC_QUBITS * HYBRID_QC_LAYERS,
-        }
-        meta = dict(meta)
+        if self.extractor_ is None:
+            meta = {
+                "n_qubits": HYBRID_QC_QUBITS,
+                "layers": HYBRID_QC_LAYERS,
+                "param_count": HYBRID_QC_QUBITS * HYBRID_QC_LAYERS,
+            }
+        else:
+            meta = {**self.extractor_.metadata(), "extractor_seed": self.extractor_.seed}
         meta["intermediate_features"] = HYBRID_QC_QUBITS
         meta["head_kind"] = self.head_kind
         return meta

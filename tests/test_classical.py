@@ -320,6 +320,20 @@ class TestRandomForest:
         model = RandomForestClassifier(n_trees=30, seed=0).fit(X, y)
         assert np.mean(model.predict(X) == y) > 0.95
 
+    def test_no_feature_columns_vote_the_bootstrap_majorities(self):
+        # every tree is one leaf holding its bootstrap's majority class; the
+        # forest's vote over those leaves is the same for every row
+        labels = np.array([2, 0, 1, 1, 0, 2, 2, 1, 0])
+        X = np.zeros((len(labels), 0))
+        forest = RandomForestClassifier(n_trees=9, seed=3).fit(X, labels)
+        leaves = []
+        for stream in np.random.SeedSequence(3).spawn(9):
+            sample = np.random.default_rng(stream).integers(0, len(labels), size=len(labels))
+            leaves.append(np.argmax(np.bincount(labels[sample], minlength=3)))
+        expected = np.argmax(np.bincount(leaves, minlength=3))
+        assert len(set(leaves)) > 1  # the vote is not one tree's leaf
+        assert np.array_equal(forest.predict(np.zeros((4, 0))), np.full(4, expected))
+
     def test_tree_count_matches_configuration(self):
         rng = np.random.default_rng(20)
         X, y = make_blobs(rng, [(-1.0,), (1.0,)], 15)

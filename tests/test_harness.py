@@ -25,10 +25,11 @@ from qcb.evalharness import (
     strip_timing,
 )
 from qcb.evalharness.registry import MajorityClassBaseline, ModelSpec, StandardizedModel
-from qcb.evalharness import runner
+from qcb.evalharness import runner, stats
 from qcb.evalharness.runner import _pool_size, derive_seed, state_checksum
 from qcb.evalharness.cv import stratified_folds
-from qcb.qmodels import HYBRID_QC_FOREST_TREES, TRAINING_EVALS
+from qcb import qmodels
+from qcb.qmodels import HYBRID_QC_FOREST_TREES, TRAINING_EVALS, HybridQcPipeline, VqcClassifier
 
 
 class LowestLabelBaseline(MajorityClassBaseline):
@@ -49,6 +50,27 @@ def small_dataset():
 @pytest.fixture(scope="module")
 def fast_registry():
     return select_models("decision_tree,logistic_regression,majority_class")
+
+
+HYBRID_QC = ("q_rf", "q_svm", "q_logreg", "q_dectree")
+
+
+def fast_hybrid_registry(max_evals: int = 20) -> dict[str, ModelSpec]:
+    """``vqc_4q2l`` and the four q_* hybrids of the default registry, each
+    trained with ``max_evals`` loss evaluations instead of 150."""
+    registry = {"vqc_4q2l": ModelSpec(
+        "vqc_4q2l", "quantum", lambda seed: VqcClassifier(4, 2, max_evals=max_evals, seed=seed)
+    )}
+    for name in HYBRID_QC:
+        spec = default_registry()[name]
+        head = spec.metadata["head"]
+        registry[name] = ModelSpec(
+            name,
+            spec.category,
+            lambda seed, head=head: HybridQcPipeline(head, seed=seed, max_evals=max_evals),
+            spec.metadata,
+        )
+    return registry
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +208,24 @@ class TestRunBenchmark:
         b = json.dumps(strip_timing(again), sort_keys=True)
         assert a == b
 
+    def test_cached_t_quantiles_leave_the_report_unchanged(
+        self, small_dataset, fast_registry, small_report, monkeypatch
+    ):
+        ppf = stats.student_t_ppf
+
+        def uncached(q, df):
+            ppf.cache_clear()
+            return ppf.__wrapped__(q, df)
+
+        monkeypatch.setattr(stats, "student_t_ppf", uncached)
+        plan = CvPlan(n_folds=5, seeds=(0, 1))
+        again = run_benchmark(
+            small_dataset, fast_registry, plan, master_seed=7, reference="decision_tree"
+        )
+        a = json.dumps(strip_timing(small_report), sort_keys=True)
+        b = json.dumps(strip_timing(again), sort_keys=True)
+        assert a == b
+
     def test_master_seed_changes_results(self, small_dataset, fast_registry, small_report):
         plan = CvPlan(n_folds=5, seeds=(0, 1))
         other = run_benchmark(
@@ -236,25 +276,49 @@ class TestHoldout:
 
 class TestParallelRuns:
     @pytest.mark.parametrize(
-        "plan", [CvPlan(n_folds=2, seeds=(0,)), HoldoutPlan(test_fraction=0.2)], ids=["cv", "holdout"]
+        "plan, hybrids",
+        [
+            (CvPlan(n_folds=2, seeds=(0,)), False),
+            (HoldoutPlan(test_fraction=0.2), False),
+            (CvPlan(n_folds=2, seeds=(0,)), True),
+        ],
+        ids=["cv", "holdout", "cv_hybrid_qc"],
     )
-    def test_parallel_equals_serial_for_a_custom_spec(self, small_dataset, plan):
-        registry = select_models("decision_tree,logistic_regression")
-        registry["majority_class"] = ModelSpec(
-            "majority_class", "baseline", lambda seed: LowestLabelBaseline(), {}
-        )
-        serial, parallel = (
-            json.dumps(
-                strip_timing(
-                    run_benchmark(
-                        small_dataset, registry, plan, reference="decision_tree", workers=workers
-                    )
-                ),
-                sort_keys=True,
+    def test_parallel_equals_serial_for_a_custom_spec(self, small_dataset, plan, hybrids):
+        if hybrids:
+            # the q_* cells of a split wait for the cell that trains its extractor
+            registry = fast_hybrid_registry()
+        else:
+            registry = select_models("decision_tree,logistic_regression")
+            registry["majority_class"] = ModelSpec(
+                "majority_class", "baseline", lambda seed: LowestLabelBaseline(), {}
             )
+        reference = next(iter(registry))
+        serial, parallel = (
+            run_benchmark(small_dataset, registry, plan, reference=reference, workers=workers)
             for workers in (1, 2)
         )
-        assert serial == parallel
+        assert serial["failures_total"] == 0
+        assert json.dumps(strip_timing(serial), sort_keys=True) == json.dumps(
+            strip_timing(parallel), sort_keys=True
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_extractor_fails_each_hybrid_cell(self, small_dataset, workers):
+        # five columns are too few for the 6-qubit extractor
+        narrow = select_features(small_dataset, k=5)
+        registry = fast_hybrid_registry()
+        registry["majority_class"] = default_registry()["majority_class"]
+        del registry["vqc_4q2l"]
+        report = run_benchmark(
+            narrow, registry, CvPlan(n_folds=2, seeds=(0,)), reference="majority_class",
+            workers=workers,
+        )
+        assert report["failures_total"] == 8
+        for name in HYBRID_QC:
+            errors = [cell["error"] for cell in report["models"][name]["cells"]]
+            assert all(e.startswith("UsageError: need at least 6 feature columns") for e in errors)
+        assert report["models"]["majority_class"]["failures"] == 0
 
     def test_pool_size_bounds(self, monkeypatch):
         assert _pool_size(1, 10) == 1
@@ -337,6 +401,124 @@ assert 0 < tracer.counters["classical.logreg_iters"] <= 5 * cap, dict(tracer.cou
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
         )
         assert done.returncode == 0, done.stderr
+
+
+    @pytest.mark.skipif(_pool_size(2, 2) < 2, reason="a one-core host runs cells serially")
+    def test_traced_parallel_run_trains_one_extractor_per_split(self):
+        """Under ``perfbench/spantrace`` a 2-fold, 2-worker run of ``vqc_4q2l``
+        and the four q_* hybrids trains one extractor per split, whichever
+        worker runs which cell, and ships every cell's spans home."""
+        script = """
+import functools
+from spantrace import Tracer, _wrap, install
+from qcb import qmodels
+from qcb.data import build_dataset, select_features, synthesize
+from qcb.evalharness import CvPlan, run_benchmark
+from qcb.evalharness import runner
+from test_harness import HYBRID_QC, fast_hybrid_registry
+
+tracer = Tracer()
+install(tracer)
+_wrap(qmodels, "split_extractor", "test.split_extractor", tracer)
+returned = []
+run_parallel = runner._run_cells_parallel
+
+@functools.wraps(run_parallel)
+def keep_results(*args, **kwargs):
+    results = run_parallel(*args, **kwargs)
+    returned.extend(results)
+    return results
+
+runner._run_cells_parallel = keep_results
+dataset = select_features(build_dataset(synthesize(n_units=12, n_years=10, seed=3)), k=10)
+registry = fast_hybrid_registry()
+
+def counts():
+    returned.clear()
+    report = run_benchmark(dataset, registry, CvPlan(n_folds=2, seeds=(0,)), workers=2)
+    assert report["failures_total"] == 0
+    spans = tracer.take()["spans"]
+    names = [span[0] for span in spans]
+
+    def under_extractor(span):
+        while span[3] >= 0:
+            span = spans[span[3]]
+            if span[0] == "test.split_extractor":
+                return True
+        return False
+
+    assert len(returned) == 10, returned
+    assert all(len(result) == 5 and result[4] is None for result in returned)
+    cells = {result[:3] for result in returned}
+    assert cells == {(name, 0, fold) for name in registry for fold in (0, 1)}
+    return (
+        sum(1 for span in spans if span[0] == "qmodels.train" and under_extractor(span)),
+        names.count("qmodels.train"),
+        names.count("test.split_extractor"),
+        names.count("evalharness.cell"),
+    )
+
+first = counts()
+assert first == (2, 4, 8, 10), first
+assert counts() == first
+"""
+        root = Path(qcb.__file__).resolve().parents[2]
+        src = str(Path(qcb.__file__).resolve().parents[1])
+        path = [src, str(root / "perfbench"), str(root / "tests"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+
+
+class TestSharedExtractor:
+    """The q_* hybrids of one split share one extractor, trained once."""
+
+    @pytest.fixture(scope="class")
+    def hybrid_report(self, small_dataset):
+        return run_benchmark(
+            small_dataset, fast_hybrid_registry(), CvPlan(n_folds=2, seeds=(0, 1)),
+            reference="q_rf",
+        )
+
+    def test_hybrid_cells_of_a_split_carry_one_extractor_seed(self, hybrid_report):
+        seeds = {}
+        for name in HYBRID_QC:
+            for cell in hybrid_report["models"][name]["cells"]:
+                split = (cell["seed_index"], cell["fold"])
+                seeds.setdefault(split, set()).add(cell["model_metadata"]["extractor_seed"])
+        assert len(seeds) == 4
+        assert all(len(per_split) == 1 for per_split in seeds.values())
+        assert len({seed for (seed,) in seeds.values()}) == 4
+        assert "extractor_seed" not in hybrid_report["models"]["vqc_4q2l"]["metadata"]
+
+    def test_serial_run_trains_one_extractor_per_split(self, small_dataset, monkeypatch):
+        trained = []
+        fit = VqcClassifier.fit
+
+        def counting_fit(self, X, y):
+            trained.append(self.n_qubits)
+            return fit(self, X, y)
+
+        monkeypatch.setattr(VqcClassifier, "fit", counting_fit)
+        run_benchmark(small_dataset, fast_hybrid_registry(), CvPlan(n_folds=2, seeds=(0, 1)))
+        assert sorted(trained) == [4] * 4 + [6] * 4
+
+    def test_audit_trains_each_fit_its_own_extractor(self, small_dataset, monkeypatch):
+        registry = {name: fast_hybrid_registry()[name] for name in ("q_svm", "q_dectree")}
+        extractors = []
+        split_extractor = qmodels.split_extractor
+
+        def recording(*args):
+            extractors.append(split_extractor(*args))
+            return extractors[-1]
+
+        monkeypatch.setattr(qmodels, "split_extractor", recording)
+        results = audit_leakage(small_dataset, registry, master_seed=0)
+        assert all(entry["match"] for entry in results.values())
+        # four fits on one split, none served from another's memo entry
+        assert len({id(extractor) for extractor in extractors}) == 4
 
 
 class TestCellCounters:

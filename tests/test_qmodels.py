@@ -28,6 +28,8 @@ from qcb.qmodels import (
     feature_map_states,
     qaoa_features,
     quantum_kernel_matrix,
+    share_extractor,
+    split_extractor,
     vqc_features,
     vqc_operator,
 )
@@ -464,9 +466,12 @@ class TestHybridQc:
         X = rng.uniform(-1, 1, size=(30, 6))
         y = (X[:, 2] > 0).astype(int)
         a = HybridQcPipeline("decision_tree", seed=4, max_evals=5).fit(X, y)
+        qmodels.clear_extractor_memo()  # b trains its own extractor
         b = HybridQcPipeline("decision_tree", seed=4, max_evals=5).fit(X, y)
+        assert a.extractor_ is not b.extractor_
         holdout = rng.uniform(-1, 1, size=(10, 6))
         assert np.array_equal(a.predict(holdout), b.predict(holdout))
+        assert state_checksum(a.fitted_state()) == state_checksum(b.fitted_state())
 
     def test_rejects_narrow_input(self):
         with pytest.raises(UsageError):
@@ -484,6 +489,57 @@ class TestHybridQc:
         pipeline = HybridQcPipeline("logistic_regression", max_evals=2).fit(X, np.full(12, 3))
         assert pipeline.extractor_.head_ is None
         assert np.all(pipeline.predict(X) == 3)
+
+
+class TestSharedExtractor:
+    """``split_extractor``: one extractor per training split, seeded from it."""
+
+    def test_four_heads_read_one_extractor(self, synthetic_half):
+        X, y = synthetic_half
+        pipelines = [
+            HybridQcPipeline(head, seed=seed, max_evals=20).fit(X, y)
+            for seed, head in enumerate(("random_forest", "svm_rbf", "logistic_regression", "decision_tree"))
+        ]
+        extractor = pipelines[0].extractor_
+        assert all(p.extractor_ is extractor for p in pipelines)
+        assert {p.metadata()["extractor_seed"] for p in pipelines} == {extractor.seed}
+        assert extractor.max_evals == 20 and (extractor.n_qubits, extractor.layers) == (6, 3)
+
+    def test_memo_hit_equals_a_fresh_fit(self, synthetic_half):
+        X, y = synthetic_half
+        memoised = split_extractor(X, y, 20)
+        assert split_extractor(X, y, 20) is memoised
+        qmodels.clear_extractor_memo()
+        fresh = split_extractor(X, y, 20)
+        assert fresh is not memoised
+        assert state_checksum(fresh.fitted_state()) == state_checksum(memoised.fitted_state())
+        assert fresh.seed == memoised.seed
+
+    def test_seed_follows_the_split(self, synthetic_half):
+        X, y = synthetic_half
+        first = split_extractor(X[:72], y[:72], 5)
+        other_rows = split_extractor(X[72:], y[72:], 5)
+        other_labels = split_extractor(X[:72], np.roll(y[:72], 1), 5)
+        assert len({first.seed, other_rows.seed, other_labels.seed}) == 3
+        # the memo holds one split: the first is trained again, to the same state
+        again = split_extractor(X[:72], y[:72], 5)
+        assert again is not first
+        assert state_checksum(again.fitted_state()) == state_checksum(first.fitted_state())
+
+    def test_budget_is_part_of_the_key(self, synthetic_half):
+        X, y = synthetic_half
+        assert split_extractor(X, y, 5).opt_result_.n_evals == 5
+        assert split_extractor(X, y, 8).opt_result_.n_evals == 8
+
+    def test_shared_extractor_serves_the_next_fit(self, synthetic_half):
+        X, y = synthetic_half
+        carried = pickle.loads(pickle.dumps(split_extractor(X, y, 20)))
+        qmodels.clear_extractor_memo()
+        share_extractor(carried, X, y)
+        pipeline = HybridQcPipeline("svm_rbf", max_evals=20).fit(X, y)
+        assert pipeline.extractor_ is carried
+        with pytest.raises(UsageError):
+            share_extractor(carried, X[1:], y[1:])
 
 
 class TestHybridCq:
@@ -615,6 +671,7 @@ class TestOperatorCache:
         model = build().fit(X_a, y_a)
         model.predict(X)
         model.fit(X_b, y_b)
+        qmodels.clear_extractor_memo()  # the fresh hybrid trains its own extractor
         fresh = build().fit(X_b, y_b)
         assert np.array_equal(model.predict(X), fresh.predict(X))
         assert np.array_equal(_circuit_features(model, X), _circuit_features(fresh, X))

@@ -62,6 +62,19 @@ class TestStudentT:
         assert abs(student_t_ppf(0.975, 4) - 2.7764) < 1e-3
         assert abs(student_t_ppf(0.975, 24) - 2.0639) < 1e-3
 
+    def test_cached_quantiles_equal_uncached_bit_for_bit(self):
+        grid = [(q, df) for q in (0.025, 0.6, 0.975, 0.995) for df in (1, 4, 24)]
+        cached = [student_t_ppf(q, df) for q, df in grid]
+        hits = student_t_ppf.cache_info().hits
+        again = [student_t_ppf(q, df) for q, df in grid]
+        assert student_t_ppf.cache_info().hits == hits + len(grid)
+        fresh = []
+        for q, df in grid:
+            student_t_ppf.cache_clear()  # the q < 0.5 branch calls the cached function
+            fresh.append(student_t_ppf.__wrapped__(q, df))
+        assert np.array(cached).tobytes() == np.array(fresh).tobytes()
+        assert np.array(again).tobytes() == np.array(fresh).tobytes()
+
 
 class TestPairedTTest:
     def test_identical_vectors_equality_branch(self):
