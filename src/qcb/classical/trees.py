@@ -59,6 +59,12 @@ classes; no per-tree object is made.  The forest scores rows in blocks of
 ``PREDICT_BLOCK_ROWS``: each block goes through every tree in ``depth``
 vectorised gather steps over a ``(trees, rows)`` node-index array, and votes
 with one ``bincount``.
+
+Pickles.  A pickled table holds the distinct bit patterns of its thresholds
+and one index per node into them, in the smallest unsigned dtype; a leaf's
+``feature`` and a split's ``value`` are 0, so one array holds each node's
+feature or class.  Loading unpacks them with the leaf mask ``right ==
+arange`` into the same arrays, bit for bit and dtype for dtype.
 """
 from __future__ import annotations
 
@@ -78,10 +84,31 @@ GROW_BLOCK_POSITIONS = 4096
 class _Nodes(NamedTuple):
     """Flat preorder node arrays of one tree, or of every tree of a forest."""
 
-    feature: np.ndarray
+    feature: np.ndarray  # 0 at a leaf
     threshold: np.ndarray  # NaN at a leaf
     right: np.ndarray  # a leaf's own index
-    value: np.ndarray  # leaf class code; unused at a split
+    value: np.ndarray  # leaf class code; 0 at a split
+
+    def __reduce__(self):
+        # see Pickles above; unique bit patterns keep -0.0 apart from 0.0
+        bits, index = np.unique(self.threshold.view(np.uint64), return_inverse=True)
+        leaf = self.right == np.arange(len(self.right))
+        packed = np.where(leaf, self.value, self.feature)
+        return _load_nodes, (
+            bits.view(float), _compact(index, len(bits) - 1), self.right, packed,
+            self.feature.dtype.str, self.value.dtype.str,
+        )
+
+
+def _load_nodes(thresholds, index, right, packed, feature_dtype: str, value_dtype: str) -> _Nodes:
+    """Unpickle ``_Nodes``: the same arrays, bit for bit and dtype for dtype."""
+    leaf = right == np.arange(len(right))
+    return _Nodes(
+        feature=np.where(leaf, 0, packed).astype(feature_dtype),
+        threshold=thresholds[index],
+        right=right,
+        value=np.where(leaf, packed, 0).astype(value_dtype),
+    )
 
 
 def _compact(values, largest: int) -> np.ndarray:

@@ -212,7 +212,9 @@ def _aggregate_model(
             for label in class_labels
         },
     }
-    metadata = dict(succeeded[0]["model_metadata"])
+    # the values every succeeded cell agrees on; per-split ones stay in the cells
+    first, *rest = collect("model_metadata")
+    metadata = {k: v for k, v in first.items() if all(k in m and m[k] == v for m in rest)}
     n_qubits = metadata.get("n_qubits")
     depths = [c["circuit_depth"] for c in succeeded if c["circuit_depth"] is not None]
     mean_acc = metrics["accuracy"]["mean"]

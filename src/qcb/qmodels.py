@@ -533,7 +533,12 @@ class QaoaClassifier(_TrainedCircuitClassifier):
 
 
 class QKernelClassifier:
-    """Fidelity-kernel SVM: the classical solver consumes the quantum Gram matrix."""
+    """Fidelity-kernel SVM: the classical solver consumes the quantum Gram matrix.
+
+    The model keeps the angles of every training row and their feature-mapped
+    states.  A pickle holds the angles only; loading rebuilds the states with
+    the call ``fit`` made, so they are the same bits.
+    """
 
     kind = "qkernel"
 
@@ -542,6 +547,7 @@ class QKernelClassifier:
         self.C = float(C)
         self.scale_chain_: _ScaleChain | None = None
         self.svm_: SvmClassifier | None = None
+        self.train_angles_: np.ndarray | None = None
         self.train_states_: np.ndarray | None = None
         self.classes_: np.ndarray | None = None
         self.constant_class_ = None
@@ -556,6 +562,7 @@ class QKernelClassifier:
         self.circuit_depth_ = circuits.circuit_depth(
             CircuitConfig(CircuitFamily.FEATURE_MAP, self.n_qubits, 1)
         )
+        self.train_angles_ = X_angle
         self.train_states_ = feature_map_states(X_angle)
         if len(self.classes_) == 1:
             self.constant_class_ = self.classes_[0]
@@ -572,6 +579,16 @@ class QKernelClassifier:
         test_states = feature_map_states(self.scale_chain_.transform(X))
         cross = qsim.cross_overlap_sq(test_states, self.train_states_)
         return self.svm_.predict(cross)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("train_states_")  # a fixed function of train_angles_
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        angles = self.train_angles_
+        self.train_states_ = None if angles is None else feature_map_states(angles)
 
     def fitted_state(self) -> dict:
         if self.train_states_ is None:

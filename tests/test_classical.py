@@ -481,6 +481,13 @@ def _registry_rows():
     return dataset.X, dataset.y
 
 
+def _assert_pickle_keeps_nodes(nodes) -> None:
+    """A pickle round trip gives every node array back bit for bit, in its dtype."""
+    for array, loaded in zip(nodes, pickle.loads(pickle.dumps(nodes))):
+        assert loaded.dtype == array.dtype
+        assert loaded.tobytes() == array.tobytes()
+
+
 @pytest.fixture(scope="module")
 def registry_forest():
     """The registry forest, fitted on 144 records of the synthetic set, and all 288 rows."""
@@ -504,8 +511,36 @@ class TestTreeStorage:
         assert text.count("(") == text.count(")")
 
     def test_pickled_forest_is_compact(self, registry_forest):
+        # 25.97 KiB when measured: a threshold table, and feature and value in one array
         forest, _ = registry_forest
-        assert len(pickle.dumps(forest)) < 64 * 1024
+        assert len(pickle.dumps(forest)) < 27 * 1024
+
+    def test_leaves_hold_feature_zero_and_splits_value_zero(self, registry_forest):
+        # a pickle stores feature and value in one array on this fill
+        X, y = _registry_rows()
+        for model in (registry_forest[0], DecisionTreeClassifier().fit(X, y)):
+            nodes = model._nodes
+            leaf = nodes.right == np.arange(len(nodes.right))
+            assert leaf.any() and not leaf.all()
+            assert np.all(np.isnan(nodes.threshold) == leaf)
+            assert not nodes.feature[leaf].any()
+            assert not nodes.value[~leaf].any()
+
+    @pytest.mark.parametrize("case", sorted(TREE_CASES))
+    def test_pickle_round_trip_keeps_node_arrays(self, case):
+        X, y, _ = TREE_CASES[case]
+        for model in (DecisionTreeClassifier(), RandomForestClassifier(n_trees=5, seed=1)):
+            _assert_pickle_keeps_nodes(model.fit(X, y)._nodes)
+
+    def test_pickle_round_trip_keeps_node_dtypes_that_differ(self):
+        # 300 columns need uint16 feature ids, 2 classes a uint8 value
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(60, 300))
+        y = (X[:, 299] > 0).astype(int)
+        nodes = DecisionTreeClassifier().fit(X, y)._nodes
+        assert (nodes.feature.dtype, nodes.value.dtype) == (np.uint16, np.uint8)
+        assert nodes.feature.max() > 255
+        _assert_pickle_keeps_nodes(nodes)
 
     def test_fit_memory_is_bounded(self):
         # every tree grows at once: the trees' tables and one step's search

@@ -493,6 +493,16 @@ class TestSharedExtractor:
         assert len({seed for (seed,) in seeds.values()}) == 4
         assert "extractor_seed" not in hybrid_report["models"]["vqc_4q2l"]["metadata"]
 
+    def test_model_metadata_keeps_the_values_every_cell_shares(self, hybrid_report):
+        entry = hybrid_report["models"]["q_rf"]
+        cells = [cell["model_metadata"] for cell in entry["cells"]]
+        assert len(cells) == 4
+        shared = {k: v for k, v in cells[0].items() if all(c[k] == v for c in cells)}
+        assert entry["metadata"] == shared
+        assert "extractor_seed" not in entry["metadata"]
+        assert entry["metadata"]["intermediate_features"] == 6
+        assert entry["resources"]["n_qubits"] == 6
+
     def test_serial_run_trains_one_extractor_per_split(self, small_dataset, monkeypatch):
         trained = []
         fit = VqcClassifier.fit

@@ -1,3 +1,4 @@
+import io
 import pickle
 
 import numpy as np
@@ -14,9 +15,14 @@ from qcb.circuits import (
     vqc_trainable_gates,
 )
 from qcb import optimize, qmodels
-from qcb.classical import LogisticRegressionClassifier, RandomForestClassifier
+from qcb.classical import (
+    DecisionTreeClassifier,
+    LogisticRegressionClassifier,
+    RandomForestClassifier,
+)
 from qcb.data import build_dataset, select_features, synthesize
 from qcb.errors import ConfigurationError, UsageError
+from qcb.evalharness.registry import default_registry
 from qcb.evalharness.runner import state_checksum
 from qcb.qmodels import (
     TRAINING_EVALS,
@@ -643,6 +649,73 @@ class TestFittedFootprint:
         X_all = select_features(build_dataset(synthesize(seed=0)), k=10).X
         assert np.array_equal(loaded.predict(X_all), model.predict(X_all))
         assert state_checksum(loaded.fitted_state()) == state_checksum(model.fitted_state())
+
+    @pytest.mark.parametrize("name", list(default_registry()))
+    def test_loaded_registry_model_predicts_the_same(self, name, registry_round_trip):
+        model, loaded = registry_round_trip[name]
+        X_all = select_features(build_dataset(synthesize(seed=0)), k=10).X
+        assert np.array_equal(loaded.predict(X_all), model.predict(X_all))
+        assert state_checksum(loaded.fitted_state()) == state_checksum(model.fitted_state())
+
+    @pytest.mark.parametrize("name", ["qkernel_svm", "pca_qkernel"])
+    def test_loaded_qkernel_rebuilds_its_training_states(self, name, registry_round_trip, synthetic_half):
+        model, loaded = registry_round_trip[name]
+        [inner] = _parts(model, QKernelClassifier)
+        [loaded_inner] = _parts(loaded, QKernelClassifier)
+        assert loaded_inner.train_states_.tobytes() == inner.train_states_.tobytes()
+        # the rows a reader of the training states gets, in training order
+        X, _ = synthetic_half
+        if isinstance(loaded, HybridCqPipeline):
+            X = loaded.project(X)
+        angles = loaded_inner.scale_chain_.transform(X[:4])
+        assert np.array_equal(loaded_inner.train_states_[:4], feature_map_states(angles))
+
+    @pytest.mark.parametrize("name", ["random_forest", "decision_tree", "q_rf", "q_dectree"])
+    def test_loaded_trees_keep_every_node_array(self, name, registry_round_trip):
+        model, loaded = registry_round_trip[name]
+        trees = _parts(model, (RandomForestClassifier, DecisionTreeClassifier))
+        loaded_trees = _parts(loaded, (RandomForestClassifier, DecisionTreeClassifier))
+        assert len(trees) == len(loaded_trees) == 1
+        for array, loaded_array in zip(trees[0]._nodes, loaded_trees[0]._nodes):
+            assert loaded_array.dtype == array.dtype
+            assert loaded_array.tobytes() == array.tobytes()  # the leaves' NaN included
+        assert np.isnan(loaded_trees[0]._nodes.threshold).any()
+
+    def test_pickled_qkernel_holds_no_complex_array(self, synthetic_half):
+        X, y = synthetic_half
+        model = QKernelClassifier(4).fit(X, y)
+        found = []
+
+        class Probe(pickle.Pickler):
+            def reducer_override(self, obj):
+                if isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
+                    found.append(obj)
+                return NotImplemented
+
+        buffer = io.BytesIO()
+        Probe(buffer).dump(model)
+        assert found == []
+        assert len(buffer.getvalue()) < 12 * 1024
+
+
+def _parts(model, kind) -> list:
+    """The models of ``kind`` among ``model`` and the models it holds, at any depth."""
+    found = [model] if isinstance(model, kind) else []
+    for value in vars(model).values():
+        if hasattr(value, "predict"):
+            found += _parts(value, kind)
+    return found
+
+
+@pytest.fixture(scope="module")
+def registry_round_trip(synthetic_half):
+    """Each registry model fitted on 144 records, and the same model loaded from its pickle."""
+    X, y = synthetic_half
+    fitted = {}
+    for name, spec in default_registry().items():
+        model = spec.build(1).fit(X, y)
+        fitted[name] = model, pickle.loads(pickle.dumps(model))
+    return fitted
 
 
 _CACHING_MODELS = [
