@@ -24,7 +24,10 @@ class LogisticRegressionClassifier:
     Training stops when the gradient norm drops below ``tol`` or after
     ``max_iter`` accepted steps; ``n_iter_`` counts the accepted steps, and
     the fitted model keeps no per-step history.  The bias lives as an extra
-    all-ones design column internally, excluded from the penalty.
+    all-ones design column internally, excluded from the penalty.  ``fit``
+    starts from zero unless given a ``start`` of shape ``(d+1, k)``: the
+    weights, then the bias row.  The loss is convex, so a start near the
+    minimum only saves iterations.
     """
 
     def __init__(self, C: float = 1.0, max_iter: int = 100, tol: float = 1e-5):
@@ -39,7 +42,7 @@ class LogisticRegressionClassifier:
         self.n_iter_ = 0
         self.constant_class_ = None
 
-    def fit(self, X, y):
+    def fit(self, X, y, start=None):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         if X.ndim != 2 or len(X) != len(y):
@@ -49,6 +52,10 @@ class LogisticRegressionClassifier:
         self.classes_, codes = np.unique(y, return_inverse=True)
         n, d = X.shape
         k = len(self.classes_)
+        if start is not None:
+            start = np.array(start, dtype=float)
+            if start.shape != (d + 1, k):
+                raise UsageError(f"start must have shape {(d + 1, k)}, got {start.shape}")
         if k == 1:
             self.constant_class_ = self.classes_[0]
             self.weights_ = np.zeros((d, 1))
@@ -103,7 +110,7 @@ class LogisticRegressionClassifier:
             H[bias_block, bias_block] += 1.0
             return H
 
-        params = np.zeros((d + 1, k))
+        params = np.zeros((d + 1, k)) if start is None else start
         loss, probs = loss_and_probs(params)
         for iteration in range(self.max_iter):
             grad = grad_from_probs(params, probs)

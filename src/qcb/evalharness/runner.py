@@ -77,8 +77,10 @@ DEVIATIONS = [
         "description": (
             "Logistic-regression heads and the logistic_regression baseline "
             "are fitted by damped multinomial Newton iterations to a gradient "
-            "norm below 1e-5; a trained circuit keeps the head fitted at its "
-            "best loss evaluation instead of refitting it."
+            "norm below 1e-5.  During a circuit's training each head starts "
+            "from the best head found so far; the kept head is refitted from "
+            "zero on the features of the best angles, so on a near-tie its "
+            "training accuracy can differ from the search's best loss."
         ),
     },
     {

@@ -6,12 +6,15 @@ ansatz, and a fidelity-kernel SVM.  Feature extraction runs batched (one
 amplitude matrix for all samples).  A trained family evaluates in two
 parts: a data part that depends only on the rows (the RY encodings; each
 row's Z weights) and an angle part that depends only on the trained
-parameters (the RY/CNOT layers folded into one real matrix; each cost/mixer
-layer's ZZ phase vector and mixer matrix).  The cost/mixer angle part also
-carries the Hamiltonian's checked Z weights, so its data part of new rows
-is one multiply.  The training plan is the data part, built once per fit
-and never stored; a fitted model builds the angle part once, caches it for
-every predict and never pickles it.  The feature map is one merged phase on
+parameters (the RY/CNOT layers folded into one real matrix, each layer the
+Kronecker product of its RY rotations with its rows gathered by its CNOTs;
+each cost/mixer layer's ZZ phase vector and mixer matrix).  The cost/mixer
+angle part also carries the Hamiltonian's checked Z weights, so its data
+part of new rows is one multiply.  The training plan is the data part,
+built once per fit and never stored; a fitted model builds the angle part
+once, caches it for every predict and never pickles it.  During training
+each candidate's logistic head starts from the best head so far, and the
+kept head is refitted from zero.  The feature map is one merged phase on
 |+...+>.  The tests pin batched output to the dense oracle of the
 per-sample gate lists.
 
@@ -123,11 +126,19 @@ def vqc_operator(config: CircuitConfig, theta) -> np.ndarray:
     """The trainable RY/CNOT layers folded into one real 2**n x 2**n matrix.
 
     Column b is the layers applied to basis state |b>, so ``U @ cols``
-    applies them to real state columns.
+    applies them to real state columns.  Each layer is the Kronecker product
+    of its RY rotations with its rows gathered by the layer's CNOT
+    permutation, and the layers multiply in order.
     """
     n = config.n_qubits
     theta = coerce_params(theta, n * config.layers, "theta")
-    return circuits.apply_vqc_layers(config, np.eye(1 << n), theta)
+    operator = None
+    for layer, pairs in enumerate(circuits.vqc_layer_pairs(config)):
+        m = qsim.ry_product(theta[layer * n : (layer + 1) * n])
+        if pairs:
+            m = m[qsim.cnot_permutation(n, tuple(pairs))]
+        operator = m if operator is None else m @ operator
+    return operator
 
 
 def vqc_features(
@@ -322,9 +333,13 @@ class _TrainedCircuitClassifier:
     Training is bilevel: one Nelder-Mead simplex, started from seeded
     U[0, 2pi) angles and capped at ``max_evals`` loss evaluations, minimizes
     the negative training accuracy of a converged head fitted on the
-    training features of each candidate parameter vector; the stored model
-    keeps the best parameters with the head fitted at that evaluation, so
-    nothing is refit afterwards.  The circuit's data-only part is compiled
+    training features of each candidate parameter vector.  Each of these
+    search heads starts from the best one so far (the first from zero);
+    ``search_head_iters_`` sums their Newton iterations.  The stored model
+    keeps the best parameters and a head refitted from zero on their
+    features, one more head fit per training, so the head is a function of
+    the stored angles alone; on a near-tie its training accuracy can differ
+    from the search's best loss.  The circuit's data-only part is compiled
     once per fit and dropped when ``fit`` returns.  The angle-only part of
     the trained parameters is built on the first ``features`` call and
     cached until the next ``fit``; pickles leave it out.  Subclasses supply
@@ -355,6 +370,7 @@ class _TrainedCircuitClassifier:
         self.params_: np.ndarray | None = None
         self.head_ = None
         self.opt_result_: OptResult | None = None
+        self.search_head_iters_ = 0
         self.constant_class_ = None
         self.classes_: np.ndarray | None = None
         self.circuit_depth_ = 0
@@ -364,6 +380,7 @@ class _TrainedCircuitClassifier:
         self.constant_class_ = None
         self.head_ = None
         self.opt_result_ = None
+        self.search_head_iters_ = 0
         self._operators = None
         self.classes_ = np.unique(y)
         self.scale_chain_, X_angle = _fit_scale_chain(X, self.n_qubits)
@@ -378,15 +395,19 @@ class _TrainedCircuitClassifier:
             return self
 
         plan = self._compile(X_angle)
-        best = []  # (loss, head) of the first strictly best evaluation
+        # (loss, features, head weights over its bias row) of the first
+        # strictly best evaluation
+        best = []
 
         def loss(params):
             features = self._features(params, X_angle, plan)
-            head = LogisticRegressionClassifier().fit(features, y)
+            warm = best[2] if best else None
+            head = LogisticRegressionClassifier().fit(features, y, start=warm)
+            self.search_head_iters_ += head.n_iter_
             value = -_training_accuracy(head, features, y)
             # the tie rule of minimize's best_params: the first point evaluated wins
             if not best or value < best[0]:
-                best[:] = [value, head]
+                best[:] = [value, features, np.vstack([head.weights_, head.bias_])]
             return value
 
         start = random_init(n_params, self.seed) * self._start_scale(n_params)
@@ -395,7 +416,8 @@ class _TrainedCircuitClassifier:
             raise TrainingError("every objective evaluation was non-finite")
         self.opt_result_ = result
         self.params_ = result.best_params
-        self.head_ = best[1]
+        # a cold fit, so the kept head is a function of params_ alone
+        self.head_ = LogisticRegressionClassifier().fit(best[1], y)
         return self
 
     def _fit_circuit(self, X_angle: np.ndarray) -> None:
@@ -448,6 +470,7 @@ class _TrainedCircuitClassifier:
             "circuit_depth": self.circuit_depth_,
             "loss_evals": self.opt_result_.n_evals if self.opt_result_ else 0,
             "head_iters": self.head_.n_iter_ if self.head_ else 0,
+            "search_head_iters": self.search_head_iters_,
         }
 
 

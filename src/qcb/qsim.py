@@ -7,8 +7,9 @@ the basis-state index, so for two qubits the basis order is
 The module has one API: functions over plain complex (or, for the compiled
 RY/CNOT family, real) amplitude arrays.  ``GateOp`` describes one gate;
 ``apply_gate_amplitudes`` applies it, ``z_expectations`` and
-``x_expectations`` read out every qubit, and ``cross_overlap_sq`` compares
-two batches of states.  Callers build their own initial arrays.
+``x_expectations`` read out every qubit (X in the Hadamard basis, through a
+cached H on every qubit), and ``cross_overlap_sq`` compares two batches of
+states.  Callers build their own initial arrays.
 
 Gate application is matrix-free (the test suite checks the simulator against
 an explicit dense matrix-chain oracle, which keeps the two code paths
@@ -19,7 +20,9 @@ through bit-indexed pairing.  Every kernel operates on the last axis of its
 input array, so the same code serves a single state vector of shape
 ``(2**n,)`` and a batch of shape ``(batch, 2**n)``, with one angle or one
 angle per row.  The compiled-circuit kernels at the end of the module run
-the model circuits, which are evaluated many times on the same rows.
+the model circuits, which are evaluated many times on the same rows; a
+layer with one 2x2 gate on every qubit becomes one matrix, the Kronecker
+product of the gates.
 """
 from __future__ import annotations
 
@@ -187,11 +190,11 @@ def _apply_1q_matrix(amps: np.ndarray, q: int, u: np.ndarray) -> np.ndarray:
     return np.matmul(u, v).reshape(shape)
 
 
-def _ry_matrix(angle) -> np.ndarray:
+def _ry_matrix(angle, dtype=np.complex128) -> np.ndarray:
     half = 0.5 * np.asarray(angle, dtype=float)
     c = np.cos(half)
     s = np.sin(half)
-    u = np.empty(np.shape(half) + (2, 2), dtype=np.complex128)
+    u = np.empty(np.shape(half) + (2, 2), dtype=dtype)
     u[..., 0, 0] = c
     u[..., 0, 1] = -s
     u[..., 1, 0] = s
@@ -289,21 +292,24 @@ def zz_phase_rows(amps: np.ndarray, qubit_a: int, qubit_b: int, angles) -> np.nd
     return _apply_zz_phase(amps, qubit_a, qubit_b, angles)
 
 
-def z_expectations(amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    """<Z_q> for every qubit of real or complex amplitudes; shape ``(..., n_qubits)``."""
+def _z_readout(amps: np.ndarray, n_qubits: int) -> np.ndarray:
     probs = amps.real**2 + amps.imag**2 if np.iscomplexobj(amps) else amps * amps
     return np.clip(probs @ z_signs(n_qubits), -1.0, 1.0)
 
 
+def z_expectations(amps: np.ndarray, n_qubits: int) -> np.ndarray:
+    """<Z_q> for every qubit of real or complex amplitudes; shape ``(..., n_qubits)``."""
+    return _z_readout(amps, n_qubits)
+
+
 def x_expectations(amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    """<X_q> for every qubit via amplitude pairing; shape ``(..., n_qubits)``."""
-    out = np.empty(amps.shape[:-1] + (n_qubits,))
-    conj = np.conj(amps)
-    for q in range(n_qubits):
-        a0 = _split1(conj, q)[..., 0, :]
-        a1 = _split1(amps, q)[..., 1, :]
-        out[..., q] = 2.0 * np.sum((a0 * a1).real, axis=(-2, -1))
-    return np.clip(out, -1.0, 1.0)
+    """<X_q> for every qubit; shape ``(..., n_qubits)``.
+
+    X_q = H Z_q H, so <X_q> is <Z_q> after a Hadamard on every qubit: one
+    matmul by the cached, symmetric H (x) ... (x) H, then the Z readout.
+    """
+    # _z_readout, not z_expectations: a traced run times this as one readout
+    return _z_readout(amps @ hadamard_product(n_qubits), n_qubits)
 
 
 def cross_overlap_sq(amps_a: np.ndarray, amps_b: np.ndarray) -> np.ndarray:
@@ -393,15 +399,43 @@ def z_phase_rows(angles: np.ndarray) -> np.ndarray:
     return diag
 
 
+def _qubit_product(factors: np.ndarray) -> np.ndarray:
+    """factors[n-1] (x) ... (x) factors[0]: 2x2 factor q acts on qubit q.
+
+    One 2**n x 2**n matrix in the dtype of ``factors`` (shape (n, 2, 2)).
+    """
+    _check_count(len(factors))
+    m = np.ones((1, 1), dtype=factors.dtype)
+    for u in factors:
+        # Kronecker product u (x) m: the factor's qubit is the new most significant bit
+        k = len(m)
+        m = (u[:, None, :, None] * m[None, :, None, :]).reshape(2 * k, 2 * k)
+    return m
+
+
+def ry_product(angles) -> np.ndarray:
+    """RY(angles[q]) on every qubit q as one real 2**n x 2**n matrix.
+
+    ``m @ cols`` applies it to real state columns.
+    """
+    return _qubit_product(_ry_matrix(np.asarray(angles, dtype=float), np.float64))
+
+
 def x_mixer_product(angles) -> np.ndarray:
     """exp(-i angles[q] X_q) on every qubit q as one 2**n x 2**n matrix.
 
     The matrix is symmetric, so ``amps @ m`` applies it to a batch of rows.
     """
-    u = _x_mixer_matrix(np.asarray(angles, dtype=float))
-    m = np.ones((1, 1), dtype=np.complex128)
-    for q in range(len(u)):
-        # Kronecker product u[q] (x) m: qubit q is the new most significant bit
-        k = len(m)
-        m = (u[q][:, None, :, None] * m[None, :, None, :]).reshape(2 * k, 2 * k)
+    return _qubit_product(_x_mixer_matrix(np.asarray(angles, dtype=float)))
+
+
+@lru_cache(maxsize=None)
+def hadamard_product(n_qubits: int) -> np.ndarray:
+    """H on every qubit as one symmetric 2**n x 2**n matrix (read-only).
+
+    It is complex, with zero imaginary parts, so a complex batch multiplies
+    it without a cast on every call.
+    """
+    m = _qubit_product(np.broadcast_to(_H_MATRIX, (n_qubits, 2, 2)))
+    m.setflags(write=False)
     return m

@@ -94,6 +94,29 @@ def states_match_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
     return bool(np.allclose(a, phase * b, atol=atol))
 
 
+def x_expectations_by_pairing(amps: np.ndarray, n_qubits: int) -> np.ndarray:
+    """<X_q> = 2 Re sum over b with bit q clear of conj(a_b) a_(b + 2**q), per qubit.
+
+    Works on one state or a batch of rows; shape ``(..., n_qubits)``.
+    """
+    amps = np.asarray(amps, dtype=complex)
+    dim = amps.shape[-1]
+    out = np.empty(amps.shape[:-1] + (n_qubits,))
+    for q in range(n_qubits):
+        low = np.array([b for b in range(dim) if not (b >> q) & 1])
+        pairs = np.conj(amps[..., low]) * amps[..., low + (1 << q)]
+        out[..., q] = np.clip(2.0 * np.sum(pairs.real, axis=-1), -1.0, 1.0)
+    return out
+
+
+def kron_chain(factors) -> np.ndarray:
+    """factors[-1] (x) ... (x) factors[0] by repeated ``np.kron``: factor q acts on qubit q."""
+    m = np.ones((1, 1), dtype=np.asarray(factors[0]).dtype)
+    for u in factors:
+        m = np.kron(u, m)
+    return m
+
+
 def random_gate(rng: np.random.Generator, n_qubits: int) -> GateOp:
     kinds = list(GateKind)
     kind = kinds[rng.integers(len(kinds))]

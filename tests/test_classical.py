@@ -260,6 +260,50 @@ class TestLogisticRegression:
         assert state_checksum(model.fitted_state()) == state_checksum(fresh.fitted_state())
 
 
+class TestLogisticWarmStart:
+    @pytest.fixture(params=[2, 4], ids=["binary", "four_classes"])
+    def blobs(self, request):
+        centers = [(-1.0, 0.0, 0.5), (1.0, 0.5, 0.0), (0.0, 2.0, -1.0), (0.5, -2.0, 1.0)]
+        rng = np.random.default_rng(16 + request.param)
+        return make_blobs(rng, centers[: request.param], 30, spread=0.8)
+
+    def test_own_solution_is_a_fixed_point(self, blobs):
+        X, y = blobs
+        cold = LogisticRegressionClassifier().fit(X, y)
+        warm = LogisticRegressionClassifier().fit(
+            X, y, start=np.vstack([cold.weights_, cold.bias_])
+        )
+        assert cold.n_iter_ >= 1 and warm.n_iter_ == 0
+        assert warm.weights_.tobytes() == cold.weights_.tobytes()
+        assert warm.bias_.tobytes() == cold.bias_.tobytes()
+
+    def test_zero_start_is_the_cold_fit(self, blobs):
+        X, y = blobs
+        cold = LogisticRegressionClassifier().fit(X, y)
+        zero = LogisticRegressionClassifier().fit(X, y, start=np.zeros((4, len(np.unique(y)))))
+        assert zero.n_iter_ == cold.n_iter_
+        assert state_checksum(zero.fitted_state()) == state_checksum(cold.fitted_state())
+
+    def test_perturbed_start_reaches_the_tolerance(self, blobs):
+        X, y = blobs
+        cold = LogisticRegressionClassifier().fit(X, y)
+        solution = np.vstack([cold.weights_, cold.bias_])
+        start = solution + np.random.default_rng(17).normal(scale=0.5, size=solution.shape)
+        kept = start.copy()
+        warm = LogisticRegressionClassifier().fit(X, y, start=start)
+        _, grad = logistic_regression_objective(X, y, warm.weights_, warm.bias_)
+        assert np.linalg.norm(grad) < warm.tol and 1 <= warm.n_iter_ < warm.max_iter
+        assert np.array_equal(warm.predict(X), cold.predict(X))
+        assert np.array_equal(start, kept)  # the caller's start is not written to
+
+    def test_start_of_wrong_shape_rejected(self, blobs):
+        X, y = blobs
+        k = len(np.unique(y))
+        for shape in [(3, k), (5, k), (4, k + 1), (4 * k,)]:
+            with pytest.raises(UsageError):
+                LogisticRegressionClassifier().fit(X, y, start=np.zeros(shape))
+
+
 class TestDecisionTree:
     def test_xor_is_shattered(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])

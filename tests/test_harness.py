@@ -375,7 +375,8 @@ class TestBenchmarkTracer:
         """``perfbench/spantrace.install`` wraps qcb names by ``getattr``; a renamed
         or deleted name, a ``fit`` that stops calling ``minimize`` through the
         module, or a head without ``n_iter_`` breaks the benchmark's traced runs.
-        One head is fitted per loss evaluation and none after the search."""
+        One head is fitted per loss evaluation, and one more after the search:
+        the kept head, refitted from zero on the best evaluation's features."""
         script = """
 import numpy as np
 from spantrace import Tracer, install
@@ -389,9 +390,9 @@ VqcClassifier(2, 1, max_evals=5).fit(X, (X[:, 0] > 0).astype(int))
 names = [span[0] for span in tracer.spans]
 assert names.count("optimize.minimize") == 1, names
 assert tracer.counters["optimize.loss_evals"] == 5, dict(tracer.counters)
-assert names.count("classical.logreg_fit") == 5, names
+assert names.count("classical.logreg_fit") == 6, names
 cap = LogisticRegressionClassifier().max_iter
-assert 0 < tracer.counters["classical.logreg_iters"] <= 5 * cap, dict(tracer.counters)
+assert 0 < tracer.counters["classical.logreg_iters"] <= 6 * cap, dict(tracer.counters)
 """
         root = Path(qcb.__file__).resolve().parents[2]
         src = str(Path(qcb.__file__).resolve().parents[1])
@@ -536,14 +537,16 @@ class TestCellCounters:
         registry = select_models("vqc_4q2l,qaoa_4q2l,pca_qaoa")
         plan = CvPlan(n_folds=2, seeds=(0,))
 
-        def counters():
+        def counters(workers=1):
             report = run_benchmark(
-                small_dataset, registry, plan, master_seed=3, reference="vqc_4q2l"
+                small_dataset, registry, plan, master_seed=3, reference="vqc_4q2l",
+                workers=workers,
             )
             return {
                 (name, cell["fold"]): (
                     cell["model_metadata"]["loss_evals"],
                     cell["model_metadata"]["head_iters"],
+                    cell["model_metadata"]["search_head_iters"],
                 )
                 for name, entry in report["models"].items()
                 for cell in entry["cells"]
@@ -554,10 +557,12 @@ class TestCellCounters:
         assert len(first) == 6
         # the simplex may stop before its budget once it is flat and tight;
         # on these 120 records one vqc_4q2l cell does, at 144 evaluations
-        for loss_evals, head_iters in first.values():
+        for loss_evals, head_iters, search_head_iters in first.values():
             assert 1 <= loss_evals <= TRAINING_EVALS
             assert 1 <= head_iters < cap
+            assert 1 <= search_head_iters < loss_evals * cap
         assert counters() == first
+        assert counters(workers=2) == first
 
 
 class TestChecksums:

@@ -9,6 +9,7 @@ from qcb.circuits import (
     CircuitFamily,
     CorrelationGraph,
     CostHamiltonian,
+    apply_vqc_layers,
     build_feature_map,
     build_qaoa_circuit,
     build_vqc_circuit,
@@ -249,6 +250,8 @@ class TestCompiledFeaturesMatchDenseOracle:
             expected = dense_simulate(gates, n_qubits, np.eye(dim)[b])
             assert np.max(np.abs(U[:, b] - expected)) < 1e-12
         assert np.max(np.abs(U.T @ U - np.eye(dim))) < 1e-12
+        # the product of Kronecker layers against the layers applied gate by gate
+        assert np.max(np.abs(U - apply_vqc_layers(config, np.eye(dim), theta))) <= 1e-14
 
     @pytest.mark.parametrize("n_qubits,layers", _SHAPES)
     @pytest.mark.parametrize("with_zz", [True, False])
@@ -810,8 +813,9 @@ class TestTrainedCircuitState:
 
     @pytest.mark.parametrize("circuit", [VqcClassifier, QaoaClassifier])
     def test_head_is_the_best_evaluations_head(self, circuit, synthetic_half):
-        # no refit after the search: the kept head is the one fitted at the
-        # best evaluation, which a fresh fit on the stored angles reproduces
+        # the search heads start warm; after it the kept head is refitted from
+        # zero on the best evaluation's features, so a fresh fit on the
+        # features of the stored angles reproduces it
         X, y = synthetic_half
         model = circuit(4, 2, max_evals=30, seed=0).fit(X, y)
         fresh = LogisticRegressionClassifier().fit(model.features(X), y)

@@ -19,9 +19,11 @@ from qcb.qsim import (
 from oracles import (
     dense_gate_matrix,
     dense_simulate,
+    kron_chain,
     plus_state,
     random_circuit,
     states_match_up_to_phase,
+    x_expectations_by_pairing,
     zero_state,
 )
 
@@ -177,6 +179,17 @@ class TestExpectations:
         state = simulate([qsim.pauli_x(0), x_mixer(0, np.pi / 4)], zero_state(1))
         rotated = qsim.apply_gate_amplitudes(state, hadamard(0))
         assert abs(x_of(state, 0) - z_of(rotated, 0)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_x_matches_amplitude_pairing(self, n):
+        rng = np.random.default_rng(70 + n)
+        batch = np.stack([random_state(rng, n) for _ in range(12)])
+        expected = x_expectations_by_pairing(batch, n)
+        assert np.max(np.abs(qsim.x_expectations(batch, n) - expected)) <= 1e-13
+        for row in (0, 11):
+            single = qsim.x_expectations(batch[row], n)
+            assert single.shape == (n,)
+            assert np.max(np.abs(single - expected[row])) <= 1e-13
 
     def test_x_two_ways_agreement_random_states(self):
         rng = np.random.default_rng(7)
@@ -352,3 +365,23 @@ class TestCompiledKernels:
         for q in range(3):
             mixer = dense_gate_matrix(x_mixer(q, beta[q]), 3) @ mixer
         assert np.allclose(qsim.x_mixer_product(beta), mixer, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_qubit_products_are_kronecker_chains(self, n):
+        rng = np.random.default_rng(67 + n)
+        angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=n)
+        mixer = qsim.x_mixer_product(angles)
+        # the kernel multiplies each factor into the product as np.kron does,
+        # so the mixer keeps the bytes of the per-qubit Kronecker loop
+        assert mixer.tobytes() == kron_chain(list(qsim._x_mixer_matrix(angles))).tobytes()
+        assert np.array_equal(
+            mixer, kron_chain([dense_gate_matrix(x_mixer(0, a), 1) for a in angles])
+        )
+        rotations = qsim.ry_product(angles)
+        dense = kron_chain([dense_gate_matrix(ry(0, a), 1).real for a in angles])
+        assert rotations.dtype == np.float64
+        assert np.max(np.abs(rotations - dense)) <= 1e-15
+        walsh = qsim.hadamard_product(n)
+        assert walsh is qsim.hadamard_product(n) and not walsh.flags.writeable
+        h = dense_gate_matrix(hadamard(0), 1)
+        assert np.max(np.abs(walsh - kron_chain([h] * n))) <= 1e-15
