@@ -423,3 +423,141 @@ class RecursiveRandomForest:
             "seed": self.seed,
             "trees": [t.fitted_state()["tree"] for t in self.trees_],
         }
+
+
+_EPS = 1e-12
+
+
+class NumpyScalarSmo:
+    """Soft-margin dual solver for labels in {-1, +1} on a Gram matrix.
+
+    Platt-style SMO kept on numpy scalars, with the non-bound set recomputed
+    on every examination: the reference that the production solver must
+    match bit for bit.
+    """
+
+    def __init__(self, C: float, tol: float, max_passes: int = 2000):
+        self.C = C
+        self.tol = tol
+        self.max_passes = max_passes
+
+    def solve(self, K: np.ndarray, y: np.ndarray):
+        n = len(y)
+        alpha = np.zeros(n)
+        self._b = 0.0
+        # error cache: E_i = f(x_i) - y_i with f = sum_j alpha_j y_j K_ij + b
+        self._E = -y.astype(float)
+        self._K = K
+        self._y = y
+        self._alpha = alpha
+
+        examine_all = True
+        passes = 0
+        while passes < self.max_passes:
+            passes += 1
+            changed = 0
+            if examine_all:
+                candidates = range(n)
+            else:
+                candidates = np.nonzero((alpha > _EPS) & (alpha < self.C - _EPS))[0]
+            for i2 in candidates:
+                changed += self._examine(int(i2))
+            if examine_all:
+                if changed == 0:
+                    break
+                examine_all = False
+            elif changed == 0:
+                examine_all = True
+        return alpha, self._b
+
+    def _examine(self, i2: int) -> int:
+        alpha, y, E, C = self._alpha, self._y, self._E, self.C
+        r2 = E[i2] * y[i2]
+        if not ((r2 < -self.tol and alpha[i2] < C - _EPS) or (r2 > self.tol and alpha[i2] > _EPS)):
+            return 0
+        non_bound = np.nonzero((alpha > _EPS) & (alpha < C - _EPS))[0]
+        if len(non_bound) > 1:
+            gaps = np.abs(E[non_bound] - E[i2])
+            i1 = int(non_bound[np.argmax(gaps)])
+            if self._step(i1, i2):
+                return 1
+        for i1 in non_bound:
+            if self._step(int(i1), i2):
+                return 1
+        for i1 in range(len(y)):
+            if self._step(i1, i2):
+                return 1
+        return 0
+
+    def _step(self, i1: int, i2: int) -> bool:
+        if i1 == i2:
+            return False
+        alpha, y, E, K, C = self._alpha, self._y, self._E, self._K, self.C
+        a1_old, a2_old = alpha[i1], alpha[i2]
+        y1, y2 = y[i1], y[i2]
+        s = y1 * y2
+        if s > 0:
+            low, high = max(0.0, a1_old + a2_old - C), min(C, a1_old + a2_old)
+        else:
+            low, high = max(0.0, a2_old - a1_old), min(C, C + a2_old - a1_old)
+        if high - low < _EPS:
+            return False
+        k11, k12, k22 = K[i1, i1], K[i1, i2], K[i2, i2]
+        eta = k11 + k22 - 2.0 * k12
+        if eta > _EPS:
+            a2 = a2_old + y2 * (E[i1] - E[i2]) / eta
+            a2 = min(max(a2, low), high)
+        else:
+            # flat direction (duplicate points): evaluate the objective at both ends
+            f1 = y1 * (E[i1] + self._b) - a1_old * k11 - s * a2_old * k12
+            f2 = y2 * (E[i2] + self._b) - s * a1_old * k12 - a2_old * k22
+            l1 = a1_old + s * (a2_old - low)
+            h1 = a1_old + s * (a2_old - high)
+            obj_low = (
+                l1 * f1 + low * f2 + 0.5 * l1**2 * k11 + 0.5 * low**2 * k22
+                + s * low * l1 * k12
+            )
+            obj_high = (
+                h1 * f1 + high * f2 + 0.5 * h1**2 * k11 + 0.5 * high**2 * k22
+                + s * high * h1 * k12
+            )
+            if obj_low < obj_high - _EPS:
+                a2 = low
+            elif obj_high < obj_low - _EPS:
+                a2 = high
+            else:
+                return False
+        if abs(a2 - a2_old) < _EPS * (a2 + a2_old + _EPS):
+            return False
+        a1 = a1_old + s * (a2_old - a2)
+
+        d1 = y1 * (a1 - a1_old)
+        d2 = y2 * (a2 - a2_old)
+        b1 = self._b - E[i1] - d1 * k11 - d2 * k12
+        b2 = self._b - E[i2] - d1 * k12 - d2 * k22
+        if _EPS < a1 < C - _EPS:
+            b_new = b1
+        elif _EPS < a2 < C - _EPS:
+            b_new = b2
+        else:
+            b_new = 0.5 * (b1 + b2)
+        self._E += d1 * K[:, i1] + d2 * K[:, i2] + (b_new - self._b)
+        self._b = b_new
+        alpha[i1], alpha[i2] = a1, a2
+        return True
+
+
+def ovo_votes_by_pair(kernel: np.ndarray, pairs: list[dict], n_classes: int) -> np.ndarray:
+    """One-vs-one votes from a test-vs-train kernel, one pair at a time.
+
+    ``kernel`` has one column per training row; each pair scores its own
+    support columns with its own matvec and gives a vote to its first class
+    when the score is >= 0, else to its second.
+    """
+    votes = np.zeros((kernel.shape[0], n_classes), dtype=int)
+    for pair in pairs:
+        scores = kernel[:, pair["indices"]] @ pair["coef"] + pair["bias"]
+        a, b = pair["classes"]
+        winner = np.where(scores >= 0.0, a, b)
+        votes[np.arange(len(winner)), winner] += 1
+    return votes

@@ -18,17 +18,21 @@ from qcb.classical import (
     pca_inverse_transform,
     pca_transform,
 )
-from qcb.classical.svm import rbf_kernel
+from qcb.classical.svm import _BinarySmo, rbf_kernel
 from qcb.classical.trees import PREDICT_BLOCK_ROWS
 from qcb.data import build_dataset, select_features, synthesize
 from qcb.errors import UsageError
 from qcb.evalharness.runner import state_checksum
+from qcb.qmodels import QKernelClassifier
+from qcb.qsim import cross_overlap_sq
 
 from oracles import (
+    NumpyScalarSmo,
     RecursiveDecisionTree,
     RecursiveRandomForest,
     logistic_regression_fit,
     logistic_regression_objective,
+    ovo_votes_by_pair,
     two_pass_std,
 )
 
@@ -685,6 +689,163 @@ class TestSvm:
         X, y = make_blobs(rng, [(-1.0, 0.0), (1.0, 0.0)], 20)
         model = SvmClassifier(gamma="scale").fit(X, y)
         assert abs(model.gamma_ - 1.0 / (X.shape[1] * X.var())) < 1e-12
+
+
+def _zscored_registry_rows():
+    X, y = _registry_rows()
+    return (X - X.mean(axis=0)) / X.std(axis=0), y
+
+
+def _pair_problem(K, y, a, b):
+    """The binary sub-problem of the a-th (+1) and b-th (-1) class, as the voter builds it."""
+    _, codes = np.unique(y, return_inverse=True)
+    subset = np.nonzero((codes == a) | (codes == b))[0]
+    y_pair = np.where(codes[subset] == a, 1.0, -1.0)
+    assert 0 < np.sum(y_pair > 0) < len(y_pair)
+    return K[np.ix_(subset, subset)], y_pair
+
+
+def _assert_smo_matches_oracle(K, y_pair, C, tol=1e-3):
+    alpha, bias = _BinarySmo(C, tol).solve(K, y_pair)
+    want_alpha, want_bias = NumpyScalarSmo(C, tol).solve(K, y_pair)
+    assert np.any(want_alpha > 0)
+    assert type(bias) is float
+    assert alpha.dtype == want_alpha.dtype
+    assert alpha.tobytes() == want_alpha.tobytes()
+    assert np.float64(bias).tobytes() == np.float64(want_bias).tobytes()
+    return alpha
+
+
+@pytest.fixture(scope="module")
+def synthetic_rbf_gram():
+    """The RBF Gram of all 288 z-scored synthetic records (gamma 'scale'), and their labels."""
+    X, y = _zscored_registry_rows()
+    return rbf_kernel(X, X, 1.0 / (X.shape[1] * X.var())), y
+
+
+class TestSmoMatchesNumpyScalarSolver:
+    """The Python-float solver returns the numpy-scalar solver's alpha and bias bit for bit."""
+
+    @pytest.mark.parametrize("C", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    def test_rbf_gram_of_every_class_pair(self, synthetic_rbf_gram, pair, C):
+        K, y = synthetic_rbf_gram
+        assert len(np.unique(y)) == 4
+        _assert_smo_matches_oracle(*_pair_problem(K, y, *pair), C)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 3)])
+    def test_fidelity_kernel_gram(self, pair):
+        X, y = _registry_rows()
+        states = QKernelClassifier(4).fit(X, y).train_states_
+        _assert_smo_matches_oracle(*_pair_problem(cross_overlap_sq(states, states), y, *pair), 1.0)
+
+    @pytest.mark.parametrize("labels", [(1.0, -1.0), (-1.0, 1.0)])
+    def test_two_rows(self, labels):
+        K = rbf_kernel(np.array([[0.0, 1.0], [1.0, 0.5]]), np.array([[0.0, 1.0], [1.0, 0.5]]), 0.7)
+        alpha = _assert_smo_matches_oracle(K, np.array(labels), 1.0)
+        assert np.all(alpha > 0)
+
+    def test_every_alpha_ends_at_a_bound(self, synthetic_rbf_gram):
+        K, y = synthetic_rbf_gram
+        C = 0.01
+        alpha = _assert_smo_matches_oracle(*_pair_problem(K, y, 1, 2), C)
+        assert np.any(alpha > 0)
+        assert np.all((alpha <= 1e-12) | (alpha >= C - 1e-12))
+
+    def test_duplicated_rows_take_the_flat_direction(self):
+        X, y = _zscored_registry_rows()
+        classes = np.unique(y)
+        rows = np.nonzero((y == classes[0]) | (y == classes[1]))[0][:40]
+        # the first ten rows again, with the other label: eta is 0 between twins
+        X_pair = np.vstack([X[rows], X[rows[:10]]])
+        y_rows = np.where(y[rows] == classes[0], 1.0, -1.0)
+        y_pair = np.concatenate([y_rows, -y_rows[:10]])
+        K = rbf_kernel(X_pair, X_pair, 0.1)
+        flat_moves = []
+
+        class CountingSmo(NumpyScalarSmo):
+            def _step(self, i1, i2):
+                eta = self._K[i1, i1] + self._K[i2, i2] - 2.0 * self._K[i1, i2]
+                moved = super()._step(i1, i2)
+                if moved and i1 != i2 and eta <= 1e-12:
+                    flat_moves.append((i1, i2))
+                return moved
+
+        for C in (1.0, 100.0):
+            flat_moves.clear()
+            want_alpha, want_bias = CountingSmo(C, 1e-3).solve(K, y_pair)
+            assert flat_moves, "the flat-direction branch was not taken"
+            alpha, bias = _BinarySmo(C, 1e-3).solve(K, y_pair)
+            assert alpha.tobytes() == want_alpha.tobytes()
+            assert np.float64(bias).tobytes() == np.float64(want_bias).tobytes()
+
+
+@pytest.fixture(scope="module")
+def four_class_svms():
+    """RBF and precomputed SVMs fitted on 144 z-scored synthetic records, with their inputs."""
+    X, y = _zscored_registry_rows()
+    X_train, y_train = X[::2], y[::2]
+    rbf = SvmClassifier().fit(X_train, y_train)
+    gram = rbf_kernel(X_train, X_train, rbf.gamma_)
+    pre = SvmClassifier(kernel="precomputed").fit(gram, y_train)
+    cross = rbf_kernel(X, X_train, rbf.gamma_)
+    return {"rbf": (rbf, X, cross), "precomputed": (pre, cross, cross)}, X_train, y_train
+
+
+class TestOneVsOneDecision:
+    """The decision arrays vote as the per-pair loop does, and stay out of pickles."""
+
+    @pytest.mark.parametrize("kernel", ["rbf", "precomputed"])
+    def test_votes_match_the_per_pair_loop(self, four_class_svms, kernel):
+        models, _, _ = four_class_svms
+        model, inputs, cross = models[kernel]
+        assert len(model.classes_) == 4 and len(model._pairs) == 6
+        want = ovo_votes_by_pair(cross, model._pairs, 4)
+        votes = model.decision_votes(inputs)
+        assert votes.dtype == want.dtype
+        assert np.array_equal(votes, want)
+        for i in range(0, len(inputs), 7):
+            assert np.array_equal(model.decision_votes(inputs[i : i + 1]), want[i : i + 1])
+
+    @pytest.mark.parametrize("kernel", ["rbf", "precomputed"])
+    def test_pickle_leaves_the_decision_arrays_out(self, four_class_svms, kernel):
+        models, _, _ = four_class_svms
+        model, inputs, _ = models[kernel]
+        before = pickle.dumps(model)
+        votes = model.decision_votes(inputs)
+        labels = model.predict(inputs)
+        after = pickle.dumps(model)
+        assert after == before
+        assert b"_decision" not in after
+        loaded = pickle.loads(after)
+        assert np.array_equal(loaded.decision_votes(inputs), votes)
+        assert np.array_equal(loaded.predict(inputs), labels)
+        assert state_checksum(loaded.fitted_state()) == state_checksum(model.fitted_state())
+
+    def test_rbf_model_keeps_only_its_support_rows(self, four_class_svms):
+        models, X_train, _ = four_class_svms
+        model = models["rbf"][0]
+        support = np.unique(np.concatenate([pair["indices"] for pair in model._pairs]))
+        assert 0 < len(support) < len(X_train)
+        assert model._X_train.tobytes() == X_train[support].tobytes()
+
+    @pytest.mark.parametrize("kernel", ["rbf", "precomputed"])
+    def test_refit_across_one_and_four_classes_rebuilds_the_arrays(self, four_class_svms, kernel):
+        models, X_train, y_train = four_class_svms
+        test = models[kernel][1]
+        inputs = X_train if kernel == "rbf" else rbf_kernel(X_train, X_train, models["rbf"][0].gamma_)
+        one_class = np.full(len(y_train), "High")
+        model = SvmClassifier(kernel=kernel).fit(inputs, one_class)
+        assert model._decision is None
+        assert np.all(model.predict(test) == "High")
+        assert np.all(pickle.loads(pickle.dumps(model)).predict(test) == "High")
+        model.fit(inputs, y_train)
+        fresh = SvmClassifier(kernel=kernel).fit(inputs, y_train)
+        assert np.array_equal(model.decision_votes(test), fresh.decision_votes(test))
+        assert pickle.dumps(model) == pickle.dumps(fresh)
+        model.fit(inputs, one_class)
+        assert model._decision is None and model._X_train is None
+        assert np.all(model.predict(test) == "High")
 
 
 class TestStdOracle:
