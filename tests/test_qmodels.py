@@ -636,6 +636,23 @@ class TestFittedFootprint:
         assert model.n_iter_ > 0
         assert len(pickle.dumps(model)) < 2 * 1024
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RandomForestClassifier(n_trees=150, seed=0),
+            lambda: LogisticRegressionClassifier(),
+            lambda: VqcClassifier(6, 3, max_evals=20, seed=0),
+        ],
+        ids=["random_forest", "logistic_regression", "vqc"],
+    )
+    def test_pickle_round_trip_keeps_predictions_and_state(self, build, synthetic_half):
+        X, y = synthetic_half
+        model = build().fit(X, y)
+        loaded = pickle.loads(pickle.dumps(model))
+        X_all = select_features(build_dataset(synthesize(seed=0)), k=10).X
+        assert np.array_equal(loaded.predict(X_all), model.predict(X_all))
+        assert state_checksum(loaded.fitted_state()) == state_checksum(model.fitted_state())
+
     @pytest.mark.parametrize("name", list(default_registry()))
     def test_loaded_registry_model_predicts_the_same(self, name, registry_round_trip):
         model, loaded = registry_round_trip[name]
