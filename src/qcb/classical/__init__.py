@@ -3,7 +3,7 @@
 from .linear import LogisticRegressionClassifier
 from .mi import mutual_information
 from .pca import PcaTransform, fit_pca, pca_inverse_transform, pca_transform
-from .scaling import ScalerKind, ScalerState, apply_scaler, fit_scaler
+from .scaling import ScalerKind, ScalerState, apply_scaler, fit_scaler, scale_rows
 from .svm import SvmClassifier
 from .trees import DecisionTreeClassifier, RandomForestClassifier
 
@@ -21,5 +21,6 @@ __all__ = [
     "mutual_information",
     "pca_inverse_transform",
     "pca_transform",
+    "scale_rows",
 ]
 

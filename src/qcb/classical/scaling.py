@@ -63,10 +63,17 @@ def apply_scaler(state: ScalerState, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != state.n_features:
         raise UsageError(f"expected {state.n_features} features, got {X.shape}")
-    normalized = (X - state.offset) / state.scale
-    if state.kind is ScalerKind.ZSCORE:
-        out = np.where(state.degenerate, 0.0, normalized)
-    else:
-        out = np.clip(normalized, 0.0, 1.0) * ANGLE_RANGE
-        out = np.where(state.degenerate, ANGLE_RANGE / 2.0, out)
+    return scale_rows(state, X)
+
+
+def scale_rows(state: ScalerState, X: np.ndarray) -> np.ndarray:
+    """``apply_scaler`` without its checks: X is already a float matrix of
+    ``state.n_features`` columns."""
+    out = (X - state.offset) / state.scale
+    if state.kind is ScalerKind.ANGLE:
+        # np.clip, not a maximum/minimum pair, which would turn -0.0 into +0.0
+        out = np.clip(out, 0.0, 1.0) * ANGLE_RANGE
+    if state.degenerate.any():
+        fill = 0.0 if state.kind is ScalerKind.ZSCORE else ANGLE_RANGE / 2.0
+        out = np.where(state.degenerate, fill, out)
     return out

@@ -418,8 +418,13 @@ class RandomForestClassifier:
     Bootstrap samples are full training-set size drawn with replacement;
     every tree gets its own RNG stream spawned deterministically from the
     forest seed, and prediction is a majority vote with ties resolved toward
-    the lowest class index.
+    the lowest class index.  The first predict after a fit or a load casts
+    the node links to intp once; pickles leave the cast copies out.
     """
+
+    # (roots, feature, right) as intp, the index type of every take in a
+    # descent; built on first use
+    _walk: tuple | None = None
 
     def __init__(self, n_trees: int = 150, max_depth: int = 15, seed: int = 0):
         if n_trees < 1:
@@ -439,6 +444,7 @@ class RandomForestClassifier:
         if X.ndim != 2 or len(X) != len(y):
             raise UsageError("X must be 2-D with one label per row")
         self.classes_, codes = np.unique(y, return_inverse=True)
+        self._walk = None
         n, d = X.shape
         k = len(self.classes_)
         n_candidates = int(np.ceil(np.sqrt(d)))
@@ -483,14 +489,23 @@ class RandomForestClassifier:
         values = X.ravel()
         row_starts = np.arange(n_rows) * d
         nodes = self._nodes
-        node = np.repeat(self._roots.astype(np.intp)[:, None], n_rows, axis=1)  # (trees, rows)
+        if self._walk is None:
+            links = (self._roots, nodes.feature, nodes.right)
+            self._walk = tuple(a.astype(np.intp) for a in links)
+        roots, feature, right = self._walk
+        node = np.repeat(roots[:, None], n_rows, axis=1)  # (trees, rows)
         for _ in range(self._depth):
-            x = values.take(nodes.feature.take(node) + row_starts)
-            node = np.where(x <= nodes.threshold.take(node), node + 1, nodes.right.take(node))
+            x = values.take(feature.take(node) + row_starts)
+            node = np.where(x <= nodes.threshold.take(node), node + 1, right.take(node))
         k = len(self.classes_)
         codes = nodes.value.take(node) + k * np.arange(n_rows)
         votes = np.bincount(codes.ravel(), minlength=k * n_rows).reshape(n_rows, k)
         return self.classes_[np.argmax(votes, axis=1)]
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_walk", None)  # a fixed function of _roots and _nodes
+        return state
 
     def fitted_state(self) -> dict:
         self._check_fitted()

@@ -137,6 +137,20 @@ def _feed(digest, obj) -> None:
         digest.update(repr(obj).encode())
 
 
+# held-out rows a cell scores one at a time to time a single-record predict
+SINGLE_RECORD_ROWS = 3
+
+
+def _single_record_us(model, rows: np.ndarray) -> float:
+    """Median wall clock of ``predict`` on each row alone, in microseconds."""
+    times = []
+    for i in range(len(rows)):
+        started = time.perf_counter()
+        model.predict(rows[i : i + 1])
+        times.append((time.perf_counter() - started) * 1e6)
+    return float(np.median(times))
+
+
 def run_cell(
     spec: ModelSpec,
     X: np.ndarray,
@@ -154,12 +168,14 @@ def run_cell(
     model.fit(X_train, y_train)
     fit_seconds = time.perf_counter() - started
     predictions = model.predict(X_test)
+    predict_us = _single_record_us(model, X_test[:SINGLE_RECORD_ROWS])
     scored = classification_metrics(y_test, predictions, labels=class_labels)
     checksum = state_checksum(model.fitted_state())
     meta = model.metadata() if hasattr(model, "metadata") else {}
     return {
         "metrics": scored,
         "fit_seconds": fit_seconds,
+        "predict_us": predict_us,
         "checksum": checksum,
         "circuit_depth": meta.get("circuit_depth"),
         "model_metadata": meta,
@@ -228,6 +244,7 @@ def _aggregate_model(
     }
     timing = {
         "fit_seconds_mean": float(np.mean(collect("fit_seconds"))),
+        "predict_us_median": float(np.median(collect("predict_us"))),
     }
     entry["metrics"] = metrics
     entry["resources"] = resources
@@ -259,6 +276,7 @@ def _cell_record(seed_index, seed, fold, outcome, error, class_labels) -> dict:
                 str(label): scored.per_class[label].recall for label in class_labels
             },
             "fit_seconds": outcome["fit_seconds"],
+            "predict_us": outcome["predict_us"],
             "checksum": outcome["checksum"],
             "circuit_depth": outcome["circuit_depth"],
         }
@@ -534,7 +552,7 @@ def run_benchmark(
     return report
 
 
-_TIMING_KEYS = {"fit_seconds", "timing", "speedup_vs_reference", "fit_seconds_mean"}
+_TIMING_KEYS = {"fit_seconds", "predict_us", "timing", "speedup_vs_reference", "fit_seconds_mean"}
 
 
 def strip_timing(report: dict):

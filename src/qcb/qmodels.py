@@ -10,13 +10,19 @@ parameters (the RY/CNOT layers folded into one real matrix, each layer the
 Kronecker product of its RY rotations with its rows gathered by its CNOTs;
 each cost/mixer layer's ZZ phase vector and mixer matrix).  The cost/mixer
 angle part also carries the Hamiltonian's checked Z weights, so its data
-part of new rows is one multiply.  The training plan is the data part,
-built once per fit and never stored; a fitted model builds the angle part
-once, caches it for every predict and never pickles it.  During training
-each candidate's logistic head starts from the best head so far, and the
-kept head is refitted from zero.  The feature map is one merged phase on
-|+...+>.  The tests pin batched output to the dense oracle of the
-per-sample gate lists.
+part of new rows is one multiply.  A layer's Z phase depends only on the
+rows and that layer's gamma, so one ``qsim.z_phase_rows`` call on the
+stacked (layers * rows, n) angles gives every layer's diagonal, and the
+layer loop keeps the running amplitudes as the left operand of each
+complex product (the same-bits rules of ``qsim``).  The training plan is
+the data part, built once per fit and never stored; a fitted model builds
+the angle part once, caches it for every predict and never pickles it.
+During training each candidate's logistic head starts from the best head
+so far, and the kept head is refitted from zero.  The feature map is one
+merged phase on |+...+>, with its qubit pairs and ZZ sign table cached
+per register width.  The tests pin batched output to the dense oracle of
+the per-sample gate lists, and the QAOA features' bits to a loop with one
+Z phase call per layer.
 
 Each classifier owns its preprocessing: features are truncated to the
 register width (feature k -> qubit k), standardized, then min-max mapped to
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -57,6 +64,7 @@ from .classical import (
     fit_pca,
     fit_scaler,
     pca_transform,
+    scale_rows,
 )
 from .errors import TrainingError, UsageError
 from .optimize import OptResult, minimize, random_init
@@ -236,10 +244,17 @@ def qaoa_features(
         operators = qaoa_operators(config, h, g, b)
     if plan is None:
         plan = QaoaPlan(x_z=_checked_rows(X_scaled, n) * operators.z_weights)
+    # RZ(2 g x) is exp(-i g x Z); a layer's Z phase depends only on the rows
+    # and its gamma, so every layer's diagonal comes from one call
+    z_phases = qsim.z_phase_rows(
+        (plan.x_z[None] * g.reshape(config.layers, 1, n)).reshape(-1, n)
+    ).reshape(config.layers, len(plan.x_z), 1 << n)
     amps = (1 << n) ** -0.5  # |+...+>: every amplitude is 2**(-n/2)
-    for layer, (zz_phase, mixer) in enumerate(zip(operators.zz_phases, operators.mixers)):
-        # RZ(2 g x) is exp(-i g x Z)
-        phase = qsim.z_phase_rows(plan.x_z * g[layer * n : (layer + 1) * n]) * zz_phase
+    for z_phase, zz_phase, mixer in zip(z_phases, operators.zz_phases, operators.mixers):
+        # a named phase, with the amplitudes on the left: a temporary right
+        # operand of 256 KiB or more may be reused with the factors swapped,
+        # and a complex a*b and b*a can differ in the last bit
+        phase = z_phase * zz_phase
         amps = (amps * phase) @ mixer
     return np.hstack([qsim.z_expectations(amps, n), qsim.x_expectations(amps, n)])
 
@@ -255,10 +270,19 @@ def feature_map_states(X_scaled: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] < 1:
         raise UsageError("X must be a non-empty 2-D matrix")
     n = X.shape[1]
-    pairs = tuple(combinations(range(n), 2))
-    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
-    zz_angle = (X[:, i] * X[:, j]) @ qsim.zz_signs(n, pairs)
+    i, j, signs = _feature_map_pairs(n)
+    zz_angle = (X[:, i] * X[:, j]) @ signs
     return (1 << n) ** -0.5 * qsim.z_phase_rows(X) * np.exp(-1j * zz_angle)
+
+
+@lru_cache(maxsize=None)
+def _feature_map_pairs(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The feature map's qubit pairs (i < j) as two index arrays, and their ZZ signs."""
+    pairs = tuple(combinations(range(n_qubits), 2))
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j, qsim.zz_signs(n_qubits, pairs)
 
 
 def quantum_kernel_matrix(X_a: np.ndarray, X_b: np.ndarray) -> np.ndarray:
@@ -283,8 +307,9 @@ class _ScaleChain:
     angle: object
 
     def transform(self, X: np.ndarray) -> np.ndarray:
+        # the rows are checked once; both scalers fit the register's width
         truncated = _register_columns(X, self.n_qubits)
-        return apply_scaler(self.angle, apply_scaler(self.zscore, truncated))
+        return scale_rows(self.angle, scale_rows(self.zscore, truncated))
 
     def state(self) -> dict:
         return {

@@ -22,7 +22,25 @@ input array, so the same code serves a single state vector of shape
 angle per row.  The compiled-circuit kernels at the end of the module run
 the model circuits, which are evaluated many times on the same rows; a
 layer with one 2x2 gate on every qubit becomes one matrix, the Kronecker
-product of the gates.
+product of the gates.  An RY product state is one gather of each qubit's
+(cos, sin) pair through a cached bit table and one product over the qubit
+axis, in qubit order.
+
+Same bits.  The tests hold these kernels' output bits to straightforward
+reference forms (a doubling loop per qubit, ``np.clip`` clamps) at each
+shape, and a faster form must keep them:
+
+* Complex products are not commutative bit for bit: NumPy's complex
+  multiply may use fused multiply-adds, so ``a * b`` and ``b * a`` can
+  differ in the last bit.  Keep each product's operand order.
+* NumPy may write ``x * y`` into a temporary operand of 256 KiB or more,
+  swapping the operands to do so.  Name a complex factor rather than pass a
+  temporary as the right operand.
+* A one-row matmul and the same row of a batch matmul can take different
+  BLAS paths, so compare a new form with the old one at the same shape.
+* The readout clamps with ``np.maximum`` then ``np.minimum``, and the
+  overlap, a sum of squares never below +0.0, with ``np.minimum`` alone:
+  both keep -0.0 and NaN as ``np.clip`` does, without its Python wrapper.
 """
 from __future__ import annotations
 
@@ -293,8 +311,11 @@ def zz_phase_rows(amps: np.ndarray, qubit_a: int, qubit_b: int, angles) -> np.nd
 
 
 def _z_readout(amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    probs = amps.real**2 + amps.imag**2 if np.iscomplexobj(amps) else amps * amps
-    return np.clip(probs @ z_signs(n_qubits), -1.0, 1.0)
+    probs = amps.real**2 + amps.imag**2 if amps.dtype.kind == "c" else amps * amps
+    # np.clip's bits (-0.0 and NaN kept) without its Python wrapper
+    out = probs @ z_signs(n_qubits)
+    np.maximum(out, -1.0, out=out)
+    return np.minimum(out, 1.0, out=out)
 
 
 def z_expectations(amps: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -317,7 +338,9 @@ def cross_overlap_sq(amps_a: np.ndarray, amps_b: np.ndarray) -> np.ndarray:
     if amps_a.shape[-1] != amps_b.shape[-1]:
         raise UsageError("state dimensions differ")
     inner = np.conj(amps_a) @ amps_b.T
-    return np.clip(inner.real**2 + inner.imag**2, 0.0, 1.0)
+    # a sum of squares is never below +0.0, so only the upper clamp can act
+    sq = inner.real**2 + inner.imag**2
+    return np.minimum(sq, 1.0, out=sq)
 
 
 # ---------------------------------------------------------------------------
@@ -331,21 +354,29 @@ def cross_overlap_sq(amps_a: np.ndarray, amps_b: np.ndarray) -> np.ndarray:
 # halves of a qubit's bit contiguous blocks instead of strided columns.
 
 
+@lru_cache(maxsize=None)
+def _trig_index(n_qubits: int) -> np.ndarray:
+    """(n, 2**n) rows of the stacked (cos, sin) table: q, or n + q where bit q is set."""
+    _check_count(n_qubits)
+    bits = (np.arange(1 << n_qubits) >> np.arange(n_qubits)[:, None]) & 1
+    index = np.arange(n_qubits)[:, None] + n_qubits * bits
+    index.setflags(write=False)
+    return index
+
+
 def ry_product_columns(angles: np.ndarray) -> np.ndarray:
     """RY(angles[r, q]) on each qubit q of |0...0>, as real columns (2**n, batch).
 
     The state is a product: qubit q contributes cos(a/2) where its bit is 0
-    and sin(a/2) where it is 1.
+    and sin(a/2) where it is 1.  One gather lays out every qubit's factor
+    per basis state, and one reduce over the qubit axis multiplies them in
+    qubit order, the order of a state built one qubit at a time.
     """
     angles = np.asarray(angles, dtype=float)
-    _check_count(angles.shape[1])
+    n = angles.shape[1]
     half = 0.5 * angles.T
-    cos, sin = np.cos(half), np.sin(half)
-    cols = np.ones((1, angles.shape[0]))
-    for q in range(angles.shape[1]):
-        # qubit q is the new most significant bit
-        cols = np.concatenate([cols * cos[q], cols * sin[q]])
-    return cols
+    trig = np.concatenate([np.cos(half), np.sin(half)])  # (2n, batch)
+    return np.multiply.reduce(trig[_trig_index(n)], axis=0)
 
 
 def ry_columns(cols: np.ndarray, qubit: int, cos_half, sin_half) -> np.ndarray:
@@ -386,16 +417,22 @@ def z_phase_rows(angles: np.ndarray) -> np.ndarray:
     """Diagonal of prod_q exp(-i angles[r, q] Z_q) for each row r, shape (rows, 2**n).
 
     The diagonal is a product over qubits, so it needs one exp per row and
-    qubit rather than one per row and basis state.
+    qubit rather than one per row and basis state.  It doubles in place in
+    one preallocated array: a fresh array per qubit costs about twice as
+    much once the rows pass a few hundred KiB.
     """
     angles = np.asarray(angles, dtype=float)
-    _check_count(angles.shape[1])
+    rows, n = angles.shape
+    _check_count(n)
     factor = np.exp(-1j * angles)
-    diag = np.ones((len(factor), 1), dtype=np.complex128)
-    for q in range(factor.shape[1]):
+    conj = np.conj(factor)
+    diag = np.empty((rows, 1 << n), dtype=np.complex128)
+    diag[:, 0] = 1.0
+    for q in range(n):
         # qubit q is the new most significant bit: Z_q is +1 below, -1 above
-        f = factor[:, q : q + 1]
-        diag = np.concatenate([diag * f, diag * np.conj(f)], axis=1)
+        low, high = diag[:, : 1 << q], diag[:, 1 << q : 2 << q]
+        np.multiply(low, conj[:, q, None], out=high)
+        np.multiply(low, factor[:, q, None], out=low)
     return diag
 
 

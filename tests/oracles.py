@@ -561,3 +561,102 @@ def ovo_votes_by_pair(kernel: np.ndarray, pairs: list[dict], n_classes: int) -> 
         winner = np.where(scores >= 0.0, a, b)
         votes[np.arange(len(winner)), winner] += 1
     return votes
+
+
+# ---------------------------------------------------------------------------
+# straightforward forms of the scoring kernels: a doubling loop per qubit, one
+# Z phase call per QAOA layer, np.clip clamps, a degenerate-column np.where
+# on every call and a forest vote that casts its links on every call.  The
+# production kernels must match them bit for bit.
+
+# rows of the bit-for-bit comparisons: 1 and 3 rows, the training-split sizes,
+# and a batch whose temporaries pass NumPy's 256 KiB threshold for reusing a
+# temporary operand as the output
+SAME_BITS_ROWS = [1, 3, 144, 230, 320]
+
+
+def doubling_ry_product_columns(angles: np.ndarray) -> np.ndarray:
+    """RY(angles[r, q]) on each qubit q of |0...0> as real columns (2**n, batch),
+    built one qubit at a time by doubling."""
+    angles = np.asarray(angles, dtype=float)
+    half = 0.5 * angles.T
+    cos, sin = np.cos(half), np.sin(half)
+    cols = np.ones((1, angles.shape[0]))
+    for q in range(angles.shape[1]):
+        # qubit q is the new most significant bit
+        cols = np.concatenate([cols * cos[q], cols * sin[q]])
+    return cols
+
+
+def doubling_z_phase_rows(angles: np.ndarray) -> np.ndarray:
+    """Diagonal of prod_q exp(-i angles[r, q] Z_q) per row, conjugating each
+    qubit's factor inside the doubling loop."""
+    angles = np.asarray(angles, dtype=float)
+    factor = np.exp(-1j * angles)
+    diag = np.ones((len(factor), 1), dtype=np.complex128)
+    for q in range(factor.shape[1]):
+        # qubit q is the new most significant bit: Z_q is +1 below, -1 above
+        f = factor[:, q : q + 1]
+        diag = np.concatenate([diag * f, diag * np.conj(f)], axis=1)
+    return diag
+
+
+def _z_sign_table(n_qubits: int) -> np.ndarray:
+    idx = np.arange(1 << n_qubits)
+    return np.stack([1.0 - 2.0 * ((idx >> q) & 1) for q in range(n_qubits)], axis=1)
+
+
+def clip_z_expectations(amps: np.ndarray, n_qubits: int) -> np.ndarray:
+    """<Z_q> for every qubit, clamped to [-1, 1] with np.clip."""
+    probs = amps.real**2 + amps.imag**2 if np.iscomplexobj(amps) else amps * amps
+    return np.clip(probs @ _z_sign_table(n_qubits), -1.0, 1.0)
+
+
+def clip_cross_overlap_sq(amps_a: np.ndarray, amps_b: np.ndarray) -> np.ndarray:
+    """|<a_i|b_j>|**2 for two batches of states, clamped to [0, 1] with np.clip."""
+    inner = np.conj(amps_a) @ amps_b.T
+    return np.clip(inner.real**2 + inner.imag**2, 0.0, 1.0)
+
+
+def per_layer_qaoa_amplitudes(x_z: np.ndarray, gamma: np.ndarray, zz_phases, mixers) -> np.ndarray:
+    """The cost/mixer circuit's final amplitudes, one Z phase call per layer.
+
+    ``x_z`` is each row's Z weight per qubit, and ``zz_phases`` and
+    ``mixers`` hold one ZZ phase vector and one mixer matrix per layer.
+    """
+    n = x_z.shape[1]
+    amps = (1 << n) ** -0.5  # |+...+>: every amplitude is 2**(-n/2)
+    for layer, (zz_phase, mixer) in enumerate(zip(zz_phases, mixers)):
+        # RZ(2 g x) is exp(-i g x Z)
+        phase = doubling_z_phase_rows(x_z * gamma[layer * n : (layer + 1) * n]) * zz_phase
+        amps = (amps * phase) @ mixer
+    return amps
+
+
+def forest_vote_with_casts(forest, X: np.ndarray) -> np.ndarray:
+    """A fitted forest's majority vote, casting its roots to intp on every call
+    and taking its node links in their stored dtypes."""
+    n_rows, d = X.shape
+    values = X.ravel()
+    row_starts = np.arange(n_rows) * d
+    nodes = forest._nodes
+    node = np.repeat(forest._roots.astype(np.intp)[:, None], n_rows, axis=1)  # (trees, rows)
+    for _ in range(forest._depth):
+        x = values.take(nodes.feature.take(node) + row_starts)
+        node = np.where(x <= nodes.threshold.take(node), node + 1, nodes.right.take(node))
+    k = len(forest.classes_)
+    codes = nodes.value.take(node) + k * np.arange(n_rows)
+    votes = np.bincount(codes.ravel(), minlength=k * n_rows).reshape(n_rows, k)
+    return forest.classes_[np.argmax(votes, axis=1)]
+
+
+def apply_scaler_with_where(state, X: np.ndarray) -> np.ndarray:
+    """A fitted scaler applied with its degenerate-column ``np.where`` always taken."""
+    X = np.asarray(X, dtype=float)
+    normalized = (X - state.offset) / state.scale
+    if state.kind.value == "zscore":
+        out = np.where(state.degenerate, 0.0, normalized)
+    else:
+        out = np.clip(normalized, 0.0, 1.0) * np.pi
+        out = np.where(state.degenerate, np.pi / 2.0, out)
+    return out

@@ -27,9 +27,11 @@ from qcb.qmodels import QKernelClassifier
 from qcb.qsim import cross_overlap_sq
 
 from oracles import (
+    SAME_BITS_ROWS,
     NumpyScalarSmo,
     RecursiveDecisionTree,
     RecursiveRandomForest,
+    forest_vote_with_casts,
     logistic_regression_fit,
     logistic_regression_objective,
     ovo_votes_by_pair,
@@ -616,6 +618,28 @@ class TestTreeStorage:
         block = PREDICT_BLOCK_ROWS
         for lo, hi in [(0, block), (block - 5, block + 5), (2 * block - 1, 3 * block + 1)]:
             assert np.array_equal(predicted[lo:hi], forest.predict(tiled[lo:hi]))
+
+
+class TestForestVoteMatchesCastingVote:
+    """The vote on links cast once per fitted forest equals casting on every call."""
+
+    @pytest.mark.parametrize("rows", SAME_BITS_ROWS)
+    def test_registry_forest(self, registry_forest, rows):
+        forest, X = registry_forest
+        X_rows = np.vstack([X, -X])[:rows]
+        got = forest.predict(X_rows)
+        assert got.tobytes() == forest_vote_with_casts(forest, X_rows).tobytes()
+        assert all(a.dtype == np.intp for a in forest._walk)
+
+    def test_refit_casts_the_new_links(self):
+        X, y = _registry_rows()
+        forest = RandomForestClassifier(n_trees=20, seed=3).fit(X[::2], y[::2])
+        forest.predict(X)
+        forest.fit(X[1::2], y[1::2])
+        assert forest._walk is None
+        fresh = RandomForestClassifier(n_trees=20, seed=3).fit(X[1::2], y[1::2])
+        assert np.array_equal(forest.predict(X), fresh.predict(X))
+        assert pickle.dumps(forest) == pickle.dumps(fresh)
 
 
 class TestSvm:

@@ -226,6 +226,17 @@ class TestRunBenchmark:
         b = json.dumps(strip_timing(again), sort_keys=True)
         assert a == b
 
+    def test_single_record_latency_is_timing(self, small_report):
+        for entry in small_report["models"].values():
+            cells = [c for c in entry["cells"] if c["error"] is None]
+            assert cells and all(c["predict_us"] > 0.0 for c in cells)
+            assert entry["timing"]["predict_us_median"] == np.median(
+                [c["predict_us"] for c in cells]
+            )
+        stripped = json.dumps(strip_timing(small_report))
+        assert "predict_us" not in stripped
+        assert "fit_seconds" not in stripped
+
     def test_master_seed_changes_results(self, small_dataset, fast_registry, small_report):
         plan = CvPlan(n_folds=5, seeds=(0, 1))
         other = run_benchmark(
@@ -299,6 +310,10 @@ class TestParallelRuns:
             for workers in (1, 2)
         )
         assert serial["failures_total"] == 0
+        for report in (serial, parallel):
+            assert all(
+                c["predict_us"] > 0.0 for e in report["models"].values() for c in e["cells"]
+            )
         assert json.dumps(strip_timing(serial), sort_keys=True) == json.dumps(
             strip_timing(parallel), sort_keys=True
         )

@@ -1,5 +1,6 @@
 import io
 import pickle
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,11 +16,14 @@ from qcb.circuits import (
     build_vqc_circuit,
     vqc_trainable_gates,
 )
-from qcb import optimize, qmodels
+from qcb import optimize, qmodels, qsim
 from qcb.classical import (
     DecisionTreeClassifier,
     LogisticRegressionClassifier,
     RandomForestClassifier,
+    ScalerKind,
+    ScalerState,
+    SvmClassifier,
 )
 from qcb.data import build_dataset, select_features, synthesize
 from qcb.errors import ConfigurationError, UsageError
@@ -42,7 +46,16 @@ from qcb.qmodels import (
 )
 from qcb.qsim import pauli_x
 
-from oracles import dense_gate_matrix, dense_simulate, plus_state
+from oracles import (
+    SAME_BITS_ROWS,
+    apply_scaler_with_where,
+    clip_z_expectations,
+    dense_gate_matrix,
+    dense_simulate,
+    doubling_z_phase_rows,
+    per_layer_qaoa_amplitudes,
+    plus_state,
+)
 
 
 def _accuracy(model, X, y) -> float:
@@ -290,6 +303,86 @@ class TestCompiledFeaturesMatchDenseOracle:
             expected = dense_simulate(build_feature_map(X[row]), n_qubits)
             assert np.max(np.abs(batch[row] - expected)) < 1e-12
         assert np.max(np.abs(feature_map_states(X[7:8])[0] - batch[7])) < 1e-12
+
+
+def _all_pairs_graph(n_qubits, rng):
+    if n_qubits == 1:
+        return None
+    pairs = [
+        (i, j, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.55, 0.95)))
+        for i, j in combinations(range(n_qubits), 2)
+    ]
+    return _pair_graph(n_qubits, pairs)
+
+
+class TestSameBitsAsReferencePaths:
+    """Features and scaled rows equal the bits of their reference forms at each shape.
+
+    A one-row matmul and the same row of a batch matmul may take different
+    BLAS paths, so each case compares the two paths on the same rows.
+    """
+
+    @pytest.mark.parametrize("rows", SAME_BITS_ROWS)
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("n_qubits", range(1, 9))
+    def test_qaoa_features_equal_the_per_layer_loop(self, n_qubits, layers, rows):
+        rng = np.random.default_rng(500 + 10 * n_qubits + layers)
+        graph = _all_pairs_graph(n_qubits, rng)
+        config = CircuitConfig(CircuitFamily.QAOA, n_qubits, layers, graph)
+        h = CostHamiltonian(
+            zz_terms=graph.pairs if graph else (),
+            z_terms=tuple((q, 0.5) for q in range(n_qubits)),
+        )
+        gamma = rng.uniform(0, 1, n_qubits * layers)
+        beta = rng.uniform(0, 2 * np.pi, n_qubits * layers)
+        X = rng.uniform(0, np.pi, size=(rows, n_qubits))
+        operators = qmodels.qaoa_operators(config, h, gamma, beta)
+        amps = per_layer_qaoa_amplitudes(
+            X * operators.z_weights, gamma, operators.zz_phases, operators.mixers
+        )
+        want = np.hstack([
+            clip_z_expectations(amps, n_qubits),
+            clip_z_expectations(amps @ qsim.hadamard_product(n_qubits), n_qubits),
+        ])
+        got = qaoa_features(config, h, gamma, beta, X)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", SAME_BITS_ROWS)
+    @pytest.mark.parametrize("n_qubits", range(1, 9))
+    def test_feature_map_equals_the_uncached_form(self, n_qubits, rows):
+        X = np.random.default_rng(600 + n_qubits).uniform(0, np.pi, size=(rows, n_qubits))
+        pairs = tuple(combinations(range(n_qubits), 2))
+        i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+        zz_angle = (X[:, i] * X[:, j]) @ qsim.zz_signs(n_qubits, pairs)
+        want = (1 << n_qubits) ** -0.5 * doubling_z_phase_rows(X) * np.exp(-1j * zz_angle)
+        assert feature_map_states(X).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", SAME_BITS_ROWS)
+    @pytest.mark.parametrize("chain_kind", ["fitted", "constant_column", "unit"])
+    def test_scale_chain_equals_two_checked_scalers(self, chain_kind, rows):
+        rng = np.random.default_rng(700 + rows)
+        X_train = rng.normal(size=(40, 6))
+        if chain_kind == "constant_column":
+            X_train[:, 1] = 2.5
+        chain, _ = qmodels._fit_scale_chain(X_train, 4)
+        if chain_kind == "unit":
+            # zero offsets and unit scales: a -0.0 input reaches the ANGLE clamp as -0.0
+            def unit(kind):
+                return ScalerState(kind, np.zeros(4), np.ones(4), np.zeros(4, dtype=bool))
+
+            chain = qmodels._ScaleChain(4, unit(ScalerKind.ZSCORE), unit(ScalerKind.ANGLE))
+        assert bool(chain.zscore.degenerate.any()) == (chain_kind == "constant_column")
+        X = rng.normal(scale=3.0, size=(rows, 6))  # beyond the training range, so the clamp acts
+        X[0, 0] = -0.0
+        if rows > 1:
+            X[1, 2] = np.nan
+        want = apply_scaler_with_where(chain.angle, apply_scaler_with_where(chain.zscore, X[:, :4]))
+        got = chain.transform(X)
+        assert got.tobytes() == want.tobytes()
+        if chain_kind == "unit":
+            assert np.signbit(got[0, 0]) and got[0, 0] == 0.0  # np.clip keeps -0.0
+        if rows > 1:
+            assert np.isnan(got[1, 2])
 
 
 class TestQuantumKernel:
@@ -583,6 +676,15 @@ class TestHybridCq:
 
 
 class TestSingleRecordPredict:
+    @pytest.mark.parametrize("name", list(default_registry()))
+    def test_registry_model_scores_each_record_as_in_the_batch(self, name, registry_round_trip):
+        model, _, _ = registry_round_trip[name]
+        X_all = select_features(build_dataset(synthesize(seed=0)), k=10).X
+        assert len(X_all) == 288
+        batch = model.predict(X_all)
+        singles = [model.predict(X_all[i : i + 1])[0] for i in range(len(X_all))]
+        assert np.array_equal(batch, singles)
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -655,14 +757,14 @@ class TestFittedFootprint:
 
     @pytest.mark.parametrize("name", list(default_registry()))
     def test_loaded_registry_model_predicts_the_same(self, name, registry_round_trip):
-        model, loaded = registry_round_trip[name]
+        model, loaded, _ = registry_round_trip[name]
         X_all = select_features(build_dataset(synthesize(seed=0)), k=10).X
         assert np.array_equal(loaded.predict(X_all), model.predict(X_all))
         assert state_checksum(loaded.fitted_state()) == state_checksum(model.fitted_state())
 
     @pytest.mark.parametrize("name", ["qkernel_svm", "pca_qkernel"])
     def test_loaded_qkernel_rebuilds_its_training_states(self, name, registry_round_trip, synthetic_half):
-        model, loaded = registry_round_trip[name]
+        model, loaded, _ = registry_round_trip[name]
         [inner] = _parts(model, QKernelClassifier)
         [loaded_inner] = _parts(loaded, QKernelClassifier)
         assert loaded_inner.train_states_.tobytes() == inner.train_states_.tobytes()
@@ -675,7 +777,7 @@ class TestFittedFootprint:
 
     @pytest.mark.parametrize("name", ["random_forest", "decision_tree", "q_rf", "q_dectree"])
     def test_loaded_trees_keep_every_node_array(self, name, registry_round_trip):
-        model, loaded = registry_round_trip[name]
+        model, loaded, _ = registry_round_trip[name]
         trees = _parts(model, (RandomForestClassifier, DecisionTreeClassifier))
         loaded_trees = _parts(loaded, (RandomForestClassifier, DecisionTreeClassifier))
         assert len(trees) == len(loaded_trees) == 1
@@ -712,13 +814,41 @@ def _parts(model, kind) -> list:
 
 @pytest.fixture(scope="module")
 def registry_round_trip(synthetic_half):
-    """Each registry model fitted on 144 records, and the same model loaded from its pickle."""
+    """Each registry model fitted on 144 records, the same model loaded from its
+    pickle, and the pickle, taken before any predict."""
     X, y = synthetic_half
     fitted = {}
     for name, spec in default_registry().items():
         model = spec.build(1).fit(X, y)
-        fitted[name] = model, pickle.loads(pickle.dumps(model))
+        blob = pickle.dumps(model)
+        fitted[name] = model, pickle.loads(blob), blob
     return fitted
+
+
+# each model kind's cache for predict, a fixed function of what its pickle holds
+_CACHE_ATTRIBUTES = [
+    ((VqcClassifier, QaoaClassifier), "_operators"),
+    (RandomForestClassifier, "_walk"),
+    (SvmClassifier, "_decision"),
+    (QKernelClassifier, "train_states_"),
+]
+
+
+def _cache_bytes(model) -> list:
+    """The bytes of every predict cache held by ``model`` or the models it holds."""
+
+    def flat(value):
+        if isinstance(value, np.ndarray):
+            return [value.dtype.str.encode(), value.tobytes()]
+        return [b for item in value for b in flat(item)]
+
+    found = []
+    for kind, attribute in _CACHE_ATTRIBUTES:
+        for part in _parts(model, kind):
+            cache = getattr(part, attribute)
+            assert cache is not None, f"{type(part).__name__}.{attribute} was not built"
+            found.append(flat(cache))
+    return found
 
 
 _CACHING_MODELS = [
@@ -763,6 +893,17 @@ class TestOperatorCache:
         assert after == before
         assert b"_operators" not in after
         assert np.array_equal(pickle.loads(after).predict(X), labels)
+
+    @pytest.mark.parametrize("name", list(default_registry()))
+    def test_registry_model_pickle_leaves_every_cache_out(self, name, registry_round_trip):
+        model, _, blob = registry_round_trip[name]
+        X_all = select_features(build_dataset(synthesize(seed=0)), k=10).X
+        labels = model.predict(X_all)
+        model.predict(X_all[:1])
+        assert pickle.dumps(model) == blob
+        loaded = pickle.loads(blob)
+        assert np.array_equal(loaded.predict(X_all), labels)
+        assert _cache_bytes(loaded) == _cache_bytes(model)
 
     def test_qaoa_terms_are_checked_once_per_fitted_model(self, synthetic_half, monkeypatch):
         X, y = synthetic_half

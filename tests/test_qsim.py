@@ -17,8 +17,13 @@ from qcb.qsim import (
 )
 
 from oracles import (
+    SAME_BITS_ROWS,
+    clip_cross_overlap_sq,
+    clip_z_expectations,
     dense_gate_matrix,
     dense_simulate,
+    doubling_ry_product_columns,
+    doubling_z_phase_rows,
     kron_chain,
     plus_state,
     random_circuit,
@@ -385,3 +390,61 @@ class TestCompiledKernels:
         assert walsh is qsim.hadamard_product(n) and not walsh.flags.writeable
         h = dense_gate_matrix(hadamard(0), 1)
         assert np.max(np.abs(walsh - kron_chain([h] * n))) <= 1e-15
+
+
+def _rows_with_special_values(rng, rows, cols, scale):
+    """Random values with -0.0 and NaN planted in the first row (when there is one)."""
+    values = rng.uniform(-scale, scale, size=(rows, cols))
+    values[0, 0] = -0.0
+    if rows > 1:
+        values[1, -1] = np.nan
+    return values
+
+
+class TestSameBitsAsReferenceKernels:
+    """The kernels return the bits of their straightforward reference forms, at each shape."""
+
+    @pytest.mark.parametrize("rows", SAME_BITS_ROWS)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_ry_product_columns(self, n, rows):
+        angles = np.random.default_rng(100 + n).uniform(-7.0, 7.0, size=(rows, n))
+        got = qsim.ry_product_columns(angles)
+        assert got.shape == (1 << n, rows)
+        assert got.tobytes() == doubling_ry_product_columns(angles).tobytes()
+
+    @pytest.mark.parametrize("rows", SAME_BITS_ROWS)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_z_phase_rows(self, n, rows):
+        angles = np.random.default_rng(110 + n).uniform(-4.0, 4.0, size=(rows, n))
+        assert qsim.z_phase_rows(angles).tobytes() == doubling_z_phase_rows(angles).tobytes()
+
+    @pytest.mark.parametrize("rows", SAME_BITS_ROWS)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_readouts(self, n, rows):
+        # unnormalised rows, so the clamp acts; -0.0 and NaN amplitudes included
+        rng = np.random.default_rng(120 + n)
+        dim = 1 << n
+        real = _rows_with_special_values(rng, rows, dim, 1.5)
+        amps = real + 1j * _rows_with_special_values(rng, rows, dim, 1.5)
+        for state in (real, amps):
+            want = clip_z_expectations(state, n)
+            assert qsim.z_expectations(state, n).tobytes() == want.tobytes()
+        hadamard = amps @ qsim.hadamard_product(n)
+        assert qsim.x_expectations(amps, n).tobytes() == clip_z_expectations(hadamard, n).tobytes()
+        if rows > 1:
+            assert np.isnan(qsim.z_expectations(amps, n)[1]).all()
+        assert np.abs(qsim.z_expectations(amps, n)[2:]).max(initial=0.0) <= 1.0
+
+    @pytest.mark.parametrize("rows", SAME_BITS_ROWS)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cross_overlap_sq(self, n, rows):
+        rng = np.random.default_rng(130 + n)
+        dim = 1 << n
+        amps = _rows_with_special_values(rng, rows, dim, 1.0) + 1j * rng.uniform(size=(rows, dim))
+        amps[-1] = -0.0  # a state of signed zeros: its overlaps are +0.0
+        others = amps[: min(rows, 7)]
+        got = qsim.cross_overlap_sq(amps, others)
+        assert got.tobytes() == clip_cross_overlap_sq(amps, others).tobytes()
+        assert np.signbit(got[-1]).sum() == 0
+        if rows > 2 and n > 1:
+            assert got[0, 0] == 1.0  # an unnormalised state hits the clamp
