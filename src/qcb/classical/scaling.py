@@ -71,9 +71,10 @@ def scale_rows(state: ScalerState, X: np.ndarray) -> np.ndarray:
     ``state.n_features`` columns."""
     out = (X - state.offset) / state.scale
     if state.kind is ScalerKind.ANGLE:
-        # np.clip, not a maximum/minimum pair, which would turn -0.0 into +0.0
-        out = np.clip(out, 0.0, 1.0) * ANGLE_RANGE
-    if state.degenerate.any():
+        # a clip (the method np.clip dispatches to), not a maximum/minimum
+        # pair, which would turn -0.0 into +0.0
+        out = out.clip(0.0, 1.0) * ANGLE_RANGE
+    if np.logical_or.reduce(state.degenerate):
         fill = 0.0 if state.kind is ScalerKind.ZSCORE else ANGLE_RANGE / 2.0
         out = np.where(state.degenerate, fill, out)
     return out

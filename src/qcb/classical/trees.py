@@ -58,7 +58,15 @@ bootstrap held, from which a tree's text is rendered in the codes of its own
 classes; no per-tree object is made.  The forest scores rows in blocks of
 ``PREDICT_BLOCK_ROWS``: each block goes through every tree in ``depth``
 vectorised gather steps over a ``(trees, rows)`` node-index array, and votes
-with one ``bincount``.
+with one ``bincount``.  A step costs eight NumPy calls, so a small block
+instead builds a next-node table: for each row and node, ``i + 1`` where the
+row's feature is ``<= threshold`` and ``right`` otherwise, each row's entries
+offset into its own stretch of one flat array.  A leaf's entry is itself, so
+``depth`` jumps ``node = step.take(node)`` reach the same leaves as the
+level-wise descent, bit for bit (a NaN feature goes right in both).  The
+table costs rows x nodes, so only a block within ``TABLE_BLOCK_ELEMENTS``, or
+of one row, takes it (pointer-style traversal; Asadi, Lin & de Vries, IEEE
+TKDE 26:2281, 2014).
 
 Pickles.  A pickled table holds the distinct bit patterns of its thresholds
 and one index per node into them, in the smallest unsigned dtype; a leaf's
@@ -410,6 +418,9 @@ class DecisionTreeClassifier:
 
 # rows scored together by a forest; a block's (trees, rows) node indices bound predict's memory
 PREDICT_BLOCK_ROWS = 1024
+# rows x nodes of the largest block scored through a next-node table; a larger
+# block, apart from one row, descends level by level
+TABLE_BLOCK_ELEMENTS = 16384
 
 
 class RandomForestClassifier:
@@ -419,11 +430,14 @@ class RandomForestClassifier:
     every tree gets its own RNG stream spawned deterministically from the
     forest seed, and prediction is a majority vote with ties resolved toward
     the lowest class index.  The first predict after a fit or a load casts
-    the node links to intp once; pickles leave the cast copies out.
+    the node links to intp once; pickles leave the cast copies out.  One
+    record, or a block within ``TABLE_BLOCK_ELEMENTS`` rows x nodes, is
+    scored through a next-node table, one gather per depth level; a larger
+    block descends level by level, with the same votes.
     """
 
-    # (roots, feature, right) as intp, the index type of every take in a
-    # descent; built on first use
+    # (roots, feature, right, each node's index + 1) as intp, the index type
+    # of every take in a descent; built on first use
     _walk: tuple | None = None
 
     def __init__(self, n_trees: int = 150, max_depth: int = 15, seed: int = 0):
@@ -481,22 +495,38 @@ class RandomForestClassifier:
     def predict(self, X):
         self._check_fitted()
         X = np.asarray(X, dtype=float)
-        starts = range(0, max(len(X), 1), PREDICT_BLOCK_ROWS)
+        if len(X) <= PREDICT_BLOCK_ROWS:
+            return self._vote(X)
+        starts = range(0, len(X), PREDICT_BLOCK_ROWS)
         return np.concatenate([self._vote(X[i : i + PREDICT_BLOCK_ROWS]) for i in starts])
 
     def _vote(self, X: np.ndarray) -> np.ndarray:
         n_rows, d = X.shape
-        values = X.ravel()
-        row_starts = np.arange(n_rows) * d
         nodes = self._nodes
         if self._walk is None:
             links = (self._roots, nodes.feature, nodes.right)
-            self._walk = tuple(a.astype(np.intp) for a in links)
-        roots, feature, right = self._walk
-        node = np.repeat(roots[:, None], n_rows, axis=1)  # (trees, rows)
-        for _ in range(self._depth):
-            x = values.take(feature.take(node) + row_starts)
-            node = np.where(x <= nodes.threshold.take(node), node + 1, right.take(node))
+            self._walk = (*(a.astype(np.intp) for a in links), np.arange(1, len(nodes.right) + 1))
+        roots, feature, right, following = self._walk
+        n_nodes = len(right)
+        if self._depth and (n_rows == 1 or n_rows * n_nodes <= TABLE_BLOCK_ELEMENTS):
+            # each row's next node from every node; a leaf's is itself
+            step = np.where(X.take(feature, axis=1) <= nodes.threshold, following, right)
+            node = roots[:, None]  # (trees, rows)
+            if n_rows != 1:  # each row's entries point into its own stretch of the flat table
+                offsets = np.arange(0, n_rows * n_nodes, n_nodes)
+                step += offsets[:, None]
+                node = node + offsets
+            for _ in range(self._depth):
+                node = step.take(node)
+            if n_rows != 1:
+                node -= offsets
+        else:
+            values = X.ravel()
+            row_starts = np.arange(n_rows) * d
+            node = np.repeat(roots[:, None], n_rows, axis=1)  # (trees, rows)
+            for _ in range(self._depth):
+                x = values.take(feature.take(node) + row_starts)
+                node = np.where(x <= nodes.threshold.take(node), node + 1, right.take(node))
         k = len(self.classes_)
         codes = nodes.value.take(node) + k * np.arange(n_rows)
         votes = np.bincount(codes.ravel(), minlength=k * n_rows).reshape(n_rows, k)

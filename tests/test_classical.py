@@ -19,7 +19,7 @@ from qcb.classical import (
     pca_transform,
 )
 from qcb.classical.svm import _BinarySmo, rbf_kernel
-from qcb.classical.trees import PREDICT_BLOCK_ROWS
+from qcb.classical.trees import PREDICT_BLOCK_ROWS, TABLE_BLOCK_ELEMENTS
 from qcb.data import build_dataset, select_features, synthesize
 from qcb.errors import UsageError
 from qcb.evalharness.runner import state_checksum
@@ -618,6 +618,22 @@ class TestTreeStorage:
         block = PREDICT_BLOCK_ROWS
         for lo, hi in [(0, block), (block - 5, block + 5), (2 * block - 1, 3 * block + 1)]:
             assert np.array_equal(predicted[lo:hi], forest.predict(tiled[lo:hi]))
+        # a block within the budget is scored through a (rows, nodes) next-node
+        # table: its features, comparisons and links, about 13 bytes an element when measured
+        rows = _table_rows(forest)
+        assert rows * len(forest._nodes.right) <= TABLE_BLOCK_ELEMENTS
+        tracemalloc.start()
+        try:
+            forest.predict(X[:rows])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * TABLE_BLOCK_ELEMENTS + 64 * 1024
+
+
+def _table_rows(forest) -> int:
+    """The most rows a block of ``forest`` may hold and be scored through a next-node table."""
+    return max(TABLE_BLOCK_ELEMENTS // len(forest._nodes.right), 1)
 
 
 class TestForestVoteMatchesCastingVote:
@@ -630,6 +646,44 @@ class TestForestVoteMatchesCastingVote:
         got = forest.predict(X_rows)
         assert got.tobytes() == forest_vote_with_casts(forest, X_rows).tobytes()
         assert all(a.dtype == np.intp for a in forest._walk)
+
+    def test_table_block_edges(self, registry_forest):
+        # one row, the largest block that takes the next-node table and one row
+        # more, which descends level by level
+        forest, X = registry_forest
+        rows = _table_rows(forest)
+        assert rows > 1
+        assert forest.predict(X[:0]).tobytes() == forest_vote_with_casts(forest, X[:0]).tobytes()
+        X_rows = np.vstack([X, -X])
+        for n_rows in (1, rows, rows + 1):
+            for start in range(0, len(X_rows) - n_rows + 1, 37):
+                block = X_rows[start : start + n_rows]
+                got = forest.predict(block)
+                assert got.tobytes() == forest_vote_with_casts(forest, block).tobytes()
+
+    def test_rows_with_nan_and_infinite_features(self, registry_forest):
+        # NaN <= threshold is false, so a NaN goes right at every split, as +inf does
+        forest, X = registry_forest
+        rows = _table_rows(forest)
+        odd = np.tile(X[:12], (3, 1))
+        for i, row in enumerate(odd):
+            row[i % X.shape[1]] = (np.nan, np.inf, -np.inf)[i // 12]
+        odd[-1] = np.nan
+        for n_rows in (1, rows, rows + 1, len(odd)):
+            for start in range(0, len(odd) - n_rows + 1):
+                block = odd[start : start + n_rows]
+                got = forest.predict(block)
+                assert got.tobytes() == forest_vote_with_casts(forest, block).tobytes()
+
+    def test_loaded_forest(self, registry_forest):
+        forest, X = registry_forest
+        loaded = pickle.loads(pickle.dumps(forest))
+        assert loaded._walk is None
+        rows = _table_rows(forest)
+        for n_rows in (1, rows, rows + 1, 144):
+            for block in (X[:n_rows], X[-n_rows:]):
+                got = loaded.predict(block)
+                assert got.tobytes() == forest_vote_with_casts(forest, block).tobytes()
 
     def test_refit_casts_the_new_links(self):
         X, y = _registry_rows()
