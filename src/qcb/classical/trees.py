@@ -58,15 +58,14 @@ bootstrap held, from which a tree's text is rendered in the codes of its own
 classes; no per-tree object is made.  The forest scores rows in blocks of
 ``PREDICT_BLOCK_ROWS``: each block goes through every tree in ``depth``
 vectorised gather steps over a ``(trees, rows)`` node-index array, and votes
-with one ``bincount``.  A step costs eight NumPy calls, so a small block
-instead builds a next-node table: for each row and node, ``i + 1`` where the
-row's feature is ``<= threshold`` and ``right`` otherwise, each row's entries
-offset into its own stretch of one flat array.  A leaf's entry is itself, so
-``depth`` jumps ``node = step.take(node)`` reach the same leaves as the
-level-wise descent, bit for bit (a NaN feature goes right in both).  The
-table costs rows x nodes, so only a block within ``TABLE_BLOCK_ELEMENTS``, or
-of one row, takes it (pointer-style traversal; Asadi, Lin & de Vries, IEEE
-TKDE 26:2281, 2014).
+with one ``bincount``.  A step costs eight NumPy calls, so a single record
+instead builds a next-node table: for each node, ``i + 1`` where the record's
+feature is ``<= threshold`` and ``right`` otherwise.  A leaf's entry is
+itself, so ``depth`` jumps ``node = step.take(node)`` reach the same leaves as
+the level-wise descent, bit for bit (a NaN feature goes right in both).  The
+table costs a pass over every node, so only a forest of at most
+``TABLE_MAX_NODES`` nodes takes it (pointer-style traversal; Asadi, Lin & de
+Vries, IEEE TKDE 26:2281, 2014).
 
 Pickles.  A pickled table holds the distinct bit patterns of its thresholds
 and one index per node into them, in the smallest unsigned dtype; a leaf's
@@ -418,9 +417,9 @@ class DecisionTreeClassifier:
 
 # rows scored together by a forest; a block's (trees, rows) node indices bound predict's memory
 PREDICT_BLOCK_ROWS = 1024
-# rows x nodes of the largest block scored through a next-node table; a larger
-# block, apart from one row, descends level by level
-TABLE_BLOCK_ELEMENTS = 16384
+# nodes of the largest forest that scores one record through a next-node table;
+# a larger forest, and every block of more than one row, descends level by level
+TABLE_MAX_NODES = 16384
 
 
 class RandomForestClassifier:
@@ -431,9 +430,9 @@ class RandomForestClassifier:
     forest seed, and prediction is a majority vote with ties resolved toward
     the lowest class index.  The first predict after a fit or a load casts
     the node links to intp once; pickles leave the cast copies out.  One
-    record, or a block within ``TABLE_BLOCK_ELEMENTS`` rows x nodes, is
-    scored through a next-node table, one gather per depth level; a larger
-    block descends level by level, with the same votes.
+    record, in a forest of at most ``TABLE_MAX_NODES`` nodes, is scored
+    through a next-node table, one gather per depth level; a larger forest
+    or block descends level by level, with the same votes.
     """
 
     # (roots, feature, right, each node's index + 1) as intp, the index type
@@ -507,19 +506,12 @@ class RandomForestClassifier:
             links = (self._roots, nodes.feature, nodes.right)
             self._walk = (*(a.astype(np.intp) for a in links), np.arange(1, len(nodes.right) + 1))
         roots, feature, right, following = self._walk
-        n_nodes = len(right)
-        if self._depth and (n_rows == 1 or n_rows * n_nodes <= TABLE_BLOCK_ELEMENTS):
-            # each row's next node from every node; a leaf's is itself
-            step = np.where(X.take(feature, axis=1) <= nodes.threshold, following, right)
+        if self._depth and n_rows == 1 and len(right) <= TABLE_MAX_NODES:
+            # the record's next node from every node; a leaf's is itself
+            step = np.where(X[0].take(feature) <= nodes.threshold, following, right)
             node = roots[:, None]  # (trees, rows)
-            if n_rows != 1:  # each row's entries point into its own stretch of the flat table
-                offsets = np.arange(0, n_rows * n_nodes, n_nodes)
-                step += offsets[:, None]
-                node = node + offsets
             for _ in range(self._depth):
                 node = step.take(node)
-            if n_rows != 1:
-                node -= offsets
         else:
             values = X.ravel()
             row_starts = np.arange(n_rows) * d

@@ -17,9 +17,10 @@ from qcb.classical import (
     mutual_information,
     pca_inverse_transform,
     pca_transform,
+    trees,
 )
 from qcb.classical.svm import _BinarySmo, rbf_kernel
-from qcb.classical.trees import PREDICT_BLOCK_ROWS, TABLE_BLOCK_ELEMENTS
+from qcb.classical.trees import PREDICT_BLOCK_ROWS, TABLE_MAX_NODES
 from qcb.data import build_dataset, select_features, synthesize
 from qcb.errors import UsageError
 from qcb.evalharness.runner import state_checksum
@@ -618,22 +619,21 @@ class TestTreeStorage:
         block = PREDICT_BLOCK_ROWS
         for lo, hi in [(0, block), (block - 5, block + 5), (2 * block - 1, 3 * block + 1)]:
             assert np.array_equal(predicted[lo:hi], forest.predict(tiled[lo:hi]))
-        # a block within the budget is scored through a (rows, nodes) next-node
-        # table: its features, comparisons and links, about 13 bytes an element when measured
-        rows = _table_rows(forest)
-        assert rows * len(forest._nodes.right) <= TABLE_BLOCK_ELEMENTS
-        tracemalloc.start()
-        try:
-            forest.predict(X[:rows])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 * TABLE_BLOCK_ELEMENTS + 64 * 1024
+        # one record is scored through a next-node table: its features,
+        # comparisons and links, about 9.4 bytes a node when measured
+        assert len(forest._nodes.right) <= TABLE_MAX_NODES
+        assert _predict_peak(forest, X[:1]) < 24 * TABLE_MAX_NODES + 64 * 1024
 
 
-def _table_rows(forest) -> int:
-    """The most rows a block of ``forest`` may hold and be scored through a next-node table."""
-    return max(TABLE_BLOCK_ELEMENTS // len(forest._nodes.right), 1)
+def _predict_peak(forest, X_rows) -> int:
+    """The peak bytes traced while ``forest`` predicts ``X_rows``, its links already cast."""
+    forest.predict(X_rows)
+    tracemalloc.start()
+    try:
+        forest.predict(X_rows)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestForestVoteMatchesCastingVote:
@@ -647,29 +647,32 @@ class TestForestVoteMatchesCastingVote:
         assert got.tobytes() == forest_vote_with_casts(forest, X_rows).tobytes()
         assert all(a.dtype == np.intp for a in forest._walk)
 
-    def test_table_block_edges(self, registry_forest):
-        # one row, the largest block that takes the next-node table and one row
-        # more, which descends level by level
+    def test_table_node_budget_edges(self, registry_forest, monkeypatch):
+        # one record takes the next-node table, whose (nodes,) arrays show in
+        # its peak, while the forest has at most TABLE_MAX_NODES nodes; two
+        # records, or one more node, descend level by level on (trees, rows) arrays
         forest, X = registry_forest
-        rows = _table_rows(forest)
-        assert rows > 1
-        assert forest.predict(X[:0]).tobytes() == forest_vote_with_casts(forest, X[:0]).tobytes()
+        n_nodes = len(forest._nodes.right)
         X_rows = np.vstack([X, -X])
-        for n_rows in (1, rows, rows + 1):
-            for start in range(0, len(X_rows) - n_rows + 1, 37):
-                block = X_rows[start : start + n_rows]
-                got = forest.predict(block)
-                assert got.tobytes() == forest_vote_with_casts(forest, block).tobytes()
+        assert forest.predict(X[:0]).tobytes() == forest_vote_with_casts(forest, X[:0]).tobytes()
+        for budget in (n_nodes, n_nodes - 1):
+            monkeypatch.setattr(trees, "TABLE_MAX_NODES", budget)
+            for n_rows in (1, 2):
+                table = n_rows == 1 and budget == n_nodes
+                assert (_predict_peak(forest, X_rows[:n_rows]) > 8 * n_nodes) == table
+                for start in range(0, len(X_rows) - n_rows + 1, 37):
+                    block = X_rows[start : start + n_rows]
+                    got = forest.predict(block)
+                    assert got.tobytes() == forest_vote_with_casts(forest, block).tobytes()
 
     def test_rows_with_nan_and_infinite_features(self, registry_forest):
         # NaN <= threshold is false, so a NaN goes right at every split, as +inf does
         forest, X = registry_forest
-        rows = _table_rows(forest)
         odd = np.tile(X[:12], (3, 1))
         for i, row in enumerate(odd):
             row[i % X.shape[1]] = (np.nan, np.inf, -np.inf)[i // 12]
         odd[-1] = np.nan
-        for n_rows in (1, rows, rows + 1, len(odd)):
+        for n_rows in (1, 2, len(odd)):
             for start in range(0, len(odd) - n_rows + 1):
                 block = odd[start : start + n_rows]
                 got = forest.predict(block)
@@ -679,11 +682,17 @@ class TestForestVoteMatchesCastingVote:
         forest, X = registry_forest
         loaded = pickle.loads(pickle.dumps(forest))
         assert loaded._walk is None
-        rows = _table_rows(forest)
-        for n_rows in (1, rows, rows + 1, 144):
+        for n_rows in (1, 2, 144):
             for block in (X[:n_rows], X[-n_rows:]):
                 got = loaded.predict(block)
                 assert got.tobytes() == forest_vote_with_casts(forest, block).tobytes()
+
+    def test_one_record_without_feature_columns(self):
+        # every tree is one leaf, so there is no feature to build a table from
+        labels = np.array([2, 0, 1, 1, 0, 2, 2, 1, 0])
+        forest = RandomForestClassifier(n_trees=9, seed=3).fit(np.zeros((9, 0)), labels)
+        record = np.zeros((1, 0))
+        assert forest.predict(record).tobytes() == forest_vote_with_casts(forest, record).tobytes()
 
     def test_refit_casts_the_new_links(self):
         X, y = _registry_rows()
