@@ -67,11 +67,18 @@ table costs a pass over every node, so only a forest of at most
 ``TABLE_MAX_NODES`` nodes takes it (pointer-style traversal; Asadi, Lin & de
 Vries, IEEE TKDE 26:2281, 2014).
 
-Pickles.  A pickled table holds the distinct bit patterns of its thresholds
-and one index per node into them, in the smallest unsigned dtype; a leaf's
-``feature`` and a split's ``value`` are 0, so one array holds each node's
-feature or class.  Loading unpacks them with the leaf mask ``right ==
-arange`` into the same arrays, bit for bit and dtype for dtype.
+Pickles.  A pickled table keeps what fixes a preorder tree (Jacobson, FOCS
+1989): a packed leaf bit per node, each split's feature and threshold, and
+each leaf's class.  A threshold is an index, in the smallest unsigned dtype,
+into its feature's sorted distinct bit patterns, which keep -0.0 apart from
+0.0.  A node's excess counts splits minus leaves up to and including it; the
+left subtree of split ``i`` ends at the first later node whose excess is one
+below ``excess[i]``, and its right child follows.  Loading finds every end
+with one sort of (excess, node) keys and one ``searchsorted``, and builds
+each array from a dtype string, so the arrays come back bit for bit in
+numpy's own dtypes and a loaded tree pickles to the same bytes.  A forest's
+pickle leaves out the tree roots, as tree ``t`` ends where the excess first
+reads ``-t - 1``, and packs its held-class mask into bits.
 """
 from __future__ import annotations
 
@@ -97,25 +104,46 @@ class _Nodes(NamedTuple):
     value: np.ndarray  # leaf class code; 0 at a split
 
     def __reduce__(self):
-        # see Pickles above; unique bit patterns keep -0.0 apart from 0.0
-        bits, index = np.unique(self.threshold.view(np.uint64), return_inverse=True)
+        # see Pickles above
         leaf = self.right == np.arange(len(self.right))
-        packed = np.where(leaf, self.value, self.feature)
+        split_feature = self.feature[~leaf]
+        # the distinct bit patterns, then one key per split, feature-major over
+        # them: the sorted distinct keys run feature by feature, pattern by pattern
+        bits, pattern = np.unique(self.threshold[~leaf].view(np.uint64), return_inverse=True)
+        width = max(len(bits), 1)
+        keys, inverse = np.unique(split_feature.astype(np.intp) * width + pattern, return_inverse=True)
+        counts = np.bincount(keys // width)  # distinct thresholds per feature
+        index = inverse - _starts(counts)[split_feature]
         return _load_nodes, (
-            bits.view(float), _compact(index, len(bits) - 1), self.right, packed,
-            self.feature.dtype.str, self.value.dtype.str,
+            np.packbits(leaf), split_feature, _compact(counts, counts.max(initial=0)),
+            _compact(index, counts.max(initial=1) - 1), bits[keys % width].view(float), self.value[leaf],
         )
 
 
-def _load_nodes(thresholds, index, right, packed, feature_dtype: str, value_dtype: str) -> _Nodes:
-    """Unpickle ``_Nodes``: the same arrays, bit for bit and dtype for dtype."""
-    leaf = right == np.arange(len(right))
-    return _Nodes(
-        feature=np.where(leaf, 0, packed).astype(feature_dtype),
-        threshold=thresholds[index],
-        right=right,
-        value=np.where(leaf, packed, 0).astype(value_dtype),
-    )
+def _load_nodes(leaf_bits, split_feature, counts, index, thresholds, leaf_value) -> _Nodes:
+    """Unpickle ``_Nodes``: the same arrays, bit for bit, in numpy's own dtypes."""
+    n = len(split_feature) + len(leaf_value)
+    leaf = np.unpackbits(leaf_bits, count=n).view(bool)
+    split = np.flatnonzero(~leaf)
+    feature = np.zeros(n, split_feature.dtype.str)
+    feature[split] = split_feature
+    threshold = np.full(n, np.nan)
+    threshold[split] = thresholds[_starts(counts)[split_feature] + index]
+    value = np.zeros(n, leaf_value.dtype.str)
+    value[leaf] = leaf_value
+    # the left subtree of split i ends at the first later node whose excess is
+    # one below excess[i], found by one search of the sorted (excess, node) keys
+    excess = _excess(leaf)
+    low = excess.min()
+    keys = np.sort((excess - low) * n + np.arange(n))
+    right = np.arange(n)
+    right[split] = keys[np.searchsorted(keys, (excess[split] - 1 - low) * n + split + 1)] % n + 1
+    return _Nodes(feature, threshold, _compact(right, n - 1), value)
+
+
+def _excess(leaf: np.ndarray) -> np.ndarray:
+    """Splits minus leaves in preorder, up to and including each node."""
+    return np.cumsum(np.where(leaf, -1, 1))
 
 
 def _compact(values, largest: int) -> np.ndarray:
@@ -429,10 +457,13 @@ class RandomForestClassifier:
     every tree gets its own RNG stream spawned deterministically from the
     forest seed, and prediction is a majority vote with ties resolved toward
     the lowest class index.  The first predict after a fit or a load casts
-    the node links to intp once; pickles leave the cast copies out.  One
-    record, in a forest of at most ``TABLE_MAX_NODES`` nodes, is scored
-    through a next-node table, one gather per depth level; a larger forest
-    or block descends level by level, with the same votes.
+    the node links to intp once.  One record, in a forest of at most
+    ``TABLE_MAX_NODES`` nodes, is scored through a next-node table, one
+    gather per depth level; a larger forest or block descends level by
+    level, with the same votes.  A pickle holds the node table in its
+    succinct form (see Pickles in the module docstring), the held-class mask
+    as packed bits, and neither the tree roots nor the cast links; loading
+    rebuilds the roots from the leaf bits.
     """
 
     # (roots, feature, right, each node's index + 1) as intp, the index type
@@ -527,7 +558,21 @@ class RandomForestClassifier:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state.pop("_walk", None)  # a fixed function of _roots and _nodes
+        del state["_roots"]  # each tree ends where the excess falls to a new low
+        if self._held is not None:
+            state["_held"] = np.packbits(self._held)
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._roots = None
+        if self._nodes is not None:
+            right = self._nodes.right
+            excess, first = np.unique(_excess(right == np.arange(len(right))), return_index=True)
+            ends = first[excess < 0][::-1]  # tree t ends where the excess first reads -t - 1
+            self._roots = _compact(np.concatenate([[0], ends[:-1] + 1]), len(right) - 1)
+            held = np.unpackbits(self._held, count=len(ends) * len(self.classes_))
+            self._held = held.reshape(len(ends), -1).view(bool)
 
     def fitted_state(self) -> dict:
         self._check_fitted()

@@ -340,6 +340,7 @@ class TestDecisionTree:
         model = DecisionTreeClassifier().fit(X, y)
         assert len(model._nodes.right) == 1
         assert np.array_equal(model.predict(X), np.ones(6))
+        assert np.array_equal(_assert_load_keeps_fit(model).predict(X), np.ones(6))
 
     def test_string_labels_supported(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -532,11 +533,35 @@ def _registry_rows():
     return dataset.X, dataset.y
 
 
-def _assert_pickle_keeps_nodes(nodes) -> None:
-    """A pickle round trip gives every node array back bit for bit, in its dtype."""
-    for array, loaded in zip(nodes, pickle.loads(pickle.dumps(nodes))):
-        assert loaded.dtype == array.dtype
-        assert loaded.tobytes() == array.tobytes()
+def _assert_same_arrays(arrays, others) -> None:
+    assert len(arrays) == len(others)
+    for array, other in zip(arrays, others):
+        assert other.dtype == array.dtype
+        assert other.shape == array.shape
+        assert other.tobytes() == array.tobytes()
+
+
+def _assert_load_keeps_fit(model):
+    """A loaded tree or forest has the fitted node arrays, roots, held classes
+    and fitted state, bit for bit and dtype for dtype; returns it."""
+    loaded = pickle.loads(pickle.dumps(model))
+    _assert_same_arrays(model._nodes, loaded._nodes)
+    if isinstance(model, RandomForestClassifier):
+        _assert_same_arrays((model._roots, model._held), (loaded._roots, loaded._held))
+    assert state_checksum(loaded.fitted_state()) == state_checksum(model.fitted_state())
+    return loaded
+
+
+def _threshold_index(nodes) -> np.ndarray:
+    """The per-feature threshold indices a pickle of ``nodes`` stores."""
+    return nodes.__reduce__()[1][3]
+
+
+def _wide_rows():
+    """60 rows of 300 columns, whose tree needs uint16 feature ids and a uint8 value."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(60, 300))
+    return X, (X[:, 299] > 0).astype(int)
 
 
 @pytest.fixture(scope="module")
@@ -560,14 +585,28 @@ class TestTreeStorage:
         assert text.count("('split', np.int64(0), ") == n_nodes // 2
         assert text.count("('leaf', ") == n_nodes // 2 + 1
         assert text.count("(") == text.count(")")
+        assert np.array_equal(_assert_load_keeps_fit(model).predict(X), y)
 
     def test_pickled_forest_is_compact(self, registry_forest):
-        # 25.97 KiB when measured: a threshold table, and feature and value in one array
+        # 12.7 KiB when measured: a leaf bit per node, features at splits,
+        # classes at leaves, one threshold index per split into its feature's
+        # distinct thresholds, and no links or tree roots
         forest, _ = registry_forest
-        assert len(pickle.dumps(forest)) < 27 * 1024
+        assert len(pickle.dumps(forest)) < 14 * 1024
+
+    @pytest.mark.parametrize("kind", ["registry_forest", "tree", "wide_tree"])
+    def test_loaded_model_pickles_to_the_same_bytes(self, registry_forest, kind):
+        # the loader builds every array in numpy's own dtypes, which a pickle
+        # memoizes as the fitted model's arrays share them
+        if kind == "registry_forest":
+            model = registry_forest[0]
+        else:
+            model = DecisionTreeClassifier().fit(*(_registry_rows() if kind == "tree" else _wide_rows()))
+        pickled = pickle.dumps(model)
+        assert pickle.dumps(pickle.loads(pickled)) == pickled
 
     def test_leaves_hold_feature_zero_and_splits_value_zero(self, registry_forest):
-        # a pickle stores feature and value in one array on this fill
+        # a pickle keeps features at splits and classes at leaves; loading fills the rest with 0
         X, y = _registry_rows()
         for model in (registry_forest[0], DecisionTreeClassifier().fit(X, y)):
             nodes = model._nodes
@@ -581,17 +620,40 @@ class TestTreeStorage:
     def test_pickle_round_trip_keeps_node_arrays(self, case):
         X, y, _ = TREE_CASES[case]
         for model in (DecisionTreeClassifier(), RandomForestClassifier(n_trees=5, seed=1)):
-            _assert_pickle_keeps_nodes(model.fit(X, y)._nodes)
+            _assert_load_keeps_fit(model.fit(X, y))
 
     def test_pickle_round_trip_keeps_node_dtypes_that_differ(self):
         # 300 columns need uint16 feature ids, 2 classes a uint8 value
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(60, 300))
-        y = (X[:, 299] > 0).astype(int)
-        nodes = DecisionTreeClassifier().fit(X, y)._nodes
+        model = DecisionTreeClassifier().fit(*_wide_rows())
+        nodes = model._nodes
         assert (nodes.feature.dtype, nodes.value.dtype) == (np.uint16, np.uint8)
         assert nodes.feature.max() > 255
-        _assert_pickle_keeps_nodes(nodes)
+        _assert_load_keeps_fit(model)
+
+    def test_more_than_255_thresholds_on_one_feature(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(400, 2))
+        y = rng.integers(0, 3, size=400)
+        forest = RandomForestClassifier(n_trees=8, seed=2).fit(X, y)
+        nodes = forest._nodes
+        split = nodes.right != np.arange(len(nodes.right))
+        distinct = [len(np.unique(nodes.threshold[split & (nodes.feature == f)])) for f in (0, 1)]
+        assert max(distinct) > 255
+        assert _threshold_index(nodes).dtype == np.uint16
+        loaded = _assert_load_keeps_fit(forest)
+        assert np.array_equal(loaded.predict(X), forest.predict(X))
+
+    def test_negative_and_positive_zero_thresholds(self):
+        # feature 1 is cut at -0.0 in one subtree and at +0.0 in the other
+        tiny = 5e-324
+        X = np.column_stack([[1.0, 1, 1, 0, 1, 0, 0], np.array([1, 2, 2, -2, -1, -2, 1]) * tiny])
+        y = np.array([2, 2, 2, 0, 1, 2, 0])
+        model = DecisionTreeClassifier().fit(X, y)
+        nodes = model._nodes
+        on_one = nodes.feature[nodes.right != np.arange(len(nodes.right))] == 1
+        assert np.signbit(nodes.threshold[nodes.feature == 1]).tolist() == [True, False]
+        assert sorted(_threshold_index(nodes)[on_one].tolist()) == [0, 1]  # two distinct patterns
+        _assert_load_keeps_fit(model)
 
     def test_fit_memory_is_bounded(self):
         # every tree grows at once: the trees' tables and one step's search
@@ -693,6 +755,9 @@ class TestForestVoteMatchesCastingVote:
         forest = RandomForestClassifier(n_trees=9, seed=3).fit(np.zeros((9, 0)), labels)
         record = np.zeros((1, 0))
         assert forest.predict(record).tobytes() == forest_vote_with_casts(forest, record).tobytes()
+        assert np.array_equal(forest._roots, np.arange(9))
+        loaded = _assert_load_keeps_fit(forest)
+        assert loaded.predict(record).tobytes() == forest.predict(record).tobytes()
 
     def test_refit_casts_the_new_links(self):
         X, y = _registry_rows()
