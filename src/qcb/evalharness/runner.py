@@ -11,14 +11,14 @@ import hashlib
 import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
 
 import numpy as np
 
 from ..data import SEVERITY_LEVELS, LabeledDataset
 from ..errors import UsageError
-from ..qmodels import HybridQcPipeline, clear_extractor_memo, share_extractor
+from ..qmodels import clear_extractor_memo
 from .cv import CvPlan, HoldoutPlan, derive_seed
 from .metrics import classification_metrics
 from .registry import ModelSpec
@@ -179,8 +179,6 @@ def run_cell(
         "checksum": checksum,
         "circuit_depth": meta.get("circuit_depth"),
         "model_metadata": meta,
-        # for the runner to hand to the split's other hybrids; never reported
-        "extractor": model.extractor_ if isinstance(model, HybridQcPipeline) else None,
     }
 
 
@@ -346,16 +344,10 @@ def _error_text(exc: BaseException) -> str:
 
 
 def _run_task(task):
-    """Run one (model, split) cell from the run context; failures are recorded.
-
-    A task's last item is the split's extractor when the cell carries one;
-    it is memoised first, so the cell's hybrid fit does not train its own.
-    """
-    name, seed_index, fold, train_idx, test_idx, cell_seed, extractor = task
+    """Run one (model, split) cell from the run context; failures are recorded."""
+    name, seed_index, fold, train_idx, test_idx, cell_seed = task
     ctx = _RUN_CTX
     try:
-        if extractor is not None:
-            share_extractor(extractor, ctx["X"][train_idx], ctx["y"][train_idx])
         outcome = run_cell(
             ctx["registry"][name],
             ctx["X"],
@@ -371,92 +363,62 @@ def _run_task(task):
 
 
 def _worker_run(task):
-    """Pool entry point: one cell in a forked worker."""
+    """One cell in a forked worker; ``_run_unit`` calls it per cell."""
     return _run_task(task)
 
 
-def _cell_tasks(registry, splits, master_seed) -> tuple[list[tuple], dict[int, list[int]]]:
-    """Cell tasks in registry order, and the cells that wait for an extractor.
+def _run_unit(unit):
+    """Pool entry point: one unit's cells in order in one forked worker."""
+    return [_worker_run(task) for task in unit]
 
-    The first ``hybrid_qc`` cell of a split trains the split's extractor;
-    the second item maps its task index to the split's other ``hybrid_qc``
-    cells, which run after it and carry the extractor it returns.
+
+def _cell_units(registry, splits, master_seed) -> list[list[tuple]]:
+    """Cell tasks in units, in registry order.
+
+    The ``hybrid_qc`` cells of a split form one unit, placed where the first
+    of them stands, so the split's extractor is trained once and stays in
+    the process that trained it.  Every other cell is a unit of its own.
     """
-    tasks, waiting, first = [], {}, {}
+    units: dict[tuple, list[tuple]] = {}
     for name, spec in registry.items():
+        hybrid = spec.category == "hybrid_qc"
         for seed_index, _, fold, train_idx, test_idx in splits:
-            index = len(tasks)
             cell_seed = derive_seed(master_seed, name, seed_index, fold)
-            tasks.append((name, seed_index, fold, train_idx, test_idx, cell_seed, None))
-            if spec.category == "hybrid_qc":
-                producer = first.setdefault((seed_index, fold), index)
-                if producer != index:
-                    waiting.setdefault(producer, []).append(index)
-    return tasks, waiting
+            key = (seed_index, fold) if hybrid else (name, seed_index, fold)
+            task = (name, seed_index, fold, train_idx, test_idx, cell_seed)
+            units.setdefault(key, []).append(task)
+    return list(units.values())
 
 
-def _release(tasks, waiting, index: int, result) -> list[int]:
-    """Take the extractor out of cell ``index``'s outcome and hand it to the
-    cells waiting for it; return their indices.
+def _failed_unit(unit, exc: BaseException) -> list[tuple]:
+    return [(*task[:3], None, _error_text(exc)) for task in unit]
 
-    Without one (the cell failed), each waiting cell trains its own, and so
-    records its own error if training fails again.
+
+def _run_cells_parallel(units, workers: int) -> list[tuple]:
+    """Units over a fork pool, one submit each; one result per cell.
+
+    A worker that dies (``os._exit``, an OOM kill) breaks the pool; every
+    cell of a unit without a result then records the error instead of the
+    run hanging, a cell that finished earlier in that unit included.
     """
-    outcome = result[3]
-    extractor = outcome.pop("extractor", None) if outcome is not None else None
-    released = waiting.get(index, [])
-    for j in released:
-        tasks[j] = tasks[j][:-1] + (extractor,)
-    return released
-
-
-def _run_cells_serial(tasks, waiting) -> list[tuple]:
-    """Cells in task order; every cell that waits comes after the one it waits for."""
-    results = []
-    for index in range(len(tasks)):
-        results.append(_run_task(tasks[index]))
-        _release(tasks, waiting, index, results[index])
-    return results
-
-
-def _run_cells_parallel(tasks, workers: int, waiting) -> list[tuple]:
-    """Cells over a fork pool, one result per task in task order.
-
-    A cell that waits for an extractor is submitted once the cell it waits
-    for has finished.  A worker that dies (``os._exit``, an OOM kill) breaks
-    the pool; every cell without a result then records the error instead of
-    the run hanging.
-    """
-    held = {j for dependents in waiting.values() for j in dependents}
-    results: list = [None] * len(tasks)
-    running = {}
+    results, submitted = [], []
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-
-        def submit(index):
+        for unit in units:
             try:
-                running[pool.submit(_worker_run, tasks[index])] = index
-            except Exception as exc:  # a broken pool takes no new cells
-                results[index] = (*tasks[index][:3], None, _error_text(exc))
-
-        for index in range(len(tasks)):
-            if index not in held:
-                submit(index)
-        while running:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = running.pop(future)
-                try:
-                    results[index] = future.result()
-                except Exception as exc:  # BrokenProcessPool, or an unpicklable result
-                    results[index] = (*tasks[index][:3], None, _error_text(exc))
-                for j in _release(tasks, waiting, index, results[index]):
-                    submit(j)
+                submitted.append((unit, pool.submit(_run_unit, unit)))
+            except Exception as exc:  # a broken pool takes no new units
+                results.extend(_failed_unit(unit, exc))
+        for unit, future in submitted:
+            try:
+                results.extend(future.result())
+            except Exception as exc:  # BrokenProcessPool, or an unpicklable result
+                results.extend(_failed_unit(unit, exc))
     return results
 
 
-def _pool_size(workers: int, n_tasks: int) -> int:
-    """Process count for ``workers`` requested: at most one per cell and per
+def _pool_size(workers: int, n_units: int) -> int:
+    """Process count for ``workers`` requested: at most one per unit and per
     core this process may run on (its affinity mask, where the OS has one)."""
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
@@ -464,7 +426,7 @@ def _pool_size(workers: int, n_tasks: int) -> int:
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    return min(workers, cores, n_tasks)
+    return min(workers, cores, n_units)
 
 
 def run_benchmark(
@@ -480,10 +442,10 @@ def run_benchmark(
 
     ``workers > 1`` fans the (model, split) cells over a fork pool; the
     workers inherit this call's registry and data, and every cell draws from
-    its own derived seed.  The ``hybrid_qc`` cells of a split share one
-    extractor, which the first of them trains and the others carry, serial
-    or parallel.  So the non-timing report content is identical to a serial
-    run.
+    its own derived seed.  The ``hybrid_qc`` cells of a split run as one
+    unit, in order in one process, so the first trains the split's extractor
+    and the others find it memoised, serial or parallel.  So the non-timing
+    report content is identical to a serial run.
     """
     if dataset.y is None:
         raise UsageError("dataset must be labeled")
@@ -513,14 +475,14 @@ def run_benchmark(
         "models": {},
     }
 
-    tasks, waiting = _cell_tasks(registry, splits, master_seed)
-    pool_size = _pool_size(workers, len(tasks))
+    units = _cell_units(registry, splits, master_seed)
+    pool_size = _pool_size(workers, len(units))
     _RUN_CTX.update(registry=registry, X=X, y=y, labels=class_labels)
     try:
         if pool_size > 1:
-            raw_results = _run_cells_parallel(tasks, pool_size, waiting)
+            raw_results = _run_cells_parallel(units, pool_size)
         else:
-            raw_results = _run_cells_serial(tasks, waiting)
+            raw_results = [_run_task(task) for unit in units for task in unit]
     finally:
         _RUN_CTX.clear()
         clear_extractor_memo()

@@ -679,37 +679,25 @@ def _extractor_key(X, y, max_evals: int) -> tuple:
     return digest.hexdigest(), HYBRID_QC_QUBITS, HYBRID_QC_LAYERS, int(max_evals)
 
 
-def _key_seed(key: tuple) -> int:
-    return int(key[0][:8], 16)
-
-
 def split_extractor(X, y, max_evals: int = TRAINING_EVALS) -> VqcClassifier:
     """The 6-qubit, 3-layer extractor of one training split, fitted once.
 
     Its seed is drawn from a digest of the split's rows and labels, so every
     hybrid fitted on the same split gets the same extractor, whichever model
     asks first.  The memo keeps the extractor of the split fitted last, so a
-    hit returns the object that a fresh fit built.
+    hit returns the object that a fresh fit built.  The benchmark runner
+    runs a split's hybrid cells as one unit in one process, so all but the
+    first of them hit.
     """
     key = _extractor_key(X, y, max_evals)
     extractor = _extractor_memo.get(key)
     if extractor is None:
         extractor = VqcClassifier(
-            HYBRID_QC_QUBITS, HYBRID_QC_LAYERS, max_evals=max_evals, seed=_key_seed(key)
+            HYBRID_QC_QUBITS, HYBRID_QC_LAYERS, max_evals=max_evals, seed=int(key[0][:8], 16)
         ).fit(X, y)
         _extractor_memo.clear()
         _extractor_memo[key] = extractor
     return extractor
-
-
-def share_extractor(extractor: VqcClassifier, X, y) -> None:
-    """Memoise ``extractor``, which ``split_extractor(X, y)`` fitted in another
-    process, so that this process's hybrids on (X, y) use it."""
-    key = _extractor_key(X, y, extractor.max_evals)
-    if extractor.seed != _key_seed(key):
-        raise UsageError("the extractor was not fitted on this split")
-    _extractor_memo.clear()
-    _extractor_memo[key] = extractor
 
 
 def clear_extractor_memo() -> None:

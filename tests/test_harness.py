@@ -292,12 +292,13 @@ class TestParallelRuns:
             (CvPlan(n_folds=2, seeds=(0,)), False),
             (HoldoutPlan(test_fraction=0.2), False),
             (CvPlan(n_folds=2, seeds=(0,)), True),
+            (HoldoutPlan(test_fraction=0.2), True),
         ],
-        ids=["cv", "holdout", "cv_hybrid_qc"],
+        ids=["cv", "holdout", "cv_hybrid_qc", "holdout_hybrid_qc"],
     )
     def test_parallel_equals_serial_for_a_custom_spec(self, small_dataset, plan, hybrids):
         if hybrids:
-            # the q_* cells of a split wait for the cell that trains its extractor
+            # the q_* cells of a split run as one unit: the first trains the extractor
             registry = fast_hybrid_registry()
         else:
             registry = select_models("decision_tree,logistic_regression")
@@ -335,6 +336,19 @@ class TestParallelRuns:
             assert all(e.startswith("UsageError: need at least 6 feature columns") for e in errors)
         assert report["models"]["majority_class"]["failures"] == 0
 
+    @pytest.mark.skipif(_pool_size(2, 2) < 2, reason="a one-core host runs cells serially")
+    def test_no_model_object_crosses_the_pool(self, small_dataset, monkeypatch):
+        # a cell's task and outcome hold no extractor: it stays in the worker
+        def unpicklable(self):
+            raise TypeError("a VqcClassifier was pickled")
+
+        monkeypatch.setattr(VqcClassifier, "__getstate__", unpicklable)
+        report = run_benchmark(
+            small_dataset, fast_hybrid_registry(), CvPlan(n_folds=2, seeds=(0,)),
+            reference="q_rf", workers=2,
+        )
+        assert report["failures_total"] == 0
+
     def test_pool_size_bounds(self, monkeypatch):
         assert _pool_size(1, 10) == 1
         assert _pool_size(4, 3) <= 3
@@ -353,36 +367,48 @@ class TestParallelRuns:
 
     @pytest.mark.skipif(_pool_size(2, 2) < 2, reason="a one-core host runs cells serially")
     def test_dead_worker_records_failed_cells(self):
+        """A crashing cell fails every cell of its unit; as a ``hybrid_qc`` cell
+        it crashes after its split's ``q_rf`` cell has finished in that unit."""
         script = """
-import os
+import json, os, sys
 from qcb.data import build_dataset, select_features, synthesize
 from qcb.evalharness import CvPlan, run_benchmark, select_models
 from qcb.evalharness.registry import ModelSpec
+from qcb.qmodels import HybridQcPipeline
 
 class Crash:
     def fit(self, X, y):
         os._exit(1)
 
+category = sys.argv[1]
 registry = select_models("majority_class")
-registry["crash"] = ModelSpec("crash", "baseline", lambda seed: Crash(), {})
+if category == "hybrid_qc":
+    registry["q_rf"] = ModelSpec(
+        "q_rf", category, lambda seed: HybridQcPipeline("random_forest", seed=seed, max_evals=20)
+    )
+registry["crash"] = ModelSpec("crash", category, lambda seed: Crash(), {})
 records = synthesize(n_units=12, n_years=10, seed=3)
 dataset = select_features(build_dataset(records, provenance="synthetic"), k=10)
 report = run_benchmark(
     dataset, registry, CvPlan(n_folds=2, seeds=(0,)), reference="majority_class", workers=2
 )
-crash = report["models"]["crash"]
-print(report["failures_total"], crash["failures"], crash["cells"][0]["error"].split(":")[0])
+errors = {name: [cell["error"] for cell in entry["cells"]] for name, entry in report["models"].items()}
+print(json.dumps({"failures_total": report["failures_total"], "errors": errors}))
 """
         src = str(Path(qcb.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        failures_total, crash_failures, error = done.stdout.split()
-        assert int(crash_failures) == 2
-        assert int(failures_total) >= 2
-        assert error == "BrokenProcessPool"
+        for category, crashed in (("baseline", ["crash"]), ("hybrid_qc", ["crash", "q_rf"])):
+            done = subprocess.run(
+                [sys.executable, "-c", script, category],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            result = json.loads(done.stdout)
+            for name in crashed:
+                errors = result["errors"][name]
+                assert len(errors) == 2
+                assert all(e and e.startswith("BrokenProcessPool") for e in errors), errors
+            assert result["failures_total"] >= 2 * len(crashed)
 
 
 class TestBenchmarkTracer:
@@ -421,9 +447,10 @@ assert 0 < tracer.counters["classical.logreg_iters"] <= 6 * cap, dict(tracer.cou
 
     @pytest.mark.skipif(_pool_size(2, 2) < 2, reason="a one-core host runs cells serially")
     def test_traced_parallel_run_trains_one_extractor_per_split(self):
-        """Under ``perfbench/spantrace`` a 2-fold, 2-worker run of ``vqc_4q2l``
-        and the four q_* hybrids trains one extractor per split, whichever
-        worker runs which cell, and ships every cell's spans home."""
+        """Under ``perfbench/spantrace`` a 2-fold run of ``vqc_4q2l`` and the
+        four q_* hybrids trains one extractor per split, on 2 workers as on
+        1, and a 2-worker run ships every cell's spans home.  A serial run
+        does not go through ``_run_cells_parallel``."""
         script = """
 import functools
 from spantrace import Tracer, _wrap, install
@@ -449,9 +476,9 @@ runner._run_cells_parallel = keep_results
 dataset = select_features(build_dataset(synthesize(n_units=12, n_years=10, seed=3)), k=10)
 registry = fast_hybrid_registry()
 
-def counts():
+def counts(workers):
     returned.clear()
-    report = run_benchmark(dataset, registry, CvPlan(n_folds=2, seeds=(0,)), workers=2)
+    report = run_benchmark(dataset, registry, CvPlan(n_folds=2, seeds=(0,)), workers=workers)
     assert report["failures_total"] == 0
     spans = tracer.take()["spans"]
     names = [span[0] for span in spans]
@@ -463,10 +490,13 @@ def counts():
                 return True
         return False
 
-    assert len(returned) == 10, returned
-    assert all(len(result) == 5 and result[4] is None for result in returned)
-    cells = {result[:3] for result in returned}
-    assert cells == {(name, 0, fold) for name in registry for fold in (0, 1)}
+    if workers == 1:
+        assert returned == []
+    else:
+        assert len(returned) == 10, returned
+        assert all(len(result) == 5 and result[4] is None for result in returned)
+        cells = {result[:3] for result in returned}
+        assert cells == {(name, 0, fold) for name in registry for fold in (0, 1)}
     return (
         sum(1 for span in spans if span[0] == "qmodels.train" and under_extractor(span)),
         names.count("qmodels.train"),
@@ -474,9 +504,10 @@ def counts():
         names.count("evalharness.cell"),
     )
 
-first = counts()
+first = counts(2)
 assert first == (2, 4, 8, 10), first
-assert counts() == first
+assert counts(2) == first
+assert counts(1) == first
 """
         root = Path(qcb.__file__).resolve().parents[2]
         src = str(Path(qcb.__file__).resolve().parents[1])

@@ -39,7 +39,6 @@ from qcb.qmodels import (
     feature_map_states,
     qaoa_features,
     quantum_kernel_matrix,
-    share_extractor,
     split_extractor,
     vqc_features,
     vqc_operator,
@@ -633,16 +632,6 @@ class TestSharedExtractor:
         assert split_extractor(X, y, 5).opt_result_.n_evals == 5
         assert split_extractor(X, y, 8).opt_result_.n_evals == 8
 
-    def test_shared_extractor_serves_the_next_fit(self, synthetic_half):
-        X, y = synthetic_half
-        carried = pickle.loads(pickle.dumps(split_extractor(X, y, 20)))
-        qmodels.clear_extractor_memo()
-        share_extractor(carried, X, y)
-        pipeline = HybridQcPipeline("svm_rbf", max_evals=20).fit(X, y)
-        assert pipeline.extractor_ is carried
-        with pytest.raises(UsageError):
-            share_extractor(carried, X[1:], y[1:])
-
 
 class TestHybridCq:
     def test_projection_has_four_columns(self):
@@ -737,23 +726,6 @@ class TestFittedFootprint:
         model = LogisticRegressionClassifier().fit(X, y)
         assert model.n_iter_ > 0
         assert len(pickle.dumps(model)) < 2 * 1024
-
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: RandomForestClassifier(n_trees=150, seed=0),
-            lambda: LogisticRegressionClassifier(),
-            lambda: VqcClassifier(6, 3, max_evals=20, seed=0),
-        ],
-        ids=["random_forest", "logistic_regression", "vqc"],
-    )
-    def test_pickle_round_trip_keeps_predictions_and_state(self, build, synthetic_half):
-        X, y = synthetic_half
-        model = build().fit(X, y)
-        loaded = pickle.loads(pickle.dumps(model))
-        X_all = select_features(build_dataset(synthesize(seed=0)), k=10).X
-        assert np.array_equal(loaded.predict(X_all), model.predict(X_all))
-        assert state_checksum(loaded.fitted_state()) == state_checksum(model.fitted_state())
 
     @pytest.mark.parametrize("name", list(default_registry()))
     def test_loaded_registry_model_predicts_the_same(self, name, registry_round_trip):
