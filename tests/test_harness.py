@@ -285,6 +285,39 @@ class TestHoldout:
             assert entry["metrics"]["accuracy"]["ci95_half_width"] is None
 
 
+class TestCellUnits:
+    @pytest.fixture(scope="class")
+    def mixed(self, small_dataset):
+        registry = {"decision_tree": default_registry()["decision_tree"]}
+        registry.update(fast_hybrid_registry())
+        registry["majority_class"] = default_registry()["majority_class"]
+        _, splits = CvPlan(n_folds=2, seeds=(0, 1)).splits(small_dataset.y, 7)
+        return registry, splits, runner._cell_units(registry, splits, 7)
+
+    def test_each_cell_is_in_one_unit_with_its_derived_seed(self, mixed):
+        registry, splits, units = mixed
+        tasks = [task for unit in units for task in unit]
+        cells = [(name, s, f) for name in registry for s, _, f, _, _ in splits]
+        assert sorted(task[:3] for task in tasks) == sorted(cells)
+        for name, seed_index, fold, train_idx, test_idx, cell_seed in tasks:
+            assert cell_seed == derive_seed(7, name, seed_index, fold)
+            split = next(sp for sp in splits if (sp[0], sp[2]) == (seed_index, fold))
+            assert train_idx is split[3] and test_idx is split[4]
+
+    def test_hybrid_cells_of_a_split_form_one_unit_at_the_first_of_them(self, mixed):
+        registry, splits, units = mixed
+        n = len(splits)
+        # registry order: decision_tree's cells, then vqc_4q2l's, then one
+        # hybrid unit per split, then majority_class's cells
+        assert [len(unit) for unit in units] == [1] * 2 * n + [len(HYBRID_QC)] * n + [1] * n
+        for unit, (seed_index, _, fold, _, _) in zip(units[2 * n : 3 * n], splits):
+            assert [task[:3] for task in unit] == [
+                (name, seed_index, fold) for name in HYBRID_QC
+            ]
+        assert [unit[0][0] for unit in units[: 2 * n]] == ["decision_tree"] * n + ["vqc_4q2l"] * n
+        assert all(unit[0][0] == "majority_class" for unit in units[3 * n :])
+
+
 class TestParallelRuns:
     @pytest.mark.parametrize(
         "plan, hybrids",
