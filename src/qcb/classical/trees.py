@@ -36,15 +36,21 @@ bootstrap lacks adds exact zeros.  Below 8 classes that leaves every bit as
 a tree grown on its own classes would have it; from 8 classes up, a tree
 whose bootstrap lacks a class may differ from it in the last bit.
 
-RNG contract.  A forest's tree searches ``ceil(sqrt(d))`` features per split;
-when that is below the column count it draws one
-``rng.choice(d, size=ceil(sqrt(d)), replace=False)`` from its own stream at
-each splittable node (not at a leaf made by depth, size or purity), in
-depth-first, left-first preorder.  The scheduler interleaves trees, never
-the nodes of one tree: each tree visits its nodes from its own explicit
-stack in that order, so its stream is consumed as by the recursive
-definition, and a deep tree needs no recursion.  A plain tree searches every
-feature and draws nothing.
+RNG contract.  A forest's tree searches ``k = ceil(sqrt(d))`` features per
+split.  When ``k`` is below the column count, each splittable node (not a
+leaf made by depth, size or purity) searches, in depth-first, left-first
+preorder, the set that one ``rng.choice(d, size=k, replace=False)`` on the
+tree's own stream would draw there.  The tree draws ``CANDIDATE_BLOCK_NODES``
+such sets at once: one broadcast ``rng.integers`` makes ``choice``'s bounded
+draws for each set in turn, Floyd's ``k`` and then the ``k - 1`` of its
+shuffle, which only orders the set; the search sorts it anyway.  The draws
+left when a tree is grown are never read.  This equals ``choice`` while
+numpy takes Floyd's path, which it does unless ``d > 10000`` and
+``k > d // 50``, and ``ceil(sqrt(d))`` never is both.  The scheduler
+interleaves trees, never the nodes of one tree: each tree visits its nodes
+from its own explicit stack in that order, so its sets are taken as by the
+recursive definition, and a deep tree needs no recursion.  A plain tree
+searches every feature and draws nothing.
 
 Node layout.  A fitted tree is a ``_Nodes`` table of flat preorder arrays, in
 the smallest integer dtypes that hold them: ``feature``, ``threshold``,
@@ -93,6 +99,9 @@ from ..errors import UsageError
 # candidate positions one grower step searches, one per (candidate feature, row)
 # of each node taken; a step takes at least one node
 GROW_BLOCK_POSITIONS = 4096
+# candidate sets a forest's tree draws at once; a 150-tree fit on 230 x 10
+# reaches 10-23 splittable nodes per tree
+CANDIDATE_BLOCK_NODES = 32
 
 
 class _Nodes(NamedTuple):
@@ -180,10 +189,13 @@ class _Tree:
     """A tree in growth: its preorder node lists, its stack of nodes still to
     visit, and the node whose split search it waits for."""
 
-    __slots__ = ("rng", "stack", "feature", "threshold", "right", "value", "depth", "node")
+    __slots__ = (
+        "rng", "sets", "taken", "stack", "feature", "threshold", "right", "value", "depth", "node"
+    )
 
     def __init__(self, rng, root: tuple):
         self.rng = rng
+        self.sets, self.taken = (), 0  # the drawn candidate sets, and how many nodes took one
         # (row-order table, class counts, depth, the parent whose right child it is, or -1)
         self.stack = [root]
         self.feature, self.threshold, self.right, self.value = [], [], [], []
@@ -210,7 +222,13 @@ class _Tree:
             if n_candidates and depth < max_depth and m >= 2 and max(counts) < m:
                 features = None
                 if n_candidates < d:
-                    features = self.rng.choice(d, size=n_candidates, replace=False)
+                    if self.taken == len(self.sets):
+                        self.sets = _candidate_sets(
+                            self.rng, d, n_candidates, CANDIDATE_BLOCK_NODES
+                        )
+                        self.taken = 0
+                    features = self.sets[self.taken]
+                    self.taken += 1
                 self.node = (table, counts, depth, node, features)
                 return True
         return False
@@ -222,6 +240,24 @@ class _Tree:
             right=_compact(self.right, len(self.right) - 1),
             value=_compact(self.value, n_classes - 1),
         )
+
+
+def _candidate_sets(rng, d: int, k: int, n_sets: int) -> np.ndarray:
+    """The next ``n_sets`` candidate sets of ``k < d`` features, one per row,
+    in the smallest unsigned dtype (150 trees keep a block each).
+
+    Each row holds the set that one ``rng.choice(d, size=k, replace=False)``
+    call would draw there, in another order.  That call makes Floyd's ``k``
+    bounded draws below ``d - k + 1`` ... ``d``, then the ``k - 1`` of its
+    shuffle below ``k`` ... ``2``, which only reorder the set.  One
+    broadcast ``rng.integers`` makes those draws for every row.
+    """
+    highs = np.concatenate([np.arange(d - k + 1, d + 1), np.arange(k, 1, -1)])
+    sets = rng.integers(0, np.tile(highs, n_sets)).reshape(n_sets, -1)[:, :k]
+    for i in range(1, k):  # Floyd's rule: a value already taken gives way to the draw's top
+        taken = (sets[:, :i] == sets[:, i : i + 1]).any(axis=1)
+        sets[taken, i] = d - k + i
+    return _compact(sets, d - 1)
 
 
 def _search(columns, codes, n_classes: int, tables: list, features: np.ndarray):
@@ -330,7 +366,7 @@ def _grow(X, codes, n_classes: int, max_depth: int, n_candidates: int, bootstrap
             budget -= n_candidates * waiting[0].node[0].shape[1]
             batch.append(waiting.popleft())
         if n_candidates < d:
-            features = np.sort([tree.node[4] for tree in batch], axis=1)
+            features = np.sort([tree.node[4] for tree in batch], axis=1).astype(np.intp)
         else:
             features = np.tile(np.arange(d), (len(batch), 1))
         winner, thresholds, n_left, left_counts, lefts, rights = _search(

@@ -13,18 +13,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .circuits import CircuitConfig, CircuitFamily, expressibility
 from .data import build_dataset, ingest_csv, select_features, synthesize, write_csv
 from .errors import DataError, UsageError
-from .evalharness import (
-    CvPlan,
-    HoldoutPlan,
-    emit_report,
-    load_report,
-    run_benchmark,
-    select_models,
-)
-from .evalharness.report import emit_expressibility_csv
+from .evalharness.report import emit_expressibility_csv, emit_report, load_report
+
+# Each subcommand imports the modules only it runs, so that ``synth`` and
+# ``report`` start without the model stack.  ``ingest_csv``,
+# ``select_features`` and ``emit_report`` stay module names: ``_cmd_run``
+# looks them up here, where a tracer may have wrapped them.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -94,6 +90,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    # before the pool forks, so that its workers inherit the model stack
+    from .evalharness import CvPlan, HoldoutPlan, run_benchmark, select_models
+
     registry = select_models(args.models)
     records = ingest_csv(args.data)
     dataset = build_dataset(records, provenance="ingested")
@@ -123,6 +122,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_expressibility(args) -> int:
+    from .circuits import CircuitConfig, CircuitFamily, expressibility
+
     rows = []
     for layers in range(1, args.max_layers + 1):
         config = CircuitConfig(CircuitFamily.VQC, args.qubits, layers)

@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classical import mutual_information
 from .errors import DataError, UsageError
 
 DEFAULT_CRIME_TYPES: tuple[str, ...] = (
@@ -224,6 +223,8 @@ def select_features(dataset: LabeledDataset, k: int = 10, n_bins: int = 10) -> L
         raise UsageError("dataset must be labeled before feature selection")
     if k > dataset.n_features:
         raise UsageError(f"k={k} exceeds available features ({dataset.n_features})")
+    from .classical import mutual_information  # here, so that qcb synth loads no model
+
     scores = np.array(
         [
             mutual_information(dataset.X[:, j], dataset.y, n_bins=n_bins)
@@ -310,7 +311,11 @@ def ingest_csv(path, schema: CrimeSchema = DEFAULT_SCHEMA) -> list[CrimeRecord]:
 
 def write_csv(records: Sequence[CrimeRecord], path, schema: CrimeSchema = DEFAULT_SCHEMA) -> None:
     path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    try:
+        handle = path.open("w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    with handle:
         writer = csv.writer(handle)
         writer.writerow(["Unit", "Year", *schema.crime_types])
         for record in records:

@@ -1,40 +1,45 @@
-"""Cross-validation harness: folds, metrics, statistics, registry, reports."""
+"""Cross-validation harness: folds, metrics, statistics, registry, reports.
 
-from .cv import CvPlan, HoldoutPlan, holdout_split, stratified_folds
-from .metrics import ClassificationMetrics, classification_metrics
-from .registry import ModelSpec, default_registry, select_models
-from .report import emit_report, load_report
-from .runner import audit_leakage, run_benchmark, strip_timing
-from .stats import (
-    TTestResult,
-    confidence_interval,
-    paired_ttest,
-    regularized_incomplete_beta,
-    significance_stars,
-    student_t_cdf,
-    student_t_ppf,
-)
+The exported names load their submodule on first access (PEP 562), so a
+command that only writes or re-renders reports does not import the model
+stack that ``registry`` and ``runner`` pull in.
+"""
+from importlib import import_module
 
-__all__ = [
-    "ClassificationMetrics",
-    "CvPlan",
-    "HoldoutPlan",
-    "ModelSpec",
-    "TTestResult",
-    "audit_leakage",
-    "classification_metrics",
-    "confidence_interval",
-    "default_registry",
-    "emit_report",
-    "holdout_split",
-    "load_report",
-    "paired_ttest",
-    "regularized_incomplete_beta",
-    "run_benchmark",
-    "select_models",
-    "significance_stars",
-    "strip_timing",
-    "stratified_folds",
-    "student_t_cdf",
-    "student_t_ppf",
-]
+_EXPORTS = {
+    "ClassificationMetrics": "metrics",
+    "CvPlan": "cv",
+    "HoldoutPlan": "cv",
+    "ModelSpec": "registry",
+    "TTestResult": "stats",
+    "audit_leakage": "runner",
+    "classification_metrics": "metrics",
+    "confidence_interval": "stats",
+    "default_registry": "registry",
+    "emit_report": "report",
+    "holdout_split": "cv",
+    "load_report": "report",
+    "paired_ttest": "stats",
+    "regularized_incomplete_beta": "stats",
+    "run_benchmark": "runner",
+    "select_models": "registry",
+    "significance_stars": "stats",
+    "strip_timing": "runner",
+    "stratified_folds": "cv",
+    "student_t_cdf": "stats",
+    "student_t_ppf": "stats",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

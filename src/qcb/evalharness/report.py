@@ -6,8 +6,8 @@ import json
 from pathlib import Path
 
 from ..errors import DataError, UsageError
-from .runner import REPORT_SCHEMA
 
+REPORT_SCHEMA = "qcb-report/1"
 MODELS_CSV = "models.csv"
 PER_CLASS_CSV = "per_class_accuracy.csv"
 REPORT_JSON = "report.json"

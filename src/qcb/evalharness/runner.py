@@ -22,9 +22,8 @@ from ..qmodels import clear_extractor_memo
 from .cv import CvPlan, HoldoutPlan, derive_seed
 from .metrics import classification_metrics
 from .registry import ModelSpec
+from .report import REPORT_SCHEMA
 from .stats import confidence_interval, paired_ttest, significance_stars
-
-REPORT_SCHEMA = "qcb-report/1"
 
 # engineering choices that intentionally depart from the textbook recipes;
 # emitted with every report so downstream readers see them without digging

@@ -527,6 +527,20 @@ class TestTreesMatchRecursiveOracle:
         _assert_same_predictions(new, old, X, X_eval)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_candidate_sets_are_the_sets_choice_draws(seed):
+    # node by node, over two blocks, after a bootstrap-like draw, for the
+    # forest's k and both ends of the range
+    for d in range(2, 65):
+        for k in sorted({1, int(np.ceil(np.sqrt(d))), d - 1} - {d}):
+            blocked, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+            blocked.integers(0, 37, size=37)
+            plain.integers(0, 37, size=37)
+            sets = np.vstack([trees._candidate_sets(blocked, d, k, n) for n in (3, 4)])
+            expected = [np.sort(plain.choice(d, size=k, replace=False)) for _ in range(7)]
+            assert np.sort(sets, axis=1).tolist() == np.array(expected).tolist(), (d, k)
+
+
 def _registry_rows():
     """The 288 records of the synthetic set on the registry's 10 features, and their labels."""
     dataset = select_features(build_dataset(synthesize(seed=0)), k=10)

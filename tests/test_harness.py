@@ -790,6 +790,14 @@ class TestCli:
         assert cli.main([*args, "--out", str(blocker / "out")]) == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_synth_out_into_a_missing_directory_or_under_a_file_is_data_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        args = ["synth", "--units", "6", "--years", "5"]
+        for out in (tmp_path / "missing" / "data.csv", blocker / "data.csv"):
+            assert cli.main([*args, "--out", str(out)]) == 2
+            assert "data error" in capsys.readouterr().err
+
     def test_holdout_mode(self, tmp_path):
         data = tmp_path / "data.csv"
         cli.main(["synth", "--units", "12", "--years", "10", "--seed", "4", "--out", str(data)])
@@ -808,3 +816,52 @@ class TestCli:
         assert code == 0
         report = load_report(out_dir / "report.json")
         assert report["plan"]["mode"] == "holdout"
+
+
+class TestImports:
+    def test_cli_import_loads_no_model_stack(self):
+        """``qcb synth``, ``qcb report`` and ``qcb --help`` start without the
+        circuits, the models, the runner or the process pool."""
+        script = """
+import sys
+import qcb.cli
+heavy = ["qcb.qmodels", "qcb.qsim", "qcb.circuits", "qcb.optimize", "qcb.classical.trees",
+         "qcb.evalharness.runner", "multiprocessing", "concurrent.futures"]
+print([name for name in heavy if name in sys.modules])
+"""
+        src = str(Path(qcb.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_run_calls_the_traced_names_through_cli(self, tmp_path, monkeypatch):
+        # perfbench/spantrace wraps these three by attribute on ``cli``
+        data = tmp_path / "data.csv"
+        cli.main(["synth", "--units", "6", "--years", "5", "--seed", "1", "--out", str(data)])
+        called = []
+        for name in ("ingest_csv", "select_features", "emit_report"):
+            def wrapper(*args, _name=name, _inner=getattr(cli, name), **kwargs):
+                called.append(_name)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+        args = ["run", "--data", str(data), "--models", "majority_class", "--folds", "2",
+                "--seeds", "1", "--reference", "majority_class", "--out-dir", str(tmp_path / "out"),
+                "--quiet"]
+        assert cli.main(args) == 0
+        assert called == ["ingest_csv", "select_features", "emit_report"]
+
+    def test_evalharness_exports_resolve_on_access(self):
+        import importlib
+
+        from qcb import evalharness
+
+        for name in evalharness.__all__:
+            module = importlib.import_module(f"qcb.evalharness.{evalharness._EXPORTS[name]}")
+            assert getattr(evalharness, name) is getattr(module, name)
+            assert name in dir(evalharness)
+        with pytest.raises(AttributeError, match="no attribute 'bogus'"):
+            evalharness.bogus
