@@ -2,32 +2,41 @@
 
 Fit.  One grower fits every tree: a forest's trees grow together, and a
 plain tree is the one-tree case that draws nothing.  The training columns
-are stable-argsorted once per fit; a tree's root table repeats each row id
-of that value order as often as its bootstrap holds the row, giving a
-``(d, n)`` row-order table (the presorted attribute lists of SLIQ; Mehta,
-Agrawal & Rissanen, EDBT 1996).  Tables hold ids of the training rows in
-the smallest unsigned dtype.  A node owns the ``(d, m)`` table of its own
-rows, and a split partitions every row of it with the go-left mask; the
-partition is stable, so each child's table stays in value order.  Equal
-values may sit in any order: no cut falls between them, so their order
-changes no count the search reads.
+are stable-argsorted once per fit.  A row of tree ``t`` has the id
+``t * n + row``, and a ``(classes, ids)`` table holds each id's bootstrap
+count in the row of its class (a plain tree's counts are all 1).  A
+tree's root table holds each distinct row of its bootstrap once, in that
+value order, giving a ``(d, m)`` row-order table (the presorted attribute
+lists of SLIQ; Mehta, Agrawal & Rissanen, EDBT 1996); its count weighs the
+row, as in Louppe, arXiv:1407.7502, 2014.  Tables hold ids in the smallest
+unsigned dtype.  A node owns the table of its own distinct rows, and a
+split partitions every row of it by one byte per id; the partition is
+stable, so each child's table stays in value order.  A child that its
+class counts make a leaf gets no table.  Equal values may sit in any
+order: no cut falls between them, so their order changes no count the
+search reads.
 
-Scheduler.  Each tree keeps its own preorder stack.  A step takes the
-waiting node of each tree in turn until their candidate positions (one per
-candidate feature and row) would pass ``GROW_BLOCK_POSITIONS``, and at least
-one node, then searches them all in one flat pass.  Each (node, feature)
-pair is a segment of ``m`` positions in value order.  Class counts are
-cumulated one class per row of a class-major ``(classes, positions)``
-table; the weighted Gini of the cut after every position comes from the
-same elementwise operations as the per-node definition, and ``+inf`` marks
-a segment's last position and positions whose next value is equal.
-``np.minimum.reduceat`` gives each segment's best, whose first position is
-its cut.  The features are then compared in ascending order, a later one
-winning only if ``candidate < best - 1e-15``.  The threshold is the midpoint
-of the two values around the cut.  Each child's class counts come from the
-cumulative counts, so a leaf costs no NumPy call; its class is the
-majority, ties going to the lowest class.  The children come from two
-boolean compresses of all the step's tables at once.
+Scheduler.  Each tree keeps its own stack of the nodes still to place:
+leaf codes, split codes and nodes with a table.  A step takes the node with
+a table on top of each tree's stack, in turn, until their candidate
+positions (one per candidate feature and distinct row) would pass
+``GROW_BLOCK_POSITIONS``, and at least one node; a tree that draws nothing
+adds the other nodes with tables on its stack.  It searches them all in one
+flat pass.  Each (node, feature) pair is a segment of ``m`` positions in
+value order.  Class weights are cumulated one class per row of a
+class-major ``(classes, positions)`` table, so the weights and sizes left
+and right of each cut are the integers a table that repeats each row by
+its count would give, and the weighted Gini of the cut after every
+position comes from the same elementwise operations as the per-node
+definition; ``+inf`` marks a segment's last position and positions whose
+next value is equal.  ``np.minimum.reduceat`` gives each segment's best,
+whose first position is its cut.  The features are then compared in
+ascending order, a later one winning only if ``candidate < best - 1e-15``.
+The threshold is the midpoint of the two values around the cut.  Each
+child's class weights come from the cumulative weights, and decide at once
+whether it takes a table; a leaf's class is the majority, ties going to
+the lowest class.  A searched node's place on its stack then takes its
+split code and its children, so each tree places its nodes in preorder.
 
 Class-sum order.  The Gini sums the squared class fractions as ``np.sum``
 does over a contiguous class axis: in sequence below 8 classes, pairwise
@@ -37,31 +46,38 @@ a tree grown on its own classes would have it; from 8 classes up, a tree
 whose bootstrap lacks a class may differ from it in the last bit.
 
 RNG contract.  A forest's tree searches ``k = ceil(sqrt(d))`` features per
-split.  When ``k`` is below the column count, each splittable node (not a
-leaf made by depth, size or purity) searches, in depth-first, left-first
-preorder, the set that one ``rng.choice(d, size=k, replace=False)`` on the
-tree's own stream would draw there.  The tree draws ``CANDIDATE_BLOCK_NODES``
-such sets at once: one broadcast ``rng.integers`` makes ``choice``'s bounded
-draws for each set in turn, Floyd's ``k`` and then the ``k - 1`` of its
-shuffle, which only orders the set; the search sorts it anyway.  The draws
-left when a tree is grown are never read.  This equals ``choice`` while
-numpy takes Floyd's path, which it does unless ``d > 10000`` and
-``k > d // 50``, and ``ceil(sqrt(d))`` never is both.  The scheduler
-interleaves trees, never the nodes of one tree: each tree visits its nodes
-from its own explicit stack in that order, so its sets are taken as by the
-recursive definition, and a deep tree needs no recursion.  A plain tree
-searches every feature and draws nothing.
+split.  A node is splittable when its depth is below the maximum, its
+weight (its rows counted with their bootstrap counts) is 2 or more, and it
+is impure.  When ``k`` is below the column count, each splittable node
+searches, in depth-first, left-first preorder, the set that one
+``rng.choice(d, size=k, replace=False)`` on the tree's own stream would
+draw there.  The tree draws ``CANDIDATE_BLOCK_NODES`` such sets at once: one
+broadcast ``rng.integers`` makes ``choice``'s bounded draws for each set in
+turn, Floyd's ``k`` and then the ``k - 1`` of its shuffle, which only
+orders the set; the block is sorted.  The draws left when a tree is grown
+are never read.  This equals ``choice`` while numpy takes Floyd's path,
+which it does unless ``d > 10000`` and ``k > d // 50``, and
+``ceil(sqrt(d))`` never is both.  The scheduler interleaves trees, never
+the nodes of a tree that draws: each such tree searches the node on top of
+its own explicit stack, so its sets are taken as by the recursive
+definition, and a deep tree needs no recursion.  A plain tree searches
+every feature and draws nothing, so it searches its stacked nodes in any
+order.
 
 Node layout.  A fitted tree is a ``_Nodes`` table of flat preorder arrays, in
 the smallest integer dtypes that hold them: ``feature``, ``threshold``,
 ``right`` and ``value`` (the leaf's class code).  The left child of node ``i``
 is ``i + 1``.  A leaf has a NaN threshold and a ``right`` that points to
 itself, so ``x <= threshold`` is false and a descent step leaves it in place.
-A tree predicts by walking its nodes row by row.  A forest concatenates its
-trees into one table.  It keeps that table, each tree's root offset, the
-deepest tree's depth and a ``(trees, classes)`` mask of the classes each
-bootstrap held, from which a tree's text is rendered in the codes of its own
-classes; no per-tree object is made.  The forest scores rows in blocks of
+A fit places each tree's nodes as codes in preorder and builds the links
+from the leaf bits, as loading does (see Pickles).  A tree predicts by
+walking its nodes row by row.  A forest concatenates its trees into one
+table.  It keeps that table, each tree's root offset, the deepest tree's
+depth and a ``(trees, classes)`` mask of the classes each bootstrap held,
+from which a tree's text is rendered in the codes of its own classes; no
+per-tree object is made.  Every tree's text comes from one pass over the
+table: a split gives its opening, a leaf its tuple and the closings of the
+splits whose subtrees end at it, and each distinct piece is rendered once.  The forest scores rows in blocks of
 ``PREDICT_BLOCK_ROWS``: each block goes through every tree in ``depth``
 vectorised gather steps over a ``(trees, rows)`` node-index array, and votes
 with one ``bincount``.  A step costs eight NumPy calls, so a single record
@@ -98,7 +114,7 @@ from ..errors import UsageError
 
 # candidate positions one grower step searches, one per (candidate feature, row)
 # of each node taken; a step takes at least one node
-GROW_BLOCK_POSITIONS = 4096
+GROW_BLOCK_POSITIONS = 8192
 # candidate sets a forest's tree draws at once; a 150-tree fit on 230 x 10
 # reaches 10-23 splittable nodes per tree
 CANDIDATE_BLOCK_NODES = 32
@@ -140,6 +156,13 @@ def _load_nodes(leaf_bits, split_feature, counts, index, thresholds, leaf_value)
     threshold[split] = thresholds[_starts(counts)[split_feature] + index]
     value = np.zeros(n, leaf_value.dtype.str)
     value[leaf] = leaf_value
+    return _Nodes(feature, threshold, _right_links(leaf), value)
+
+
+def _right_links(leaf: np.ndarray) -> np.ndarray:
+    """Each node's ``right`` in a preorder table of trees, from its leaf bits."""
+    n = len(leaf)
+    split = np.flatnonzero(~leaf)
     # the left subtree of split i ends at the first later node whose excess is
     # one below excess[i], found by one search of the sorted (excess, node) keys
     excess = _excess(leaf)
@@ -147,7 +170,7 @@ def _load_nodes(leaf_bits, split_feature, counts, index, thresholds, leaf_value)
     keys = np.sort((excess - low) * n + np.arange(n))
     right = np.arange(n)
     right[split] = keys[np.searchsorted(keys, (excess[split] - 1 - low) * n + split + 1)] % n + 1
-    return _Nodes(feature, threshold, _compact(right, n - 1), value)
+    return _compact(right, n - 1)
 
 
 def _excess(leaf: np.ndarray) -> np.ndarray:
@@ -166,85 +189,68 @@ def _starts(lengths: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _sum_of_squares(fracs: np.ndarray) -> np.ndarray:
-    """Per position, the sum over classes of ``fracs**2``; ``fracs`` is ``(classes, positions)``.
+def _class_sum(rows: np.ndarray) -> np.ndarray:
+    """The sum over the first (class) axis, adding the classes in sequence."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
+
+
+def _gini(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per position, ``1 - sum(fracs**2)`` over classes, with ``fracs`` of the
+    ``(classes, positions)`` counts over the ``(positions,)`` sizes.
 
     The sum is ``np.sum`` over a contiguous class axis, bit for bit: below 8
     terms that adds the classes in sequence, from 8 up it adds them pairwise.
     """
-    if len(fracs) < 8:
-        total = fracs[0] ** 2
-        for row in fracs[1:]:
-            total += row**2
-        return total
-    return np.sum(np.ascontiguousarray((fracs**2).T), axis=1)
-
-
-def _gini(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    # counts: (classes, positions); sizes: (positions,)
-    return 1.0 - _sum_of_squares(counts / sizes)
+    if len(counts) < 8:  # one class at a time, which holds two rows of positions
+        total = counts[0] / sizes
+        np.square(total, out=total)
+        for row in counts[1:]:
+            square = row / sizes
+            total += np.square(square, out=square)
+    else:
+        squares = counts / sizes
+        total = np.sum(np.ascontiguousarray(np.square(squares, out=squares).T), axis=1)
+    return np.subtract(1.0, total, out=total)
 
 
 class _Tree:
-    """A tree in growth: its preorder node lists, its stack of nodes still to
-    visit, and the node whose split search it waits for."""
+    """A tree in growth: its nodes so far in preorder, and the stack of its
+    nodes still to place, whose top, when it has a table, waits for a search."""
 
-    __slots__ = (
-        "rng", "sets", "taken", "stack", "feature", "threshold", "right", "value", "depth", "node"
-    )
+    __slots__ = ("offset", "rng", "sets", "taken", "stack", "codes")
 
-    def __init__(self, rng, root: tuple):
+    def __init__(self, offset: int, rng):
+        self.offset = offset  # the first id of the tree's rows
         self.rng = rng
-        self.sets, self.taken = (), 0  # the drawn candidate sets, and how many nodes took one
-        # (row-order table, class counts, depth, the parent whose right child it is, or -1)
-        self.stack = [root]
-        self.feature, self.threshold, self.right, self.value = [], [], [], []
-        self.depth = 0
-        self.node = None  # (row-order table, class counts, depth, index, features)
+        # the drawn candidate sets, and how many nodes took one
+        self.sets, self.taken = (), CANDIDATE_BLOCK_NODES
+        # a leaf's class code, ~i for the fit's i-th split, or a (row-order table, depth) to search
+        self.stack = []
+        self.codes = []  # the placed nodes: a leaf's class code, or ~i for the fit's i-th split
 
-    def next_search(self, max_depth: int, d: int, n_candidates: int) -> bool:
-        """Visit nodes in preorder, each as a leaf, up to the next splittable one.
-
-        That node waits in ``node`` for its search; False when none is left.
-        """
-        right = self.right
-        while self.stack:
-            table, counts, depth, parent = self.stack.pop()
-            node = len(right)
-            if parent >= 0:
-                right[parent] = node
-            self.depth = max(self.depth, depth)
-            m = table.shape[1]
-            self.feature.append(0)
-            self.threshold.append(np.nan)
-            right.append(node)
-            self.value.append(counts.index(max(counts)))  # ties go to the lowest class
-            if n_candidates and depth < max_depth and m >= 2 and max(counts) < m:
-                features = None
+    def next_search(self, d: int, n_candidates: int) -> bool:
+        """Place the nodes on top of the stack up to the next one with a table,
+        which takes the next candidate set of the block when the tree draws;
+        False when none is left."""
+        stack, codes = self.stack, self.codes
+        while stack:
+            if stack[-1].__class__ is tuple:
                 if n_candidates < d:
-                    if self.taken == len(self.sets):
-                        self.sets = _candidate_sets(
-                            self.rng, d, n_candidates, CANDIDATE_BLOCK_NODES
-                        )
+                    if self.taken == CANDIDATE_BLOCK_NODES:
+                        self.sets = _candidate_sets(self.rng, d, n_candidates, CANDIDATE_BLOCK_NODES)
                         self.taken = 0
-                    features = self.sets[self.taken]
                     self.taken += 1
-                self.node = (table, counts, depth, node, features)
                 return True
+            codes.append(stack.pop())
         return False
-
-    def nodes(self, d: int, n_classes: int) -> _Nodes:
-        return _Nodes(
-            feature=_compact(self.feature, d - 1),
-            threshold=np.asarray(self.threshold, dtype=float),
-            right=_compact(self.right, len(self.right) - 1),
-            value=_compact(self.value, n_classes - 1),
-        )
 
 
 def _candidate_sets(rng, d: int, k: int, n_sets: int) -> np.ndarray:
-    """The next ``n_sets`` candidate sets of ``k < d`` features, one per row,
-    in the smallest unsigned dtype (150 trees keep a block each).
+    """The next ``n_sets`` candidate sets of ``k < d`` features, one ascending
+    row each, in the smallest unsigned dtype (150 trees keep a block each).
 
     Each row holds the set that one ``rng.choice(d, size=k, replace=False)``
     call would draw there, in another order.  That call makes Floyd's ``k``
@@ -257,57 +263,95 @@ def _candidate_sets(rng, d: int, k: int, n_sets: int) -> np.ndarray:
     for i in range(1, k):  # Floyd's rule: a value already taken gives way to the draw's top
         taken = (sets[:, :i] == sets[:, i : i + 1]).any(axis=1)
         sets[taken, i] = d - k + i
+    sets.sort(axis=1)
     return _compact(sets, d - 1)
 
 
-def _search(columns, codes, n_classes: int, tables: list, features: np.ndarray):
+class _Cuts(NamedTuple):
+    """What one step's search finds, per node in the order searched."""
+
+    winner: list  # the winner's slot in the candidate features; -1 when every one is constant
+    split: np.ndarray  # the nodes that split
+    features: np.ndarray  # the features they split on
+    thresholds: np.ndarray  # and their thresholds
+    counts: np.ndarray  # (class, side, node) weights of the left and right children
+    children: list  # per node (left, right): -width for a child with a table, else its class code
+    lefts: np.ndarray  # the flat tables of the children that take one, in node order
+    rights: np.ndarray
+
+
+class _Rows(NamedTuple):
+    """The training rows of a fit by id, ``tree * n + row``."""
+
+    columns: np.ndarray  # (d, n): the training columns
+    weights: np.ndarray  # (classes, ids): the bootstrap count of each id in its class's row, else 0
+    count: np.dtype  # holds the weight of the heaviest root
+    side: np.ndarray  # a scratch byte per id
+
+
+def _side_counts(rows: _Rows, ids, seg_start, seg_len) -> np.ndarray:
+    """The ``(class, side, position)`` weights left and right of the cut after
+    each position of the segments, from one cumulative count over all of them.
+
+    The cumulative count wraps around in ``rows.count``.  Every count it
+    gives is a difference within one segment, at most the node's weight, so
+    the wrapped differences are exact.
+    """
+    counted = rows.weights.take(ids, axis=1)
+    # cum[c, p + 1]: the weight of class c up to position p, counted from the first segment
+    cum = np.zeros((len(counted), len(ids) + 1), dtype=rows.count)
+    np.cumsum(counted, axis=1, out=cum[:, 1:])
+    side_counts = np.empty((len(counted), 2, len(ids)), dtype=rows.count)
+    np.subtract(cum[:, 1:], np.repeat(cum.take(seg_start, axis=1), seg_len, axis=1), out=side_counts[:, 0])
+    np.subtract(np.repeat(cum.take(seg_start + seg_len, axis=1), seg_len, axis=1), cum[:, 1:], out=side_counts[:, 1])
+    return side_counts
+
+
+def _search(rows: _Rows, tables: list, features, offsets, room) -> _Cuts:
     """The Gini-best cut of every node of one step, in one flat pass.
 
-    ``tables`` are the nodes' ``(d, m)`` row-order tables and ``features`` the
-    ``(nodes, F)`` ascending candidate features.  Each (node, feature) pair is
-    a segment of ``m`` positions in value order, and the cut after a position
-    gets its weighted Gini from class-major cumulative counts.  Returns, per
-    node, the winner's slot in ``features`` (-1 when every candidate is
-    constant), its threshold, its number of rows on the left and their class
-    counts, and the flat left and right children of every node's table.
+    ``tables`` are the nodes' ``(d, m)`` row-order tables of distinct ids and
+    ``features`` the ``(nodes, F)`` ascending candidate features.
+    ``offsets`` holds each node's ``tree * n``, and ``room`` tells whether
+    its children are below the maximum depth.
+
+    Each (node, feature) pair is a segment of ``m`` positions in value order,
+    and the cut after a position gets its weighted Gini from class-major
+    cumulative weights.  A node that stays a leaf counts as all left, with
+    its own class code.
     """
-    d, n = columns.shape
+    d, n = rows.columns.shape
     n_nodes, n_feat = features.shape
     sizes = np.array([table.shape[1] for table in tables])
     flat = np.concatenate([table.ravel() for table in tables])
     seg_len = np.repeat(sizes, n_feat)
     seg_start = _starts(seg_len)
     seg_end = seg_start + seg_len
-    positions = np.arange(seg_end[-1])
-    in_seg = positions - np.repeat(seg_start, seg_len)
+    n_positions = int(seg_end[-1])
+    in_seg = np.arange(n_positions) - np.repeat(seg_start, seg_len)
     source = _starts(d * sizes)[:, None] + features * sizes[:, None]
-    rows = flat[np.repeat(source.ravel(), seg_len) + in_seg]
-    xs = columns.ravel()[np.repeat(features.ravel() * n, seg_len) + rows]
+    ids = flat.take(np.repeat(source.ravel(), seg_len) + in_seg)
+    xs = rows.columns.ravel().take(np.repeat((features * n - offsets[:, None]).ravel(), seg_len) + ids)
 
-    # cum[c, p + 1]: the rows of class c up to position p, counted from the first segment
-    cum = np.zeros((n_classes, len(positions) + 1), dtype=np.min_scalar_type(len(positions)))
-    np.cumsum(codes[rows] == np.arange(n_classes)[:, None], axis=1, out=cum[:, 1:])
-    left_counts = cum[:, 1:] - np.repeat(cum[:, seg_start], seg_len, axis=1)
-    right_counts = np.repeat(cum[:, seg_end], seg_len, axis=1) - cum[:, 1:]
-    left_sizes = in_seg + 1.0
-    node_sizes = np.repeat(seg_len, seg_len)
-    right_sizes = node_sizes - left_sizes
+    # the same integers as with each row repeated by its count
+    side_counts = _side_counts(rows, ids, seg_start, seg_len)
+    n_classes = len(side_counts)
+    side_sizes = _class_sum(side_counts).astype(float)
+    node_sizes = side_sizes[0] + side_sizes[1]
     with np.errstate(divide="ignore", invalid="ignore"):  # a segment's last position cuts nothing
-        weighted = (
-            left_sizes * _gini(left_counts, left_sizes)
-            + right_sizes * _gini(right_counts, right_sizes)
-        ) / node_sizes
-    no_cut = np.empty(len(positions), dtype=bool)
+        impurity = _gini(side_counts.reshape(n_classes, -1), side_sizes.ravel()).reshape(2, -1)
+        impurity *= side_sizes
+        weighted = impurity[0] + impurity[1]
+        weighted /= node_sizes
+    no_cut = np.empty(n_positions, dtype=bool)
     no_cut[:-1] = xs[1:] == xs[:-1]  # no cut between equal values
     no_cut[seg_end - 1] = True
-    weighted[no_cut] = np.inf
+    np.putmask(weighted, no_cut, np.inf)
 
-    # each segment's first best position; a constant feature has no cut, so its best is inf
+    # each segment's best; a constant feature has no cut, so its best is inf.
+    # The features are compared in ascending order, a later one winning only
+    # if its Gini is below the best's by more than 1e-15
     best = np.minimum.reduceat(weighted, seg_start)
-    hits = np.flatnonzero(weighted == np.repeat(best, seg_len))
-    first = hits[np.searchsorted(hits, seg_start)].reshape(n_nodes, n_feat)
-    # then the features in ascending order, a later one winning only if its
-    # Gini is below the best's by more than 1e-15
     winner = []
     for gini in best.reshape(n_nodes, n_feat).tolist():
         k_best, g_best = -1, np.inf
@@ -315,120 +359,206 @@ def _search(columns, codes, n_classes: int, tables: list, features: np.ndarray):
             if g < g_best - 1e-15:
                 k_best, g_best = k, g
         winner.append(k_best)
-    winner = np.array(winner)
+    slots = np.array(winner)
+    is_split = slots >= 0
+    split = np.flatnonzero(is_split)
 
-    split = np.flatnonzero(winner >= 0)
-    cut_at = first[split, winner[split]]  # the position the cut follows
+    # each node's rows in the winner's value order, or in its first candidate's
+    # when it stays a leaf, where every position ties at inf
+    win_seg = np.arange(0, n_nodes * n_feat, n_feat) + np.maximum(slots, 0)
+    win_start = seg_start[win_seg]
+    node_start = _starts(sizes)
+    win = np.repeat(win_start - node_start, sizes) + np.arange(len(flat) // d)
+    # the first best position is the cut
+    hits = np.flatnonzero(weighted.take(win) == np.repeat(best[win_seg], sizes))
+    cut_at = win[hits[np.searchsorted(hits, node_start[split])]]
     thresholds = np.full(n_nodes, np.nan)
     thresholds[split] = 0.5 * (xs[cut_at] + xs[cut_at + 1])
     # the rows with x <= threshold lead the value order; rounding may put xs[j + 1] among them
-    m = sizes[split]
-    win_start = cut_at - in_seg[cut_at]
-    win = np.repeat(win_start - _starts(m), m) + np.arange(m.sum())
-    goes_left = xs[win] <= np.repeat(thresholds[split], m)
-    n_left = np.zeros(n_nodes, dtype=np.intp)
-    n_left[split] = np.add.reduceat(goes_left, _starts(m), dtype=np.intp)
-    left_class_counts = np.zeros((n_nodes, n_classes), dtype=np.intp)
-    left_class_counts[split] = (cum[:, win_start + n_left[split]] - cum[:, win_start]).T
+    goes_left = xs.take(win) <= np.repeat(thresholds, sizes)
+    n_left = np.add.reduceat(goes_left, node_start, dtype=np.intp)
 
-    # stable partition of every node's table into the left and right children
-    in_left = np.zeros(n_nodes * n, dtype=bool)
-    in_left[np.repeat(split * n, m)[goes_left] + rows[win][goes_left]] = True
-    in_left = in_left[np.repeat(np.arange(0, n_nodes * n, n), d * sizes) + flat]
-    return winner, thresholds, n_left, left_class_counts, flat[in_left], flat[~in_left]
+    # (class, side, node): the children's weights, those of the cut after the
+    # last left position; a node that stays a leaf is all left
+    counts = side_counts.take(win_start + np.where(is_split, n_left, sizes) - 1, axis=2)
+    child_sizes = _class_sum(counts)
+    widths = np.stack([n_left, sizes - n_left])
+    # a child takes a table when it may split: below the maximum depth, of
+    # weight 2 or more, and impure
+    takes_table = is_split & room & (child_sizes >= 2) & (counts.max(axis=0) < child_sizes)
+    children = np.where(takes_table, -widths, counts.argmax(axis=0)).T  # ties go to the lowest class
+
+    # stable partition of the tables of the children that take one
+    lefts = rights = flat[:0]
+    if takes_table.any():
+        goes = takes_table.astype(np.uint8)
+        goes[1] *= 2  # 1: the left table, 2: the right one, 0: none
+        rows.side[ids.take(win)] = np.where(goes_left, np.repeat(goes[0], sizes), np.repeat(goes[1], sizes))
+        at = rows.side.take(flat)
+        lefts, rights = flat.compress(at == 1), flat.compress(at == 2)
+    return _Cuts(
+        winner, split, features[split, slots[split]], thresholds[split], counts, children.tolist(), lefts, rights
+    )
 
 
-def _grow(X, codes, n_classes: int, max_depth: int, n_candidates: int, bootstraps) -> list:
-    """Grow one tree per ``(rows, rng)`` of ``bootstraps``; return each tree's ``_Nodes`` and depth.
+def _grow(X, codes, n_classes: int, max_depth: int, n_candidates: int, bootstraps):
+    """Grow one tree per ``(counts, rng)`` of ``bootstraps``.
 
-    ``rows`` are the tree's training rows, ids into ``X`` that may repeat.
-    A split searches ``n_candidates`` features: ``rng`` draws them when that
-    is below the column count, and may be None otherwise.  Each step
-    searches the waiting node of as many trees as fit in
-    ``GROW_BLOCK_POSITIONS``, taken in turn, at least one.
+    ``counts`` holds how often the tree's bootstrap draws each row of ``X``,
+    or is None for every row once.  A split searches ``n_candidates``
+    features: ``rng`` draws them when that is below the column count, and
+    may be None otherwise.  Each step searches the waiting node of as many
+    trees as fit in ``GROW_BLOCK_POSITIONS``, taken in turn, at least one; a
+    tree that draws nothing adds its other waiting nodes that fit.  Returns the trees' ``_Nodes`` in one table, each tree's root in it, the
+    depth of the deepest tree, and a ``(trees, classes)`` mask of the classes
+    each tree's rows hold.
     """
     n, d = X.shape
-    columns = np.ascontiguousarray(X.T)
-    ids = np.min_scalar_type(max(n - 1, 0))
-    order = np.argsort(columns, axis=1, kind="stable").astype(ids)
-    trees, waiting = [], deque()
-    for rows, rng in bootstraps:
-        # the root's table: each row of the value order as often as the tree holds it
-        table = np.repeat(order, np.bincount(rows, minlength=n)[order].ravel()).reshape(d, len(rows))
-        tree = _Tree(rng, (table, np.bincount(codes[rows], minlength=n_classes).tolist(), 0, -1))
-        trees.append(tree)
-        if tree.next_search(max_depth, d, n_candidates):
+    trees, weights, bagged = [], [], []
+    for counts, rng in bootstraps:
+        trees.append(_Tree(len(trees) * n, rng))
+        bagged.append(counts is not None)
+        weights.append(np.ones(n, np.uint8) if counts is None else _compact(counts, counts.max(initial=0)))
+    weights = np.concatenate(weights)
+    codes = np.tile(_compact(codes, n_classes - 1), len(trees))
+    class_weights = np.zeros((n_classes, len(weights)), dtype=weights.dtype)
+    for code, row in enumerate(class_weights):
+        np.multiply(weights, codes == code, out=row)
+    root_counts = class_weights.reshape(n_classes, len(trees), n).sum(axis=2).T  # (trees, classes)
+    sizes = root_counts.sum(axis=1)
+    rows = _Rows(
+        np.ascontiguousarray(X.T), class_weights, np.min_scalar_type(sizes.max(initial=0)),
+        np.zeros(len(weights), dtype=np.uint8),
+    )
+    splits = (sizes >= 2) & (root_counts.max(axis=1) < sizes) & (n_candidates > 0) & (max_depth > 0)
+    order = np.argsort(rows.columns, axis=1, kind="stable").astype(np.min_scalar_type(len(weights) - 1))
+    waiting = deque()
+    for tree, majority, split, bag in zip(trees, root_counts.argmax(axis=1).tolist(), splits.tolist(), bagged):
+        if split:
+            table = order
+            if bag:  # each distinct row of the value order once
+                held = (weights[tree.offset : tree.offset + n] > 0).take(order)
+                table = order.compress(held.ravel()).reshape(d, -1) + tree.offset
+            tree.stack.append((table, 0))
+        else:
+            tree.stack.append(majority)  # ties go to the lowest class
+        if tree.next_search(d, n_candidates):
             waiting.append(tree)
+    all_features = np.arange(d)
+    split_features, split_thresholds = [], []
+    n_splits = deepest = 0
     while waiting:
-        batch = [waiting.popleft()]
-        budget = GROW_BLOCK_POSITIONS - n_candidates * batch[0].node[0].shape[1]
-        while waiting and n_candidates * waiting[0].node[0].shape[1] <= budget:
-            budget -= n_candidates * waiting[0].node[0].shape[1]
-            batch.append(waiting.popleft())
+        tree = waiting.popleft()
+        batch, nodes = [tree], [(tree, len(tree.stack) - 1)]
+        budget = GROW_BLOCK_POSITIONS - n_candidates * tree.stack[-1][0].shape[1]
+        while waiting and n_candidates * waiting[0].stack[-1][0].shape[1] <= budget:
+            tree = waiting.popleft()
+            budget -= n_candidates * tree.stack[-1][0].shape[1]
+            batch.append(tree)
+            nodes.append((tree, len(tree.stack) - 1))
         if n_candidates < d:
-            features = np.sort([tree.node[4] for tree in batch], axis=1).astype(np.intp)
+            features = np.array([tree.sets[tree.taken - 1] for tree in batch], dtype=np.intp)
         else:
-            features = np.tile(np.arange(d), (len(batch), 1))
-        winner, thresholds, n_left, left_counts, lefts, rights = _search(
-            columns, codes, n_classes, [tree.node[0] for tree in batch], features
+            # a tree that draws nothing may search its other waiting nodes too
+            for tree in batch:
+                for i in range(len(tree.stack) - 2, -1, -1):
+                    node = tree.stack[i]
+                    if node.__class__ is tuple and d * node[0].shape[1] <= budget:
+                        budget -= d * node[0].shape[1]
+                        nodes.append((tree, i))
+            features = np.tile(all_features, (len(nodes), 1))
+        entries = [tree.stack[i] for tree, i in nodes]
+        depths = np.array([depth for _, depth in entries])
+        cuts = _search(
+            rows, [table for table, _ in entries], features, np.array([tree.offset for tree, _ in nodes]),
+            depths + 1 < max_depth,
         )
+        if len(cuts.split):
+            split_features.append(cuts.features)
+            split_thresholds.append(cuts.thresholds)
+            deepest = max(deepest, int(depths[cuts.split].max()) + 1)
+        lefts, rights = cuts.lefts, cuts.rights
+        # each node's place on its stack takes its code and then its children's
+        # entries; a tree's nodes come in descending place, so each place holds
         left_at = right_at = 0
-        for tree, k, cut, n_l, counts_l, chosen in zip(
-            batch, winner.tolist(), thresholds.tolist(), n_left.tolist(),
-            left_counts.tolist(), features.tolist(),
-        ):
-            table, counts, depth, node, _ = tree.node
-            n_r = table.shape[1] - n_l
-            if k < 0:  # the node stays a leaf; its whole table went right
-                right_at += d * n_r
-            else:
-                left_table = lefts[left_at : left_at + d * n_l].reshape(d, n_l)
+        for (tree, i), k, (left, right), (_, depth) in zip(nodes, cuts.winner, cuts.children, entries):
+            if k < 0:  # every candidate is constant: the node stays a leaf
+                tree.stack[i] = left
+                continue
+            if right < 0:
+                end = right_at - d * right
                 # a right child may wait long on the stack: a copy frees the step's buffer
-                right_table = rights[right_at : right_at + d * n_r].reshape(d, n_r).copy()
-                left_at += d * n_l
-                right_at += d * n_r
-                tree.feature[node] = chosen[k]
-                tree.threshold[node] = cut
-                tree.right[node] = -1  # set when the right child is reached
-                tree.value[node] = 0
-                counts_r = [c - left for c, left in zip(counts, counts_l)]
-                tree.stack.append((right_table, counts_r, depth + 1, node))
-                tree.stack.append((left_table, counts_l, depth + 1, -1))
-            if tree.next_search(max_depth, d, n_candidates):
+                right = (rights[right_at:end].reshape(d, -right).copy(), depth + 1)
+                right_at = end
+            if left < 0:
+                end = left_at - d * left
+                left = (lefts[left_at:end].reshape(d, -left), depth + 1)
+                left_at = end
+            tree.stack[i : i + 1] = right, left, ~n_splits
+            n_splits += 1
+        for tree in batch:
+            if tree.next_search(d, n_candidates):
                 waiting.append(tree)
-    return [(tree.nodes(d, n_classes), tree.depth) for tree in trees]
+
+    node_codes = np.array([code for tree in trees for code in tree.codes])
+    leaf = node_codes >= 0
+    feature = np.zeros(len(node_codes), dtype=np.min_scalar_type(d - 1))
+    threshold = np.full(len(node_codes), np.nan)
+    if split_features:
+        at = ~node_codes[~leaf]
+        feature[~leaf] = np.concatenate(split_features)[at]
+        threshold[~leaf] = np.concatenate(split_thresholds)[at]
+    nodes = _Nodes(
+        feature=feature,
+        threshold=threshold,
+        right=_right_links(leaf),
+        value=_compact(np.where(leaf, node_codes, 0), n_classes - 1),
+    )
+    roots = _compact(_starts(np.array([len(tree.codes) for tree in trees])), len(leaf) - 1)
+    return nodes, roots, deepest, root_counts > 0
 
 
-def _tree_text(nodes: list[list], root: int, leaf_codes: list[int]) -> str:
+def _tree_texts(nodes: _Nodes, roots, shown: np.ndarray) -> list[str]:
     """``repr`` of the nested ``('split', feature, threshold, left, right)`` /
-    ``('leaf', class)`` tuple of the tree at ``root``, built without recursion.
+    ``('leaf', class)`` tuple of each tree of ``nodes``, rooted at ``roots``,
+    built in one pass over the table without recursion.
 
-    ``nodes`` holds the ``_Nodes`` arrays as lists; ``leaf_codes`` maps a leaf
-    value to the class code the tree's text shows.
+    ``shown[t, v]`` is the class code that tree ``t``'s text shows for a leaf
+    of value ``v``.  Each node gives one piece of text: a split its opening,
+    and a leaf its tuple, the closings of the splits whose subtrees end at
+    it, and the separator that follows.  Equal pieces are rendered once.
     """
-    feature, threshold, right, value = nodes
-    leaves = [f"('leaf', {code})" for code in leaf_codes]
-    splits = {}  # feature -> the text that opens its split
-    parts = []
-    in_right = []  # one flag per open split: its left subtree is done
-    i = root
-    while True:
-        if right[i] == i:
-            parts.append(leaves[value[i]])
-            while in_right and in_right[-1]:
-                in_right.pop()
-                parts.append(")")
-            if not in_right:
-                return "".join(parts)
-            in_right[-1] = True
-            parts.append(", ")
-        else:
-            f = feature[i]
-            if f not in splits:
-                splits[f] = f"('split', {np.int64(f)!r}, "
-            parts.append(f"{splits[f]}{threshold[i]!r}, ")
-            in_right.append(False)
-        i += 1
+    n = len(nodes.right)
+    leaf = nodes.right == np.arange(n)
+    split = np.flatnonzero(~leaf)
+    # split j's subtree ends at the first later node whose excess is two below excess[j]
+    excess = _excess(leaf)
+    low = excess.min()
+    keys = np.sort((excess - low) * n + np.arange(n))
+    ends = keys[np.searchsorted(keys, (excess[split] - 2 - low) * n + split + 1)] % n
+    closes = np.bincount(ends, minlength=n)[leaf]
+    last = np.zeros(n, dtype=bool)  # the last node of a tree, which a newline follows
+    last[np.append(np.asarray(roots[1:], dtype=np.intp) - 1, n - 1)] = True
+    tree = np.repeat(np.arange(len(roots)), np.diff(np.append(roots, n)))[leaf]
+    code = shown.ravel().take(tree * shown.shape[1] + nodes.value[leaf])
+    width = int(closes.max(initial=0)) + 1
+    leaf_keys, leaf_piece = np.unique((code * width + closes) * 2 + last[leaf], return_inverse=True)
+    seps = (", ", "\n")
+    leaf_texts = [
+        f"('leaf', {key // 2 // width}){')' * (key // 2 % width)}{seps[key % 2]}" for key in leaf_keys.tolist()
+    ]
+    feature = nodes.feature[split].astype(np.intp)
+    patterns, pattern = np.unique(nodes.threshold[split].view(np.uint64), return_inverse=True)
+    width = int(feature.max(initial=0)) + 1
+    split_keys, split_piece = np.unique(pattern * width + feature, return_inverse=True)
+    thresholds = patterns.view(float).tolist()
+    split_texts = [
+        f"('split', {np.int64(key % width)!r}, {thresholds[key // width]!r}, " for key in split_keys.tolist()
+    ]
+    pieces = np.empty(n, dtype=object)
+    pieces[split] = np.array(split_texts, dtype=object).take(split_piece)
+    pieces[leaf] = np.array(leaf_texts, dtype=object).take(leaf_piece)
+    return "".join(pieces.tolist()).split("\n")[:-1]
 
 
 class DecisionTreeClassifier:
@@ -451,8 +581,8 @@ class DecisionTreeClassifier:
         if X.ndim != 2 or len(X) != len(y):
             raise UsageError("X must be 2-D with one label per row")
         self.classes_, codes = np.unique(y, return_inverse=True)
-        [(self._nodes, self.depth_)] = _grow(
-            X, codes, len(self.classes_), self.max_depth, X.shape[1], [(np.arange(len(X)), None)]
+        self._nodes, _, self.depth_, _ = _grow(
+            X, codes, len(self.classes_), self.max_depth, X.shape[1], [(None, None)]
         )
         return self
 
@@ -475,8 +605,8 @@ class DecisionTreeClassifier:
 
     def fitted_state(self) -> dict:
         self._check_fitted()
-        nodes = [a.tolist() for a in self._nodes]
-        return {"classes": self.classes_, "tree": _tree_text(nodes, 0, range(len(self.classes_)))}
+        [text] = _tree_texts(self._nodes, [0], np.arange(len(self.classes_))[None])
+        return {"classes": self.classes_, "tree": text}
 
 
 # rows scored together by a forest; a block's (trees, rows) node indices bound predict's memory
@@ -528,30 +658,16 @@ class RandomForestClassifier:
         n, d = X.shape
         k = len(self.classes_)
         n_candidates = int(np.ceil(np.sqrt(d)))
-        self._held = np.zeros((self.n_trees, k), dtype=bool)
         streams = np.random.SeedSequence(self.seed).spawn(self.n_trees)
 
         def bootstraps():  # drawn one tree at a time, as the grower takes them
-            for held, stream in zip(self._held, streams):
+            for stream in streams:
                 rng = np.random.default_rng(stream)
-                sample = rng.integers(0, n, size=n)
-                held[codes[sample]] = True
-                yield sample, rng
+                yield np.bincount(rng.integers(0, n, size=n), minlength=n), rng
 
-        tables, depths = zip(*_grow(X, codes, k, self.max_depth, n_candidates, bootstraps()))
-        sizes = np.array([len(t.right) for t in tables])
-        roots = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        total = int(sizes.sum())
-        self._nodes = _Nodes(
-            feature=np.concatenate([t.feature for t in tables]),
-            threshold=np.concatenate([t.threshold for t in tables]),
-            right=_compact(
-                np.concatenate([t.right + root for t, root in zip(tables, roots)]), total - 1
-            ),
-            value=_compact(np.concatenate([t.value for t in tables]), k - 1),
+        self._nodes, self._roots, self._depth, self._held = _grow(
+            X, codes, k, self.max_depth, n_candidates, bootstraps()
         )
-        self._roots = _compact(roots, total - 1)
-        self._depth = max(depths)
         return self
 
     def _check_fitted(self) -> None:
@@ -612,13 +728,6 @@ class RandomForestClassifier:
 
     def fitted_state(self) -> dict:
         self._check_fitted()
-        nodes = [a.tolist() for a in self._nodes]
         # each tree's text shows the codes of the classes its own bootstrap held
-        return {
-            "classes": self.classes_,
-            "seed": self.seed,
-            "trees": [
-                _tree_text(nodes, root, (np.cumsum(held) - 1).tolist())
-                for root, held in zip(self._roots.tolist(), self._held)
-            ],
-        }
+        shown = np.cumsum(self._held, axis=1) - 1
+        return {"classes": self.classes_, "seed": self.seed, "trees": _tree_texts(self._nodes, self._roots, shown)}

@@ -94,6 +94,9 @@ def _cmd_run(args) -> int:
     from .evalharness import CvPlan, HoldoutPlan, run_benchmark, select_models
 
     registry = select_models(args.models)
+    known = select_models("all")
+    if args.reference not in known:
+        raise UsageError(f"unknown reference model {args.reference!r}; available: {sorted(known)}")
     records = ingest_csv(args.data)
     dataset = build_dataset(records, provenance="ingested")
     k = min(SELECTED_FEATURES, dataset.n_features)
@@ -124,6 +127,8 @@ def _cmd_run(args) -> int:
 def _cmd_expressibility(args) -> int:
     from .circuits import CircuitConfig, CircuitFamily, expressibility
 
+    if args.max_layers < 1:
+        raise UsageError("--max-layers must be >= 1")
     rows = []
     for layers in range(1, args.max_layers + 1):
         config = CircuitConfig(CircuitFamily.VQC, args.qubits, layers)

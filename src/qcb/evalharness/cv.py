@@ -97,7 +97,7 @@ def stratified_folds(y, n_folds: int, seed: int) -> np.ndarray:
         members = np.nonzero(y == label)[0]
         if len(members) < n_folds:
             raise UsageError(
-                f"class {label!r} has {len(members)} members, fewer than "
+                f"class {label.item()!r} has {len(members)} members, fewer than "
                 f"{n_folds} folds"
             )
         shuffled = rng.permutation(members)

@@ -541,6 +541,103 @@ def test_candidate_sets_are_the_sets_choice_draws(seed):
             assert np.sort(sets, axis=1).tolist() == np.array(expected).tolist(), (d, k)
 
 
+def _root_tables(X, samples):
+    """Each bootstrap's root table twice, with ids ``tree * n + row``: once
+    with each distinct row, once with each row as often as drawn."""
+    n, d = X.shape
+    order = np.argsort(X.T, axis=1, kind="stable")
+    counts = [np.bincount(sample, minlength=n) for sample in samples]
+    distinct = [order[(c > 0)[order]].reshape(d, -1) + t * n for t, c in enumerate(counts)]
+    repeated = [np.repeat(order, c[order].ravel()).reshape(d, n) + t * n for t, c in enumerate(counts)]
+    return np.concatenate(counts), distinct, repeated
+
+
+def _search_both_ways(X, codes, n_classes, samples, features, room):
+    n = len(X)
+    counts, distinct, repeated = _root_tables(X, samples)
+    tiled = np.tile(codes, len(samples)) == np.arange(n_classes)[:, None]
+    offsets = np.arange(len(samples)) * n
+
+    def search(weights, tables):
+        rows = trees._Rows(np.ascontiguousarray(X.T), tiled * weights, np.min_scalar_type(n),
+                           np.zeros(len(counts), np.uint8))
+        return trees._search(rows, tables, features, offsets, room)
+
+    return counts, search(counts, distinct), search(1, repeated)
+
+
+def _child_tables(cuts, d):
+    """Per node and side, the child's ``(d, width)`` table, or None for a leaf."""
+    at = {"left": 0, "right": 0}
+    tables = []
+    for left, right in cuts.children:
+        pair = []
+        for side, child in (("left", left), ("right", right)):
+            if child >= 0:
+                pair.append(None)
+                continue
+            flat = cuts.lefts if side == "left" else cuts.rights
+            pair.append(flat[at[side] : at[side] - d * child].reshape(d, -child))
+            at[side] -= d * child
+        tables.append(pair)
+    return tables
+
+
+class TestWeightedGrower:
+    """A node's table holds each distinct row once, weighed by its bootstrap
+    count; its search finds what a table that repeats each row finds."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_weighted_search_equals_repeated_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d, n_classes = 50, 5, 3
+        X = np.round(rng.normal(size=(n, d)), 1)  # ties within columns
+        codes = rng.integers(0, n_classes, size=n)
+        samples = [rng.integers(0, n, size=n) for _ in range(4)]
+        # one bootstrap holds one row many times
+        samples.append(np.concatenate([np.full(n - 8, 11), rng.integers(0, n, size=8)]))
+        features = np.sort(np.array([rng.choice(d, size=3, replace=False) for _ in samples]), axis=1)
+        room = rng.random(len(samples)) < 0.8
+        counts, weighed, plain = _search_both_ways(X, codes, n_classes, samples, features, room)
+        assert weighed.winner == plain.winner
+        assert np.array_equal(weighed.split, plain.split)
+        assert np.array_equal(weighed.features, plain.features)
+        assert weighed.thresholds.tobytes() == plain.thresholds.tobytes()
+        assert np.array_equal(weighed.counts, plain.counts)  # both children's class weights
+        assert sum(len(cuts.split) for cuts in (weighed, plain)) > 0
+        for pair_w, pair_p, (left_w, right_w), (left_p, right_p) in zip(
+            _child_tables(weighed, d), _child_tables(plain, d), weighed.children, plain.children
+        ):
+            # a leaf child has the same class; a child with a table has the
+            # same rows in the same value order, each repeated by its count
+            assert (left_w < 0, right_w < 0) == (left_p < 0, right_p < 0)
+            assert [c for c in (left_w, right_w) if c >= 0] == [c for c in (left_p, right_p) if c >= 0]
+            for table_w, table_p in zip(pair_w, pair_p):
+                if table_w is not None:
+                    expanded = np.array([np.repeat(row, counts[row]) for row in table_w])
+                    assert np.array_equal(expanded, table_p)
+
+    def test_a_bootstrap_holding_one_row_many_times(self):
+        X, y, _ = TREE_CASES["gaussian"]
+        rows = np.concatenate([np.full(80, 17), np.arange(0, len(X), 3)])
+        classes, codes = np.unique(y, return_inverse=True)
+        bootstrap = [(np.bincount(rows, minlength=len(X)), np.random.default_rng(8))]
+        nodes, roots, depth, held = trees._grow(X, codes, len(classes), 15, 3, bootstrap)
+        old = RecursiveDecisionTree(max_features=3, rng=np.random.default_rng(8)).fit(X[rows], y[rows])
+        assert trees._tree_texts(nodes, roots, np.cumsum(held, axis=1) - 1) == [old.fitted_state()["tree"]]
+        assert depth == old.depth_
+
+    def test_forest_whose_root_weighs_past_uint16(self):
+        # a root of 70,000 weighed rows: its counts, read as differences of
+        # one cumulative count, must be exact past 65,535
+        rng = np.random.default_rng(41)
+        X = np.round(rng.normal(size=(70_000, 10)), 2)
+        y = np.digitize(X[:, 0] + X[:, 1] + 0.5 * rng.normal(size=70_000), [-0.7, 0.7])
+        new = RandomForestClassifier(n_trees=2, max_depth=2, seed=5).fit(X, y)
+        old = RecursiveRandomForest(n_trees=2, max_depth=2, seed=5).fit(X, y)
+        assert new.fitted_state()["trees"] == old.fitted_state()["trees"]
+
+
 def _registry_rows():
     """The 288 records of the synthetic set on the registry's 10 features, and their labels."""
     dataset = select_features(build_dataset(synthesize(seed=0)), k=10)

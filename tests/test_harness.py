@@ -771,6 +771,38 @@ class TestCli:
         assert cli.main(["run", "--data"]) == 1
         assert cli.main(["run", "--data", "x.csv", "--models", "bogus", "--out-dir", "o"]) == 1
 
+    def test_reference_outside_the_registry_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        cli.main(["synth", "--units", "6", "--years", "5", "--seed", "1", "--out", str(data)])
+        args = ["run", "--data", str(data), "--models", "majority_class", "--folds", "2",
+                "--seeds", "1", "--quiet"]
+        assert cli.main([*args, "--reference", "bogus", "--out-dir", str(tmp_path / "bogus")]) == 1
+        assert "unknown reference model 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "bogus").exists()
+        # a registry model left out of --models is no error; nothing is compared with it
+        out_dir = tmp_path / "absent"
+        assert cli.main([*args, "--reference", "decision_tree", "--out-dir", str(out_dir)]) == 0
+        report = load_report(out_dir / "report.json")
+        assert [entry["comparison"] for entry in report["models"].values()] == [None]
+
+    def test_class_in_too_few_records_is_named_plainly(self, tmp_path, capsys):
+        data = tmp_path / "two.csv"
+        cli.main(["synth", "--units", "2", "--years", "1", "--seed", "1", "--out", str(data)])
+        args = ["run", "--data", str(data), "--models", "majority_class", "--folds", "2",
+                "--seeds", "1", "--out-dir", str(tmp_path / "out"), "--quiet"]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert "usage error: class 'High' has 1 members, fewer than 2 folds" in err
+        assert "np.str_" not in err
+
+    def test_expressibility_without_layers_is_usage_error(self, tmp_path, capsys):
+        for layers in ("0", "-2"):
+            out = tmp_path / layers
+            args = ["expressibility", "--qubits", "2", "--max-layers", layers, "--pairs", "10"]
+            assert cli.main([*args, "--out", str(out)]) == 1
+            assert "--max-layers must be >= 1" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_workers_below_one_rejected(self, tmp_path):
         data = tmp_path / "data.csv"
         cli.main(["synth", "--units", "6", "--years", "5", "--seed", "1", "--out", str(data)])
