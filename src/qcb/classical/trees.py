@@ -77,17 +77,17 @@ depth and a ``(trees, classes)`` mask of the classes each bootstrap held,
 from which a tree's text is rendered in the codes of its own classes; no
 per-tree object is made.  Every tree's text comes from one pass over the
 table: a split gives its opening, a leaf its tuple and the closings of the
-splits whose subtrees end at it, and each distinct piece is rendered once.  The forest scores rows in blocks of
-``PREDICT_BLOCK_ROWS``: each block goes through every tree in ``depth``
-vectorised gather steps over a ``(trees, rows)`` node-index array, and votes
-with one ``bincount``.  A step costs eight NumPy calls, so a single record
-instead builds a next-node table: for each node, ``i + 1`` where the record's
-feature is ``<= threshold`` and ``right`` otherwise.  A leaf's entry is
-itself, so ``depth`` jumps ``node = step.take(node)`` reach the same leaves as
-the level-wise descent, bit for bit (a NaN feature goes right in both).  The
-table costs a pass over every node, so only a forest of at most
-``TABLE_MAX_NODES`` nodes takes it (pointer-style traversal; Asadi, Lin & de
-Vries, IEEE TKDE 26:2281, 2014).
+splits whose subtrees end at it, and each distinct piece is rendered once.
+The forest scores rows in blocks of ``PREDICT_BLOCK_ROWS``: each block goes
+through every tree in ``depth`` vectorised gather steps over a ``(trees,
+rows)`` node-index array, and votes with one ``bincount``.  A step costs eight
+NumPy calls, so a single record instead builds a next-node table: for each
+node, ``i + 1`` where the record's feature is ``<= threshold`` and ``right``
+otherwise.  A leaf's entry is itself, so ``depth`` jumps
+``node = step.take(node)`` reach the same leaves as the level-wise descent,
+bit for bit (a NaN feature goes right in both).  The table costs a pass over every node,
+so only a forest of at most ``TABLE_MAX_NODES`` nodes takes it (pointer-style
+traversal; Asadi, Lin & de Vries, IEEE TKDE 26:2281, 2014).
 
 Pickles.  A pickled table keeps what fixes a preorder tree (Jacobson, FOCS
 1989): a packed leaf bit per node, each split's feature and threshold, and
@@ -302,8 +302,10 @@ def _side_counts(rows: _Rows, ids, seg_start, seg_len) -> np.ndarray:
     cum = np.zeros((len(counted), len(ids) + 1), dtype=rows.count)
     np.cumsum(counted, axis=1, out=cum[:, 1:])
     side_counts = np.empty((len(counted), 2, len(ids)), dtype=rows.count)
-    np.subtract(cum[:, 1:], np.repeat(cum.take(seg_start, axis=1), seg_len, axis=1), out=side_counts[:, 0])
-    np.subtract(np.repeat(cum.take(seg_start + seg_len, axis=1), seg_len, axis=1), cum[:, 1:], out=side_counts[:, 1])
+    starts = np.repeat(cum.take(seg_start, axis=1), seg_len, axis=1)
+    ends = np.repeat(cum.take(seg_start + seg_len, axis=1), seg_len, axis=1)
+    np.subtract(cum[:, 1:], starts, out=side_counts[:, 0])
+    np.subtract(ends, cum[:, 1:], out=side_counts[:, 1])
     return side_counts
 
 
@@ -393,11 +395,14 @@ def _search(rows: _Rows, tables: list, features, offsets, room) -> _Cuts:
     if takes_table.any():
         goes = takes_table.astype(np.uint8)
         goes[1] *= 2  # 1: the left table, 2: the right one, 0: none
-        rows.side[ids.take(win)] = np.where(goes_left, np.repeat(goes[0], sizes), np.repeat(goes[1], sizes))
+        rows.side[ids.take(win)] = np.where(
+            goes_left, np.repeat(goes[0], sizes), np.repeat(goes[1], sizes)
+        )
         at = rows.side.take(flat)
         lefts, rights = flat.compress(at == 1), flat.compress(at == 2)
     return _Cuts(
-        winner, split, features[split, slots[split]], thresholds[split], counts, children.tolist(), lefts, rights
+        winner, split, features[split, slots[split]], thresholds[split], counts, children.tolist(),
+        lefts, rights,
     )
 
 
@@ -409,16 +414,19 @@ def _grow(X, codes, n_classes: int, max_depth: int, n_candidates: int, bootstrap
     features: ``rng`` draws them when that is below the column count, and
     may be None otherwise.  Each step searches the waiting node of as many
     trees as fit in ``GROW_BLOCK_POSITIONS``, taken in turn, at least one; a
-    tree that draws nothing adds its other waiting nodes that fit.  Returns the trees' ``_Nodes`` in one table, each tree's root in it, the
-    depth of the deepest tree, and a ``(trees, classes)`` mask of the classes
-    each tree's rows hold.
+    tree that draws nothing adds its other waiting nodes that fit.  Returns
+    the trees' ``_Nodes`` in one table, each tree's root in it, the depth of
+    the deepest tree, and a ``(trees, classes)`` mask of the classes each
+    tree's rows hold.
     """
     n, d = X.shape
     trees, weights, bagged = [], [], []
     for counts, rng in bootstraps:
         trees.append(_Tree(len(trees) * n, rng))
         bagged.append(counts is not None)
-        weights.append(np.ones(n, np.uint8) if counts is None else _compact(counts, counts.max(initial=0)))
+        if counts is None:
+            counts = np.ones(n, np.uint8)
+        weights.append(_compact(counts, counts.max(initial=0)))
     weights = np.concatenate(weights)
     codes = np.tile(_compact(codes, n_classes - 1), len(trees))
     class_weights = np.zeros((n_classes, len(weights)), dtype=weights.dtype)
@@ -433,7 +441,8 @@ def _grow(X, codes, n_classes: int, max_depth: int, n_candidates: int, bootstrap
     splits = (sizes >= 2) & (root_counts.max(axis=1) < sizes) & (n_candidates > 0) & (max_depth > 0)
     order = np.argsort(rows.columns, axis=1, kind="stable").astype(np.min_scalar_type(len(weights) - 1))
     waiting = deque()
-    for tree, majority, split, bag in zip(trees, root_counts.argmax(axis=1).tolist(), splits.tolist(), bagged):
+    majorities = root_counts.argmax(axis=1).tolist()  # ties go to the lowest class
+    for tree, majority, split, bag in zip(trees, majorities, splits.tolist(), bagged):
         if split:
             table = order
             if bag:  # each distinct row of the value order once
@@ -441,7 +450,7 @@ def _grow(X, codes, n_classes: int, max_depth: int, n_candidates: int, bootstrap
                 table = order.compress(held.ravel()).reshape(d, -1) + tree.offset
             tree.stack.append((table, 0))
         else:
-            tree.stack.append(majority)  # ties go to the lowest class
+            tree.stack.append(majority)
         if tree.next_search(d, n_candidates):
             waiting.append(tree)
     all_features = np.arange(d)
@@ -469,10 +478,8 @@ def _grow(X, codes, n_classes: int, max_depth: int, n_candidates: int, bootstrap
             features = np.tile(all_features, (len(nodes), 1))
         entries = [tree.stack[i] for tree, i in nodes]
         depths = np.array([depth for _, depth in entries])
-        cuts = _search(
-            rows, [table for table, _ in entries], features, np.array([tree.offset for tree, _ in nodes]),
-            depths + 1 < max_depth,
-        )
+        offsets = np.array([tree.offset for tree, _ in nodes])
+        cuts = _search(rows, [table for table, _ in entries], features, offsets, depths + 1 < max_depth)
         if len(cuts.split):
             split_features.append(cuts.features)
             split_thresholds.append(cuts.thresholds)
@@ -545,7 +552,8 @@ def _tree_texts(nodes: _Nodes, roots, shown: np.ndarray) -> list[str]:
     leaf_keys, leaf_piece = np.unique((code * width + closes) * 2 + last[leaf], return_inverse=True)
     seps = (", ", "\n")
     leaf_texts = [
-        f"('leaf', {key // 2 // width}){')' * (key // 2 % width)}{seps[key % 2]}" for key in leaf_keys.tolist()
+        f"('leaf', {key // 2 // width}){')' * (key // 2 % width)}{seps[key % 2]}"
+        for key in leaf_keys.tolist()
     ]
     feature = nodes.feature[split].astype(np.intp)
     patterns, pattern = np.unique(nodes.threshold[split].view(np.uint64), return_inverse=True)
@@ -553,7 +561,8 @@ def _tree_texts(nodes: _Nodes, roots, shown: np.ndarray) -> list[str]:
     split_keys, split_piece = np.unique(pattern * width + feature, return_inverse=True)
     thresholds = patterns.view(float).tolist()
     split_texts = [
-        f"('split', {np.int64(key % width)!r}, {thresholds[key // width]!r}, " for key in split_keys.tolist()
+        f"('split', {np.int64(key % width)!r}, {thresholds[key // width]!r}, "
+        for key in split_keys.tolist()
     ]
     pieces = np.empty(n, dtype=object)
     pieces[split] = np.array(split_texts, dtype=object).take(split_piece)
@@ -730,4 +739,5 @@ class RandomForestClassifier:
         self._check_fitted()
         # each tree's text shows the codes of the classes its own bootstrap held
         shown = np.cumsum(self._held, axis=1) - 1
-        return {"classes": self.classes_, "seed": self.seed, "trees": _tree_texts(self._nodes, self._roots, shown)}
+        texts = _tree_texts(self._nodes, self._roots, shown)
+        return {"classes": self.classes_, "seed": self.seed, "trees": texts}

@@ -768,7 +768,7 @@ class TestTreeStorage:
 
     def test_fit_memory_is_bounded(self):
         # every tree grows at once: the trees' tables and one step's search
-        # temporaries, about 1.2 MiB when measured
+        # temporaries, about 1.6 MiB when measured
         X, y = _registry_rows()
         tracemalloc.start()
         try:
