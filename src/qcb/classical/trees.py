@@ -420,10 +420,9 @@ def _grow(X, codes, n_classes: int, max_depth: int, n_candidates: int, bootstrap
     tree's rows hold.
     """
     n, d = X.shape
-    trees, weights, bagged = [], [], []
+    trees, weights = [], []
     for counts, rng in bootstraps:
         trees.append(_Tree(len(trees) * n, rng))
-        bagged.append(counts is not None)
         if counts is None:
             counts = np.ones(n, np.uint8)
         weights.append(_compact(counts, counts.max(initial=0)))
@@ -442,13 +441,10 @@ def _grow(X, codes, n_classes: int, max_depth: int, n_candidates: int, bootstrap
     order = np.argsort(rows.columns, axis=1, kind="stable").astype(np.min_scalar_type(len(weights) - 1))
     waiting = deque()
     majorities = root_counts.argmax(axis=1).tolist()  # ties go to the lowest class
-    for tree, majority, split, bag in zip(trees, majorities, splits.tolist(), bagged):
-        if split:
-            table = order
-            if bag:  # each distinct row of the value order once
-                held = (weights[tree.offset : tree.offset + n] > 0).take(order)
-                table = order.compress(held.ravel()).reshape(d, -1) + tree.offset
-            tree.stack.append((table, 0))
+    for tree, majority, split in zip(trees, majorities, splits.tolist()):
+        if split:  # each distinct row of the value order once
+            held = (weights[tree.offset : tree.offset + n] > 0).take(order)
+            tree.stack.append((order.compress(held.ravel()).reshape(d, -1) + tree.offset, 0))
         else:
             tree.stack.append(majority)
         if tree.next_search(d, n_candidates):
