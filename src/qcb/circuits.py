@@ -22,6 +22,9 @@ from .qsim import GateOp, cnot, hadamard, ry, rz, x_mixer, zz_phase
 DEFAULT_CORRELATION_THRESHOLD = 0.5
 EXPRESSIBILITY_BINS = 75
 MIN_PRECISE_PAIRS = 100
+# parameter-vector pairs whose states expressibility holds at once: 512
+# state columns, 16 MiB each of the few column arrays at 12 qubits
+EXPRESSIBILITY_BLOCK_PAIRS = 256
 
 
 class SpearmanResult(NamedTuple):
@@ -386,10 +389,14 @@ def expressibility(config: CircuitConfig, n_pairs: int, seed: int) -> Expressibi
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=(2 * n_pairs, max(n_params, 1)))
 
-    # the encoding of a zero input is |0...0>, so evolution starts at the layers
-    cols = qsim.ry_product_columns(np.zeros((2 * n_pairs, n)))
-    cols = apply_vqc_layers(config, cols, thetas.T)
-    inner = np.sum(cols[:, 0::2] * cols[:, 1::2], axis=0)
+    inner = np.empty(n_pairs)
+    for start in range(0, n_pairs, EXPRESSIBILITY_BLOCK_PAIRS):
+        block = thetas[2 * start : 2 * (start + EXPRESSIBILITY_BLOCK_PAIRS)]
+        # the encoding of a zero input is |0...0>, so evolution starts at the layers
+        cols = np.zeros((1 << n, len(block)))
+        cols[0] = 1.0
+        cols = apply_vqc_layers(config, cols, block.T)
+        inner[start : start + len(block) // 2] = np.sum(cols[:, 0::2] * cols[:, 1::2], axis=0)
     fidelities = np.clip(inner * inner, 0.0, 1.0)
 
     counts, edges = np.histogram(fidelities, bins=EXPRESSIBILITY_BINS, range=(0.0, 1.0))

@@ -266,6 +266,9 @@ def ingest_csv(path, schema: CrimeSchema = DEFAULT_SCHEMA) -> list[CrimeRecord]:
         unknown = [h for h in present if h not in expected]
         if unknown:
             raise DataError(f"{path}: unknown columns {unknown}")
+        repeated = sorted({h for h in present if present.count(h) > 1})
+        if repeated:
+            raise DataError(f"{path}: repeated columns {repeated}")
         missing = sorted(expected - set(present))
         if missing:
             raise DataError(f"{path}: missing crime-type columns {missing}")

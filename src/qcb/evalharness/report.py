@@ -23,66 +23,32 @@ def _fmt(value) -> str:
 
 
 def report_to_rows(report: dict) -> list[dict]:
-    """One flat summary row per model."""
+    """One flat summary row per model, keyed in ``models.csv`` column order;
+    a model without metrics has None in their columns."""
     rows = []
     for name, entry in report["models"].items():
-        row = {
-            "model": name,
-            "category": entry["category"],
-            "failures": entry["failures"],
-        }
-        metrics = entry.get("metrics")
-        if metrics:
-            for key in ("accuracy", "precision_weighted", "recall_weighted", "f1_weighted"):
-                row[key] = metrics[key]["mean"]
-                row[f"{key}_ci95"] = metrics[key]["ci95_half_width"]
+        metrics = entry.get("metrics") or {}
         resources = entry.get("resources") or {}
-        row["n_qubits"] = resources.get("n_qubits")
-        row["param_count"] = resources.get("param_count")
-        row["circuit_depth_mean"] = resources.get("circuit_depth_mean")
-        row["qubit_efficiency"] = resources.get("qubit_efficiency")
         timing = entry.get("timing") or {}
+        comparison = entry.get("comparison") or {}
+        paired = comparison.get("paired_t") or {}
+        row = {"model": name, "category": entry["category"]}
+        for key in ("accuracy", "precision_weighted", "recall_weighted", "f1_weighted"):
+            interval = metrics.get(key) or {}
+            row[key] = interval.get("mean")
+            row[f"{key}_ci95"] = interval.get("ci95_half_width")
+        for key in ("n_qubits", "param_count", "circuit_depth_mean", "qubit_efficiency"):
+            row[key] = resources.get(key)
         row["fit_seconds_mean"] = timing.get("fit_seconds_mean")
         row["speedup_vs_reference"] = timing.get("speedup_vs_reference")
-        comparison = entry.get("comparison") or {}
         row["accuracy_gap_vs_reference"] = comparison.get("accuracy_gap_vs_reference")
-        paired = comparison.get("paired_t") or {}
         row["t_vs_reference"] = paired.get("t")
         row["p_vs_reference"] = paired.get("p")
         row["cohens_d_vs_reference"] = paired.get("cohens_d")
-        row["significance"] = (
-            "ref."
-            if comparison.get("is_reference")
-            else paired.get("stars", "")
-        )
+        row["significance"] = "ref." if comparison.get("is_reference") else paired.get("stars", "")
+        row["failures"] = entry["failures"]
         rows.append(row)
     return rows
-
-
-_CSV_COLUMNS = [
-    "model",
-    "category",
-    "accuracy",
-    "accuracy_ci95",
-    "precision_weighted",
-    "precision_weighted_ci95",
-    "recall_weighted",
-    "recall_weighted_ci95",
-    "f1_weighted",
-    "f1_weighted_ci95",
-    "n_qubits",
-    "param_count",
-    "circuit_depth_mean",
-    "qubit_efficiency",
-    "fit_seconds_mean",
-    "speedup_vs_reference",
-    "accuracy_gap_vs_reference",
-    "t_vs_reference",
-    "p_vs_reference",
-    "cohens_d_vs_reference",
-    "significance",
-    "failures",
-]
 
 
 def _output_dir(out_dir) -> Path:
@@ -114,9 +80,9 @@ def emit_report(report: dict, out_dir, formats: str = "both") -> list[Path]:
         models_path = out_dir / MODELS_CSV
         with models_path.open("w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(_CSV_COLUMNS)
+            writer.writerow(rows[0])
             for row in rows:
-                writer.writerow([_fmt(row.get(col)) for col in _CSV_COLUMNS])
+                writer.writerow([_fmt(value) for value in row.values()])
         written.append(models_path)
 
         classes = report["dataset"]["classes"]
@@ -141,7 +107,8 @@ def emit_report(report: dict, out_dir, formats: str = "both") -> list[Path]:
 
 
 def load_report(path) -> dict:
-    """Read a stored JSON report back, checking the schema tag."""
+    """Read a stored JSON report back, checking the schema tag and the
+    fields that the CSV views read."""
     path = Path(path)
     try:
         report = json.loads(path.read_text())
@@ -149,11 +116,22 @@ def load_report(path) -> dict:
         raise DataError(f"cannot read report {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(report, dict):
+        raise DataError(f"{path}: a report is a JSON object, got {type(report).__name__}")
     if report.get("schema") != REPORT_SCHEMA:
         raise DataError(
             f"{path}: unsupported schema {report.get('schema')!r}, "
             f"expected {REPORT_SCHEMA!r}"
         )
+    models = report.get("models")
+    if not isinstance(models, dict) or not models:
+        raise DataError(f"{path}: 'models' must be a non-empty object")
+    for name, entry in models.items():
+        if not isinstance(entry, dict) or not {"category", "failures"} <= entry.keys():
+            raise DataError(f"{path}: model {name!r} needs 'category' and 'failures'")
+    dataset = report.get("dataset")
+    if not isinstance(dataset, dict) or not isinstance(dataset.get("classes"), list):
+        raise DataError(f"{path}: 'dataset.classes' must be a list")
     return report
 
 

@@ -4,6 +4,10 @@ Every randomized component draws from a stream derived deterministically
 from (master seed, model name, seed index, fold index), so serial reruns
 reproduce every non-timing report field byte for byte.  Model failures are
 recorded per cell and the run continues.
+
+``run_cell`` returns a cell's report record.  ``run_benchmark`` puts the
+split's seed index, seed, fold and error in front of it (a failed cell has
+only those four keys) and aggregates each model's records into intervals.
 """
 from __future__ import annotations
 
@@ -159,7 +163,8 @@ def run_cell(
     cell_seed: int,
     class_labels,
 ) -> dict:
-    """Fit one model on one fold and score the held-out rows."""
+    """Fit one model on one fold, score the held-out rows, and return the
+    cell's report record: metrics, timings, checksum and model metadata."""
     X_train, y_train = X[train_idx], y[train_idx]
     X_test, y_test = X[test_idx], y[test_idx]
     model = spec.build(cell_seed)
@@ -172,7 +177,14 @@ def run_cell(
     checksum = state_checksum(model.fitted_state())
     meta = model.metadata() if hasattr(model, "metadata") else {}
     return {
-        "metrics": scored,
+        "accuracy": scored.accuracy,
+        "precision_weighted": scored.precision_weighted,
+        "recall_weighted": scored.recall_weighted,
+        "f1_weighted": scored.f1_weighted,
+        "per_class_f1": {str(label): scored.per_class[label].f1 for label in class_labels},
+        "per_class_recall": {
+            str(label): scored.per_class[label].recall for label in class_labels
+        },
         "fit_seconds": fit_seconds,
         "predict_us": predict_us,
         "checksum": checksum,
@@ -181,7 +193,10 @@ def run_cell(
     }
 
 
-def _interval_or_none(values: list[float], level: float = 0.95):
+def _interval_or_none(values: list, level: float = 0.95):
+    """Mean and t half-width of ``values``; for dicts, of each key's values."""
+    if values and isinstance(values[0], dict):
+        return {key: _interval_or_none([v[key] for v in values], level) for key in values[0]}
     if len(values) < 2:
         mean = float(values[0]) if values else None
         return {"mean": mean, "ci95_half_width": None}
@@ -189,9 +204,14 @@ def _interval_or_none(values: list[float], level: float = 0.95):
     return {"mean": mean, "ci95_half_width": half}
 
 
-def _aggregate_model(
-    spec: ModelSpec, cells: list[dict], class_labels
-) -> dict:
+# a cell's metrics, each aggregated to an interval (per class for the dicts)
+_METRICS = (
+    "accuracy", "precision_weighted", "recall_weighted", "f1_weighted",
+    "per_class_f1", "per_class_recall",
+)
+
+
+def _aggregate_model(spec: ModelSpec, cells: list[dict]) -> dict:
     succeeded = [c for c in cells if c["error"] is None]
     entry: dict = {
         "category": spec.category,
@@ -209,24 +229,7 @@ def _aggregate_model(
     def collect(key):
         return [c[key] for c in succeeded]
 
-    metrics = {
-        "accuracy": _interval_or_none(collect("accuracy")),
-        "precision_weighted": _interval_or_none(collect("precision_weighted")),
-        "recall_weighted": _interval_or_none(collect("recall_weighted")),
-        "f1_weighted": _interval_or_none(collect("f1_weighted")),
-        "per_class_f1": {
-            str(label): _interval_or_none(
-                [c["per_class_f1"][str(label)] for c in succeeded]
-            )
-            for label in class_labels
-        },
-        "per_class_recall": {
-            str(label): _interval_or_none(
-                [c["per_class_recall"][str(label)] for c in succeeded]
-            )
-            for label in class_labels
-        },
-    }
+    metrics = {key: _interval_or_none(collect(key)) for key in _METRICS}
     # the values every succeeded cell agrees on; per-split ones stay in the cells
     first, *rest = collect("model_metadata")
     metadata = {k: v for k, v in first.items() if all(k in m and m[k] == v for m in rest)}
@@ -248,38 +251,6 @@ def _aggregate_model(
     entry["timing"] = timing
     entry["metadata"] = metadata
     return entry
-
-
-def _cell_record(seed_index, seed, fold, outcome, error, class_labels) -> dict:
-    record = {
-        "seed_index": seed_index,
-        "seed": seed,
-        "fold": fold,
-        "error": error,
-    }
-    if error is not None:
-        return record
-    scored = outcome["metrics"]
-    record.update(
-        {
-            "accuracy": scored.accuracy,
-            "precision_weighted": scored.precision_weighted,
-            "recall_weighted": scored.recall_weighted,
-            "f1_weighted": scored.f1_weighted,
-            "per_class_f1": {
-                str(label): scored.per_class[label].f1 for label in class_labels
-            },
-            "per_class_recall": {
-                str(label): scored.per_class[label].recall for label in class_labels
-            },
-            "fit_seconds": outcome["fit_seconds"],
-            "predict_us": outcome["predict_us"],
-            "checksum": outcome["checksum"],
-            "circuit_depth": outcome["circuit_depth"],
-        }
-    )
-    record["model_metadata"] = outcome["model_metadata"]
-    return record
 
 
 def _compare_to_reference(report: dict, reference: str) -> None:
@@ -486,13 +457,16 @@ def run_benchmark(
         _RUN_CTX.clear()
         clear_extractor_memo()
 
-    by_cell = {(name, s, f): (outcome, error) for name, s, f, outcome, error in raw_results}
+    by_cell = {
+        (name, s, f): {"error": error} | (outcome or {})
+        for name, s, f, outcome, error in raw_results
+    }
     for name, spec in registry.items():
         cells = [
-            _cell_record(seed_index, seed, fold, *by_cell[(name, seed_index, fold)], class_labels)
-            for seed_index, seed, fold, _, _ in splits
+            {"seed_index": s, "seed": seed, "fold": f} | by_cell[(name, s, f)]
+            for s, seed, f, _, _ in splits
         ]
-        report["models"][name] = _aggregate_model(spec, cells, class_labels)
+        report["models"][name] = _aggregate_model(spec, cells)
         if progress is not None:
             entry = report["models"][name]
             if entry["metrics"] is None:

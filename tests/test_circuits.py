@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qcb import circuits
 from qcb.circuits import (
     CircuitConfig,
     CircuitFamily,
@@ -396,6 +399,25 @@ class TestExpressibility:
         config = CircuitConfig(CircuitFamily.QAOA, 2, 1)
         with pytest.raises(UsageError):
             expressibility(config, 200, seed=0)
+
+    @pytest.mark.parametrize("n_qubits,layers,n_pairs", [(4, 3, 5000), (6, 2, 1000)])
+    def test_blocks_of_pairs_give_the_same_result(self, monkeypatch, n_qubits, layers, n_pairs):
+        config = CircuitConfig(CircuitFamily.VQC, n_qubits, layers)
+        whole = expressibility(config, n_pairs, seed=0)
+        monkeypatch.setattr(circuits, "EXPRESSIBILITY_BLOCK_PAIRS", 7)
+        assert expressibility(config, n_pairs, seed=0) == whole
+
+    def test_memory_is_bounded_by_blocks(self):
+        # 10 qubits x 2,000 pairs: about 16 MiB when measured; the 4,000
+        # state columns at once would take more than 300 MiB
+        config = CircuitConfig(CircuitFamily.VQC, 10, 2)
+        tracemalloc.start()
+        try:
+            expressibility(config, 2000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 1024 * 1024
 
 
 class TestVqcLayerLoop:

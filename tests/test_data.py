@@ -247,6 +247,18 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="Cybercrime"):
             ingest_csv(path)
 
+    def test_repeated_column_rejected(self, tmp_path):
+        # a second, all-zero Theft column must not replace the counts of the first
+        source = tmp_path / "synth.csv"
+        write_csv(synthesize(seed=0), source)
+        lines = source.read_text().splitlines()
+        path = tmp_path / "repeated.csv"
+        path.write_text("\n".join([lines[0] + ",Theft"] + [line + ",0" for line in lines[1:]]) + "\n")
+        with pytest.raises(DataError, match=r"repeated columns \['Theft'\]"):
+            ingest_csv(path)
+        assert cli.main(["run", "--data", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestSchemaValidation:
     def test_aggregate_members_must_exist(self):

@@ -551,6 +551,34 @@ assert counts(1) == first
         )
         assert done.returncode == 0, done.stderr
 
+    def test_circuit_checks_reach_every_circuit_model(self, small_dataset, monkeypatch):
+        """``perfbench/checks.check_circuits`` finds a registry model's circuit
+        through ``_circuit_part``; a wrapper that it cannot see through would
+        make the check skip that model silently instead of failing."""
+        root = Path(qcb.__file__).resolve().parents[2]
+        monkeypatch.syspath_prepend(str(root / "perfbench"))
+        import checks
+
+        X, y = small_dataset.X, small_dataset.y
+        fitted = {}
+        for name, spec in default_registry().items():
+            model = spec.build(1)
+            if hasattr(model, "max_evals"):
+                model.max_evals = 10
+            fitted[name] = model.fit(X[::2], y[::2])
+        assert checks.check_circuits(fitted, X[1::2][:4], X[::2][:4]) == []
+        circuit = (VqcClassifier, qmodels.QaoaClassifier, qmodels.QKernelClassifier)
+        reached = {
+            name
+            for name, model in fitted.items()
+            if isinstance(checks._circuit_part(model, X[:4])[0], circuit)
+        }
+        categories = {"quantum", "hybrid_qc", "hybrid_cq"}
+        assert reached == {
+            name for name, spec in default_registry().items() if spec.category in categories
+        }
+        assert len(reached) == 12
+
 
 class TestSharedExtractor:
     """The q_* hybrids of one split share one extractor, trained once."""
@@ -710,6 +738,50 @@ class TestReportEmission:
             header = next(csv.reader(handle))
         assert header == ["model", "Low", "Medium", "High", "Critical"]
 
+    def test_report_layout(self, tmp_path, monkeypatch):
+        """Cell keys and the models.csv header, in order, on a run in which one
+        model fails every cell; ``qcb report`` re-renders the same CSV bytes."""
+        def broken_fit(self, X, y):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(MajorityClassBaseline, "fit", broken_fit)
+        data = tmp_path / "data.csv"
+        cli.main(["synth", "--units", "12", "--years", "10", "--seed", "2", "--out", str(data)])
+        run_dir, render_dir = tmp_path / "run", tmp_path / "rendered"
+        args = ["run", "--data", str(data), "--models", "decision_tree,majority_class",
+                "--folds", "2", "--seeds", "1", "--reference", "decision_tree",
+                "--out-dir", str(run_dir), "--quiet"]
+        assert cli.main(args) == cli.EXIT_PARTIAL
+        report = load_report(run_dir / "report.json")
+        split_keys = ["seed_index", "seed", "fold", "error"]
+        for cell in report["models"]["decision_tree"]["cells"]:
+            assert list(cell) == split_keys + [
+                "accuracy", "precision_weighted", "recall_weighted", "f1_weighted",
+                "per_class_f1", "per_class_recall", "fit_seconds", "predict_us",
+                "checksum", "circuit_depth", "model_metadata",
+            ]
+        failed = report["models"]["majority_class"]["cells"]
+        assert len(failed) == 2
+        assert all(list(cell) == split_keys for cell in failed)
+
+        with (run_dir / "models.csv").open() as handle:
+            header, *rows = list(csv.reader(handle))
+        assert header == [
+            "model", "category", "accuracy", "accuracy_ci95", "precision_weighted",
+            "precision_weighted_ci95", "recall_weighted", "recall_weighted_ci95",
+            "f1_weighted", "f1_weighted_ci95", "n_qubits", "param_count",
+            "circuit_depth_mean", "qubit_efficiency", "fit_seconds_mean",
+            "speedup_vs_reference", "accuracy_gap_vs_reference", "t_vs_reference",
+            "p_vs_reference", "cohens_d_vs_reference", "significance", "failures",
+        ]
+        assert rows[1] == ["majority_class", "baseline"] + [""] * 19 + ["2"]
+
+        code = cli.main(["report", "--report", str(run_dir / "report.json"),
+                         "--out-dir", str(render_dir)])
+        assert code == cli.EXIT_OK
+        for name in ("models.csv", "per_class_accuracy.csv"):
+            assert (render_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+
 
 class TestCli:
     def test_synth_writes_csv(self, tmp_path):
@@ -766,6 +838,21 @@ class TestCli:
         code = cli.main(["report", "--report", str(tmp_path / "report.json"), "--out-dir", str(out2)])
         assert code == 0
         assert (out2 / "models.csv").exists()
+
+    def test_malformed_report_is_data_error(self, small_report, tmp_path, capsys):
+        no_failures = json.loads(json.dumps(small_report))
+        del no_failures["models"]["majority_class"]["failures"]
+        malformed = {
+            "list": [1, 2],
+            "no_models": {"schema": "qcb-report/1"},
+            "no_failures": no_failures,
+        }
+        for name, content in malformed.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(content))
+            args = ["report", "--report", str(path), "--out-dir", str(tmp_path / name)]
+            assert cli.main(args) == cli.EXIT_DATA, name
+            assert "data error" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
         assert cli.main(["run", "--data"]) == 1
