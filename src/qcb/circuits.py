@@ -33,18 +33,26 @@ class SpearmanResult(NamedTuple):
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Fractional ranks (1-based); tied values share the mean of their ranks."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """Fractional ranks (1-based); tied values share the mean of their ranks.
+
+    Equal values tie, -0.0 with 0.0; each NaN ranks alone, last, in order of
+    appearance (``return_index`` makes ``np.unique`` sort stably).  The ``c``
+    ties ending at rank ``r`` share ``r - (c - 1) / 2``, exact in float64.
+    """
+    _, _, group, counts = np.unique(
+        values, return_index=True, return_inverse=True, return_counts=True, equal_nan=False
+    )
+    return (np.cumsum(counts) - (counts - 1) / 2)[group]
+
+
+def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> SpearmanResult:
+    dx = rx - rx.mean()
+    dy = ry - ry.mean()
+    denom_sq = float(np.sum(dx**2) * np.sum(dy**2))
+    if denom_sq == 0.0:
+        return SpearmanResult(0.0, True)
+    rho = float(np.sum(dx * dy) / np.sqrt(denom_sq))
+    return SpearmanResult(float(np.clip(rho, -1.0, 1.0)), False)
 
 
 def spearman_detailed(x: Sequence[float], y: Sequence[float]) -> SpearmanResult:
@@ -62,15 +70,7 @@ def spearman_detailed(x: Sequence[float], y: Sequence[float]) -> SpearmanResult:
         raise UsageError(f"inputs must be equal-length vectors, got {x.shape} vs {y.shape}")
     if len(x) < 2:
         raise UsageError("need at least 2 observations")
-    rx = _average_ranks(x)
-    ry_ = _average_ranks(y)
-    dx = rx - rx.mean()
-    dy = ry_ - ry_.mean()
-    denom_sq = float(np.sum(dx**2) * np.sum(dy**2))
-    if denom_sq == 0.0:
-        return SpearmanResult(0.0, True)
-    rho = float(np.sum(dx * dy) / np.sqrt(denom_sq))
-    return SpearmanResult(float(np.clip(rho, -1.0, 1.0)), False)
+    return _rank_correlation(_average_ranks(x), _average_ranks(y))
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
@@ -113,32 +113,29 @@ class CorrelationGraph:
 def build_correlation_graph(
     features: np.ndarray, threshold: float = DEFAULT_CORRELATION_THRESHOLD
 ) -> CorrelationGraph:
-    """Pairwise Spearman matrix of feature columns and the |rho|>threshold pairs."""
+    """Pairwise Spearman matrix of feature columns and the |rho|>threshold pairs.
+
+    Each column is ranked once; the constant columns are the degenerate ones.
+    """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 2:
         raise UsageError("need a 2-D matrix with >= 2 samples and >= 2 features")
     d = X.shape[1]
+    ranks = [_average_ranks(X[:, i]) for i in range(d)]
     rho = np.eye(d)
-    degenerate: set[int] = set()
     pairs: list[tuple[int, int, float]] = []
     for i in range(d):
         for j in range(i + 1, d):
-            result = spearman_detailed(X[:, i], X[:, j])
-            rho[i, j] = rho[j, i] = result.rho
-            if result.degenerate:
-                if np.all(X[:, i] == X[0, i]):
-                    degenerate.add(i)
-                if np.all(X[:, j] == X[0, j]):
-                    degenerate.add(j)
-            if abs(result.rho) > threshold:
-                pairs.append((i, j, result.rho))
+            rho[i, j] = rho[j, i] = value = _rank_correlation(ranks[i], ranks[j]).rho
+            if abs(value) > threshold:
+                pairs.append((i, j, value))
     pairs.sort(key=lambda p: (-abs(p[2]), p[0], p[1]))
     return CorrelationGraph(
         n_features=d,
         rho=rho,
         pairs=tuple(pairs),
         threshold=threshold,
-        degenerate_features=tuple(sorted(degenerate)),
+        degenerate_features=tuple(np.flatnonzero(np.all(X == X[0], axis=0)).tolist()),
     )
 
 

@@ -126,12 +126,21 @@ def load_report(path) -> dict:
     models = report.get("models")
     if not isinstance(models, dict) or not models:
         raise DataError(f"{path}: 'models' must be a non-empty object")
-    for name, entry in models.items():
-        if not isinstance(entry, dict) or not {"category", "failures"} <= entry.keys():
-            raise DataError(f"{path}: model {name!r} needs 'category' and 'failures'")
     dataset = report.get("dataset")
     if not isinstance(dataset, dict) or not isinstance(dataset.get("classes"), list):
         raise DataError(f"{path}: 'dataset.classes' must be a list")
+    for name, entry in models.items():
+        if not isinstance(entry, dict) or not {"category", "failures"} <= entry.keys():
+            raise DataError(f"{path}: model {name!r} needs 'category' and 'failures'")
+        metrics = entry.get("metrics")
+        if metrics is None:
+            continue
+        recall = metrics.get("per_class_recall") if isinstance(metrics, dict) else None
+        if not isinstance(recall, dict) or not all(
+            isinstance(label, str) and isinstance(recall.get(label), dict) and "mean" in recall[label]
+            for label in dataset["classes"]
+        ):
+            raise DataError(f"{path}: model {name!r} needs a per-class recall for every class")
     return report
 
 

@@ -12,10 +12,8 @@ only those four keys) and aggregates each model's records into intervals.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -371,6 +369,8 @@ def _run_cells_parallel(units, workers: int) -> list[tuple]:
     cell of a unit without a result then records the error instead of the
     run hanging, a cell that finished earlier in that unit included.
     """
+    import multiprocessing  # here, so that a serial run loads no process pool
+    from concurrent.futures import ProcessPoolExecutor
     results, submitted = [], []
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:

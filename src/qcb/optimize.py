@@ -3,10 +3,11 @@
 The engine is one Nelder-Mead simplex search capped by a count of loss
 evaluations: the objectives here are unconstrained, so the simplex method
 covers what a linear-approximation trust-region solver would while staying
-dependency-free.  Accuracy-style losses are piecewise constant, so vertex
-ordering breaks ties lexicographically on the parameter vectors to keep runs
-deterministic, and evaluations are cached by exact parameter bytes so simplex
-re-visits do not count against the cap.
+dependency-free.  The vertices are one ``(dim + 1, dim)`` array, their losses
+one array.  Accuracy-style losses are piecewise constant, so one stable
+``np.lexsort`` orders the vertices by loss, then by their coordinates in
+order, to keep runs deterministic, and evaluations are cached by exact
+parameter bytes so simplex re-visits do not count against the cap.
 """
 from __future__ import annotations
 
@@ -106,24 +107,19 @@ def minimize(
     dim = start.size
     evaluate = _Evaluator(loss, max_evals)
 
-    points: list[np.ndarray] = []
-    values: list[float] = []
+    # x0, then x0 stepped along one axis each; a -0.0 off that axis keeps its sign
+    points = np.tile(start, (dim + 1, 1))
+    points[np.arange(1, dim + 1), np.arange(dim)] += _INITIAL_STEP
     try:
-        points.append(start.copy())
-        values.append(evaluate(points[0]))
-        for i in range(dim):
-            vertex = start.copy()
-            vertex[i] += _INITIAL_STEP
-            points.append(vertex)
-            values.append(evaluate(vertex))
+        values = np.array([evaluate(point) for point in points])
 
         while True:
-            order = sorted(range(dim + 1), key=lambda k: (values[k], tuple(points[k])))
-            points = [points[k] for k in order]
-            values = [values[k] for k in order]
+            # by loss, then by coordinate 0, 1, ...: lexsort's last key sorts first
+            order = np.lexsort((*points.T[::-1], values))
+            points, values = points[order], values[order]
 
             flat = np.isfinite(values[-1]) and values[-1] - values[0] <= _TOLERANCE
-            tight = max(np.max(np.abs(p - points[0])) for p in points[1:]) <= _TOLERANCE
+            tight = np.max(np.abs(points[1:] - points[0])) <= _TOLERANCE
             if flat and tight:
                 break
 
@@ -142,28 +138,24 @@ def minimize(
             elif f_reflected < values[-2]:
                 points[-1], values[-1] = reflected, f_reflected
             else:
-                if f_reflected < values[-1]:
-                    contracted = centroid + _PSI * (centroid - worst)
-                    f_contracted = evaluate(contracted)
-                    if f_contracted <= f_reflected:
-                        points[-1], values[-1] = contracted, f_contracted
-                        continue
+                # contract outside if the reflection beats the worst vertex, else inside;
+                # keep the contraction if it beats the worst and ties or beats the reflection
+                step = _PSI * (centroid - worst)
+                contracted = centroid + step if f_reflected < values[-1] else centroid - step
+                f_contracted = evaluate(contracted)
+                if f_contracted < values[-1] and f_contracted <= f_reflected:
+                    points[-1], values[-1] = contracted, f_contracted
                 else:
-                    contracted = centroid - _PSI * (centroid - worst)
-                    f_contracted = evaluate(contracted)
-                    if f_contracted < values[-1]:
-                        points[-1], values[-1] = contracted, f_contracted
-                        continue
-                # shrink toward the current best vertex
-                for k in range(1, dim + 1):
-                    points[k] = points[0] + _SIGMA * (points[k] - points[0])
-                    values[k] = evaluate(points[k])
+                    # shrink toward the current best vertex, evaluating in vertex order
+                    for k in range(1, dim + 1):
+                        points[k] = points[0] + _SIGMA * (points[k] - points[0])
+                        values[k] = evaluate(points[k])
     except _BudgetExhausted:
         pass
 
-    best_params = evaluate.best_params if evaluate.best_params is not None else start
+    # the first evaluation always runs, so best_params is set
     return OptResult(
-        best_params=np.asarray(best_params, dtype=float),
+        best_params=evaluate.best_params,
         best_loss=evaluate.best_loss,
         n_evals=evaluate.n_evals,
     )

@@ -338,10 +338,6 @@ def _fit_scale_chain(X: np.ndarray, n_qubits: int) -> tuple[_ScaleChain, np.ndar
     return chain, chain.transform(X)
 
 
-def _training_accuracy(head, features: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(head.predict(features) == y))
-
-
 def _correlation_or_none(X_scaled: np.ndarray) -> CorrelationGraph | None:
     if X_scaled.shape[1] < 2:
         return None
@@ -358,8 +354,9 @@ class _TrainedCircuitClassifier:
     Training is bilevel: one Nelder-Mead simplex, started from seeded
     U[0, 2pi) angles and capped at ``max_evals`` loss evaluations, minimizes
     the negative training accuracy of a converged head fitted on the
-    training features of each candidate parameter vector.  Each of these
-    search heads starts from the best one so far (the first from zero);
+    training features of each candidate parameter vector.  These search
+    heads fit and score integer codes of the labels, made once per fit;
+    each starts from the best one so far (the first from zero), and
     ``search_head_iters_`` sums their Newton iterations.  The stored model
     keeps the best parameters and a head refitted from zero on their
     features, one more head fit per training, so the head is a function of
@@ -407,7 +404,7 @@ class _TrainedCircuitClassifier:
         self.opt_result_ = None
         self.search_head_iters_ = 0
         self._operators = None
-        self.classes_ = np.unique(y)
+        self.classes_, codes = np.unique(y, return_inverse=True)
         self.scale_chain_, X_angle = _fit_scale_chain(X, self.n_qubits)
         graph = _correlation_or_none(X_angle)
         self.config_ = CircuitConfig(self.family, self.n_qubits, self.layers, graph)
@@ -427,9 +424,9 @@ class _TrainedCircuitClassifier:
         def loss(params):
             features = self._features(params, X_angle, plan)
             warm = best[2] if best else None
-            head = LogisticRegressionClassifier().fit(features, y, start=warm)
+            head = LogisticRegressionClassifier().fit(features, codes, start=warm)
             self.search_head_iters_ += head.n_iter_
-            value = -_training_accuracy(head, features, y)
+            value = -float(np.mean(head.predict(features) == codes))
             # the tie rule of minimize's best_params: the first point evaluated wins
             if not best or value < best[0]:
                 best[:] = [value, features, np.vstack([head.weights_, head.bias_])]

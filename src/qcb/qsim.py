@@ -418,22 +418,22 @@ def z_phase_rows(angles: np.ndarray) -> np.ndarray:
 
     The diagonal is a product over qubits, so it needs one exp per row and
     qubit rather than one per row and basis state.  It doubles in place in
-    one preallocated array: a fresh array per qubit costs about twice as
-    much once the rows pass a few hundred KiB.
+    one preallocated ``(2**n, rows)`` array, over contiguous rows: a fresh
+    array per qubit costs about twice as much past a few hundred KiB.
     """
     angles = np.asarray(angles, dtype=float)
     rows, n = angles.shape
     _check_count(n)
-    factor = np.exp(-1j * angles)
+    factor = np.exp(-1j * angles.T)
     conj = np.conj(factor)
-    diag = np.empty((rows, 1 << n), dtype=np.complex128)
-    diag[:, 0] = 1.0
+    diag = np.empty((1 << n, rows), dtype=np.complex128)
+    diag[0] = 1.0
     for q in range(n):
         # qubit q is the new most significant bit: Z_q is +1 below, -1 above
-        low, high = diag[:, : 1 << q], diag[:, 1 << q : 2 << q]
-        np.multiply(low, conj[:, q, None], out=high)
-        np.multiply(low, factor[:, q, None], out=low)
-    return diag
+        low, high = diag[: 1 << q], diag[1 << q : 2 << q]
+        np.multiply(low, conj[q], out=high)
+        np.multiply(low, factor[q], out=low)
+    return np.ascontiguousarray(diag.T)
 
 
 def _qubit_product(factors: np.ndarray) -> np.ndarray:

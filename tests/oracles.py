@@ -660,3 +660,108 @@ def apply_scaler_with_where(state, X: np.ndarray) -> np.ndarray:
         out = np.clip(normalized, 0.0, 1.0) * np.pi
         out = np.where(state.degenerate, np.pi / 2.0, out)
     return out
+
+
+def loop_average_ranks(values: np.ndarray) -> np.ndarray:
+    """Fractional ranks (1-based); tied values share the mean of their ranks."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def list_minimize(loss, x0, max_evals: int):
+    """Nelder-Mead with the vertices in two parallel Python lists, re-sorted by
+    ``(value, tuple(point))`` each iteration: the reference that the array
+    simplex of ``qcb.optimize.minimize`` must match evaluation by evaluation.
+    It shares the evaluator and the coefficients with ``qcb.optimize``, so the
+    two differ only in how they keep the simplex."""
+    from qcb.errors import ConfigurationError, UsageError
+    from qcb.optimize import (
+        _ALPHA,
+        _CHI,
+        _INITIAL_STEP,
+        _PSI,
+        _SIGMA,
+        _TOLERANCE,
+        OptResult,
+        _BudgetExhausted,
+        _Evaluator,
+    )
+
+    if max_evals < 1:
+        raise ConfigurationError("max_evals must be >= 1")
+    start = np.asarray(x0, dtype=float).ravel()
+    if start.size < 1:
+        raise UsageError("x0 must have at least one element")
+    dim = start.size
+    evaluate = _Evaluator(loss, max_evals)
+
+    points: list[np.ndarray] = []
+    values: list[float] = []
+    try:
+        points.append(start.copy())
+        values.append(evaluate(points[0]))
+        for i in range(dim):
+            vertex = start.copy()
+            vertex[i] += _INITIAL_STEP
+            points.append(vertex)
+            values.append(evaluate(vertex))
+
+        while True:
+            order = sorted(range(dim + 1), key=lambda k: (values[k], tuple(points[k])))
+            points = [points[k] for k in order]
+            values = [values[k] for k in order]
+
+            flat = np.isfinite(values[-1]) and values[-1] - values[0] <= _TOLERANCE
+            tight = max(np.max(np.abs(p - points[0])) for p in points[1:]) <= _TOLERANCE
+            if flat and tight:
+                break
+
+            centroid = np.mean(points[:-1], axis=0)
+            worst = points[-1]
+            reflected = centroid + _ALPHA * (centroid - worst)
+            f_reflected = evaluate(reflected)
+
+            if f_reflected < values[0]:
+                expanded = centroid + _CHI * (centroid - worst)
+                f_expanded = evaluate(expanded)
+                if f_expanded < f_reflected:
+                    points[-1], values[-1] = expanded, f_expanded
+                else:
+                    points[-1], values[-1] = reflected, f_reflected
+            elif f_reflected < values[-2]:
+                points[-1], values[-1] = reflected, f_reflected
+            else:
+                if f_reflected < values[-1]:
+                    contracted = centroid + _PSI * (centroid - worst)
+                    f_contracted = evaluate(contracted)
+                    if f_contracted <= f_reflected:
+                        points[-1], values[-1] = contracted, f_contracted
+                        continue
+                else:
+                    contracted = centroid - _PSI * (centroid - worst)
+                    f_contracted = evaluate(contracted)
+                    if f_contracted < values[-1]:
+                        points[-1], values[-1] = contracted, f_contracted
+                        continue
+                # shrink toward the current best vertex
+                for k in range(1, dim + 1):
+                    points[k] = points[0] + _SIGMA * (points[k] - points[0])
+                    values[k] = evaluate(points[k])
+    except _BudgetExhausted:
+        pass
+
+    best_params = evaluate.best_params if evaluate.best_params is not None else start
+    return OptResult(
+        best_params=np.asarray(best_params, dtype=float),
+        best_loss=evaluate.best_loss,
+        n_evals=evaluate.n_evals,
+    )

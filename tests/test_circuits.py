@@ -27,7 +27,7 @@ from qcb.circuits import (
 from qcb.errors import ConfigurationError, UsageError
 from qcb.qsim import GateKind
 
-from oracles import dense_simulate, plus_state, rank_then_pearson
+from oracles import dense_simulate, loop_average_ranks, plus_state, rank_then_pearson
 
 
 class TestSpearman:
@@ -71,6 +71,44 @@ class TestSpearman:
             spearman([1, 2], [1, 2, 3])
         with pytest.raises(UsageError):
             spearman([1], [2])
+
+
+def _rank_vectors() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(31)
+    many_nans = rng.integers(0, 5, size=1000).astype(float)
+    many_nans[rng.random(1000) < 0.3] = np.nan
+    many_nans[rng.random(1000) < 0.1] = -0.0
+    return {
+        "ties": np.array([3.0, 1.0, 3.0, 2.0, 1.0, 3.0]),
+        "several_nans": np.array([2.0, np.nan, 1.0, np.nan, 2.0, np.nan, 0.5]),
+        "signed_zeros": np.array([0.0, -0.0, 1.0, -0.0, -1.0, 0.0]),
+        "constant": np.full(7, 4.25),
+        "all_nan": np.full(4, np.nan),
+        "one": np.array([5.0]),
+        "random_ties": rng.integers(0, 6, size=200).astype(float),
+        "many_nans": many_nans,
+    }
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize("name", sorted(_rank_vectors()))
+    def test_equals_the_loop(self, name):
+        values = _rank_vectors()[name]
+        assert circuits._average_ranks(values).tobytes() == loop_average_ranks(values).tobytes()
+
+    def test_graph_is_spearman_of_each_pair(self):
+        rng = np.random.default_rng(32)
+        X = rng.integers(0, 4, size=(30, 6)).astype(float)
+        X[:, 1] = 2.5  # constant
+        X[::4, 2] = np.nan
+        X[:, 3] = np.where(X[:, 3] == 0.0, -0.0, X[:, 3])
+        X[:, 4] = np.nan
+        graph = build_correlation_graph(X, threshold=0.1)
+        for i in range(6):
+            for j in range(6):
+                want = 1.0 if i == j else spearman_detailed(X[:, i], X[:, j]).rho
+                assert graph.rho[i, j].tobytes() == np.float64(want).tobytes()
+        assert graph.degenerate_features == (1,)
 
 
 class TestCorrelationGraph:

@@ -842,17 +842,25 @@ class TestCli:
     def test_malformed_report_is_data_error(self, small_report, tmp_path, capsys):
         no_failures = json.loads(json.dumps(small_report))
         del no_failures["models"]["majority_class"]["failures"]
+        no_recall = json.loads(json.dumps(small_report))
+        del no_recall["models"]["majority_class"]["metrics"]["per_class_recall"]
+        extra_class = json.loads(json.dumps(small_report))
+        extra_class["dataset"]["classes"].append("Extreme")
         malformed = {
             "list": [1, 2],
             "no_models": {"schema": "qcb-report/1"},
             "no_failures": no_failures,
+            "no_recall": no_recall,
+            "extra_class": extra_class,
         }
         for name, content in malformed.items():
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(content))
-            args = ["report", "--report", str(path), "--out-dir", str(tmp_path / name)]
+            out_dir = tmp_path / name
+            args = ["report", "--report", str(path), "--out-dir", str(out_dir)]
             assert cli.main(args) == cli.EXIT_DATA, name
             assert "data error" in capsys.readouterr().err
+            assert not (out_dir / "models.csv").exists(), name
 
     def test_usage_error_exit_code(self):
         assert cli.main(["run", "--data"]) == 1
@@ -955,6 +963,25 @@ print([name for name in heavy if name in sys.modules])
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_serial_run_loads_no_process_pool(self, tmp_path):
+        """A ``--workers 1`` run of every model leaves the pool modules unloaded."""
+        script = """
+import sys
+from qcb import cli
+cli.main(["synth", "--units", "6", "--years", "5", "--seed", "1", "--out", "data.csv"])
+code = cli.main(["run", "--data", "data.csv", "--models", "all", "--folds", "2", "--seeds", "1",
+                 "--workers", "1", "--out-dir", "out", "--quiet"])
+print(code, [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules])
+"""
+        src = str(Path(qcb.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            cwd=tmp_path, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
 
     def test_run_calls_the_traced_names_through_cli(self, tmp_path, monkeypatch):
         # perfbench/spantrace wraps these three by attribute on ``cli``

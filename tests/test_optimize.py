@@ -4,6 +4,8 @@ import pytest
 from qcb.errors import ConfigurationError, UsageError
 from qcb.optimize import OptResult, minimize, random_init
 
+from oracles import list_minimize
+
 
 class TestRandomInit:
     def test_reproducible(self):
@@ -141,3 +143,65 @@ class TestMinimize:
     def test_budget_validation(self):
         with pytest.raises(ConfigurationError):
             minimize(lambda v: 0.0, [0.0], 0)
+
+
+def _quadratic(v):
+    return float(np.sum((v - 0.7) ** 2 * np.arange(1, len(v) + 1)))
+
+
+_ACCURACY_ROWS = np.random.default_rng(5).normal(size=(24, 6))
+_ACCURACY_LABELS = np.random.default_rng(6).integers(0, 2, size=24).astype(bool)
+
+
+def _accuracy_like(v):
+    # a negative training accuracy: plateaus, and exact ties between vertices
+    scores = _ACCURACY_ROWS[:, : len(v)] @ np.cos(v)
+    return -float(np.mean((scores > 0) == _ACCURACY_LABELS))
+
+
+def _non_finite(v):
+    if v[0] > 0.3:
+        return np.nan
+    if np.sum(v) < -1.0:
+        return -np.inf
+    return float(np.sum(np.sin(3 * v)))
+
+
+def _flat(v):
+    return 1.0
+
+
+class TestSameSearchAsListSimplex:
+    """The array simplex calls the loss on the same points, in the same order,
+    and returns the same result as the list-based reference, at every budget."""
+
+    @staticmethod
+    def _trace(optimizer, loss, x0, max_evals):
+        calls = []
+
+        def recorded(v):
+            calls.append(v.tobytes())
+            return loss(v)
+
+        result = optimizer(recorded, x0, max_evals)
+        return calls, result.best_params.tobytes(), result.best_loss, result.n_evals
+
+    @pytest.mark.parametrize(
+        "loss", [_quadratic, _accuracy_like, _non_finite, _flat], ids=lambda f: f.__name__
+    )
+    @pytest.mark.parametrize("dim", [1, 2, 3, 6])
+    def test_every_budget(self, loss, dim):
+        x0 = np.random.default_rng(dim).uniform(-1.0, 1.0, size=dim)
+        x0[0] = -0.0  # a start vertex built by adding to every coordinate would make this +0.0
+        for max_evals in range(1, 151):
+            want = self._trace(list_minimize, loss, x0, max_evals)
+            assert self._trace(minimize, loss, x0, max_evals) == want, max_evals
+
+    def test_a_budget_runs_out_mid_shrink(self):
+        # on a flat loss in 3-D, evaluations 7-9 are the first shrink, toward x0
+        calls, *_ = self._trace(minimize, _flat, np.zeros(3), 150)
+        assert calls[6] == np.array([0.0, 0.0, 0.25]).tobytes()
+        for max_evals in (7, 8):
+            got = self._trace(minimize, _flat, np.zeros(3), max_evals)
+            assert got == self._trace(list_minimize, _flat, np.zeros(3), max_evals)
+            assert got[0] == calls[:max_evals]

@@ -412,11 +412,14 @@ class TestSameBitsAsReferenceKernels:
         assert got.shape == (1 << n, rows)
         assert got.tobytes() == doubling_ry_product_columns(angles).tobytes()
 
-    @pytest.mark.parametrize("rows", SAME_BITS_ROWS)
+    # 432 rows: the three-layer QAOA stack of 144 rows
+    @pytest.mark.parametrize("rows", [*SAME_BITS_ROWS, 432])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_z_phase_rows(self, n, rows):
         angles = np.random.default_rng(110 + n).uniform(-4.0, 4.0, size=(rows, n))
-        assert qsim.z_phase_rows(angles).tobytes() == doubling_z_phase_rows(angles).tobytes()
+        got = qsim.z_phase_rows(angles)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == doubling_z_phase_rows(angles).tobytes()
 
     @pytest.mark.parametrize("rows", SAME_BITS_ROWS)
     @pytest.mark.parametrize("n", range(1, 9))
