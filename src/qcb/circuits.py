@@ -4,8 +4,9 @@ Builds the correlation-aware variational ansatz, the alternating cost/mixer
 ansatz, and the kernel feature map as plain gate lists for :mod:`qcb.qsim`,
 plus circuit resource metrics and a sampling-based expressibility estimator.
 The variational layers also run directly on real state columns
-(:func:`apply_vqc_layers`), the one loop behind the trained features and
-the expressibility estimate.
+(:func:`apply_vqc_layers`), the loop behind the expressibility estimate; the
+trained features fold the same layers into one matrix
+(``qmodels.vqc_operator``).
 """
 from __future__ import annotations
 

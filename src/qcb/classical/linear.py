@@ -6,13 +6,14 @@ import math
 import numpy as np
 
 from ..errors import UsageError
+from ..modelbytes import Packed
 
 # the reductions behind ndarray.sum and ndarray.max, without their Python wrappers
 _sum = np.add.reduce
 _max = np.maximum.reduce
 
 
-class LogisticRegressionClassifier:
+class LogisticRegressionClassifier(Packed):
     """Softmax regression with L2 strength 1/C on the weights (bias excluded).
 
     Training is Newton's method on the convex penalised log-loss (IRLS,
@@ -29,6 +30,8 @@ class LogisticRegressionClassifier:
     weights, then the bias row.  The loss is convex, so a start near the
     minimum only saves iterations.
     """
+
+    _packed_fields = ("C", "max_iter", "tol", "classes_", "weights_", "bias_", "n_iter_", "constant_class_")
 
     def __init__(self, C: float = 1.0, max_iter: int = 100, tol: float = 1e-5):
         if C <= 0:

@@ -21,9 +21,10 @@ dual coefficients, the bias vector and two (pairs, classes) one-hot tables
 that turn each pair's sign into a vote.  Scoring a batch is one kernel
 against the support rows (RBF) or one column gather (precomputed), one
 matmul and two small vote matmuls.  The pairs themselves (training-row
-indices, coefficients, bias) are the fitted state; a pickle holds them, and
-for the RBF kernel only the support rows of the training matrix, and
-loading rebuilds the decision arrays from them.
+indices, coefficients, bias) are the fitted state, with only the support
+rows of the training matrix for the RBF kernel.  A pickle is the packed
+bytes of that state (``qcb.modelbytes``), and loading rebuilds the decision
+arrays from the pairs.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import UsageError
+from ..modelbytes import Packed
 
 _EPS = 1e-12
 
@@ -201,13 +203,19 @@ def _decision_arrays(pairs: list[dict], n_classes: int) -> _Decision:
     return _Decision(support, coef, bias, first, second)
 
 
-class SvmClassifier:
+class SvmClassifier(Packed):
     """One-vs-one soft-margin SVM over an RBF or precomputed kernel.
 
     ``gamma="scale"`` follows the 1/(n_features * Var(X)) convention.  With
     ``kernel="precomputed"``, ``fit`` expects the training Gram matrix and
     ``predict`` expects the test-vs-train cross-kernel.
     """
+
+    _packed_fields = (
+        "C", "kernel", "gamma", "tol", "classes_", "gamma_", "_X_train", "_n_train", "_pairs",
+        "constant_class_",
+    )
+    _derived_fields = ("_decision",)  # a fixed function of _pairs
 
     def __init__(self, C: float = 1.0, kernel: str = "rbf", gamma="scale", tol: float = 1e-3):
         if kernel not in ("rbf", "precomputed"):
@@ -277,13 +285,7 @@ class SvmClassifier:
             self._X_train = X[self._decision.support]
         return self
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_decision")  # a fixed function of _pairs
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+    def _restore(self) -> None:
         self._decision = (
             _decision_arrays(self._pairs, len(self.classes_)) if self._pairs else None
         )
@@ -315,35 +317,6 @@ class SvmClassifier:
     def _check_fitted(self):
         if self.classes_ is None:
             raise UsageError("model is not fitted")
-
-    def max_kkt_violation(self, gram: np.ndarray, y) -> float:
-        """Largest KKT violation of the stored dual solution (for auditing)."""
-        self._check_fitted()
-        y = np.asarray(y)
-        _, codes = np.unique(y, return_inverse=True)
-        worst = 0.0
-        for pair in self._pairs:
-            a, b = pair["classes"]
-            subset = np.nonzero((codes == a) | (codes == b))[0]
-            y_pair = np.where(codes[subset] == a, 1.0, -1.0)
-            alpha = np.zeros(len(subset))
-            positions = {int(g): p for p, g in enumerate(subset)}
-            for g, c in zip(pair["indices"], pair["coef"]):
-                alpha[positions[int(g)]] = abs(c)
-            f = gram[np.ix_(subset, subset)] @ (
-                alpha * y_pair
-            ) + pair["bias"]
-            margin = y_pair * f
-            at_zero = alpha <= _EPS
-            at_c = alpha >= self.C - _EPS
-            free = ~(at_zero | at_c)
-            worst = max(
-                worst,
-                float(np.max(np.maximum(0.0, 1.0 - margin[at_zero]), initial=0.0)),
-                float(np.max(np.maximum(0.0, margin[at_c] - 1.0), initial=0.0)),
-                float(np.max(np.abs(margin[free] - 1.0), initial=0.0)),
-            )
-        return worst
 
     def fitted_state(self) -> dict:
         self._check_fitted()

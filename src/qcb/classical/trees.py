@@ -70,7 +70,7 @@ the smallest integer dtypes that hold them: ``feature``, ``threshold``,
 is ``i + 1``.  A leaf has a NaN threshold and a ``right`` that points to
 itself, so ``x <= threshold`` is false and a descent step leaves it in place.
 A fit places each tree's nodes as codes in preorder and builds the links
-from the leaf bits, as loading does (see Pickles).  A tree predicts by
+from the leaf bits, as loading does (see Packing).  A tree predicts by
 walking its nodes row by row.  A forest concatenates its trees into one
 table.  It keeps that table, each tree's root offset, the deepest tree's
 depth and a ``(trees, classes)`` mask of the classes each bootstrap held,
@@ -89,18 +89,18 @@ bit for bit (a NaN feature goes right in both).  The table costs a pass over eve
 so only a forest of at most ``TABLE_MAX_NODES`` nodes takes it (pointer-style
 traversal; Asadi, Lin & de Vries, IEEE TKDE 26:2281, 2014).
 
-Pickles.  A pickled table keeps what fixes a preorder tree (Jacobson, FOCS
-1989): a packed leaf bit per node, each split's feature and threshold, and
-each leaf's class.  A threshold is an index, in the smallest unsigned dtype,
-into its feature's sorted distinct bit patterns, which keep -0.0 apart from
-0.0.  A node's excess counts splits minus leaves up to and including it; the
-left subtree of split ``i`` ends at the first later node whose excess is one
-below ``excess[i]``, and its right child follows.  Loading finds every end
-with one sort of (excess, node) keys and one ``searchsorted``, and builds
-each array from a dtype string, so the arrays come back bit for bit in
-numpy's own dtypes and a loaded tree pickles to the same bytes.  A forest's
-pickle leaves out the tree roots, as tree ``t`` ends where the excess first
-reads ``-t - 1``, and packs its held-class mask into bits.
+Packing.  A tree or forest pickles as its ``modelbytes`` blob.  A packed
+table keeps what fixes a preorder tree (Jacobson, FOCS 1989): a leaf bit per
+node, each split's feature and threshold, and each leaf's class.  A
+threshold is an index into its feature's sorted distinct bit patterns, which
+keep -0.0 apart from 0.0; the blob stores the leaf bits packed and each
+index in the smallest integer dtype.  A node's excess counts splits minus
+leaves up to and including it; the left subtree of split ``i`` ends at the
+first later node whose excess is one below ``excess[i]``, and its right
+child follows.  Loading finds every end with one sort of (excess, node) keys
+and one ``searchsorted``.  A forest's blob leaves out the tree roots, as
+tree ``t`` ends where the excess first reads ``-t - 1``; loading rebuilds
+them.
 """
 from __future__ import annotations
 
@@ -110,6 +110,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import UsageError
+from ..modelbytes import Packed
 
 
 # candidate positions one grower step searches, one per (candidate feature, row)
@@ -128,8 +129,8 @@ class _Nodes(NamedTuple):
     right: np.ndarray  # a leaf's own index
     value: np.ndarray  # leaf class code; 0 at a split
 
-    def __reduce__(self):
-        # see Pickles above
+    def _pack(self) -> tuple:
+        # see Packing above
         leaf = self.right == np.arange(len(self.right))
         split_feature = self.feature[~leaf]
         # the distinct bit patterns, then one key per split, feature-major over
@@ -139,24 +140,19 @@ class _Nodes(NamedTuple):
         keys, inverse = np.unique(split_feature.astype(np.intp) * width + pattern, return_inverse=True)
         counts = np.bincount(keys // width)  # distinct thresholds per feature
         index = inverse - _starts(counts)[split_feature]
-        return _load_nodes, (
-            np.packbits(leaf), split_feature, _compact(counts, counts.max(initial=0)),
-            _compact(index, counts.max(initial=1) - 1), bits[keys % width].view(float), self.value[leaf],
-        )
+        return leaf, split_feature, counts, index, bits[keys % width].view(float), self.value[leaf]
 
-
-def _load_nodes(leaf_bits, split_feature, counts, index, thresholds, leaf_value) -> _Nodes:
-    """Unpickle ``_Nodes``: the same arrays, bit for bit, in numpy's own dtypes."""
-    n = len(split_feature) + len(leaf_value)
-    leaf = np.unpackbits(leaf_bits, count=n).view(bool)
-    split = np.flatnonzero(~leaf)
-    feature = np.zeros(n, split_feature.dtype.str)
-    feature[split] = split_feature
-    threshold = np.full(n, np.nan)
-    threshold[split] = thresholds[_starts(counts)[split_feature] + index]
-    value = np.zeros(n, leaf_value.dtype.str)
-    value[leaf] = leaf_value
-    return _Nodes(feature, threshold, _right_links(leaf), value)
+    @classmethod
+    def _unpack(cls, values: tuple) -> _Nodes:
+        leaf, split_feature, counts, index, thresholds, leaf_value = values
+        split = np.flatnonzero(~leaf)
+        feature = np.zeros(len(leaf), split_feature.dtype)
+        feature[split] = split_feature
+        threshold = np.full(len(leaf), np.nan)
+        threshold[split] = thresholds[_starts(counts)[split_feature] + index]
+        value = np.zeros(len(leaf), leaf_value.dtype)
+        value[leaf] = leaf_value
+        return cls(feature, threshold, _right_links(leaf), value)
 
 
 def _right_links(leaf: np.ndarray) -> np.ndarray:
@@ -566,11 +562,13 @@ def _tree_texts(nodes: _Nodes, roots, shown: np.ndarray) -> list[str]:
     return "".join(pieces.tolist()).split("\n")[:-1]
 
 
-class DecisionTreeClassifier:
+class DecisionTreeClassifier(Packed):
     """CART with Gini impurity, midpoint thresholds, and no pruning.
 
     Every split searches every feature.
     """
+
+    _packed_fields = ("max_depth", "classes_", "depth_", "_nodes")
 
     def __init__(self, max_depth: int = 15):
         if max_depth < 1:
@@ -621,7 +619,7 @@ PREDICT_BLOCK_ROWS = 1024
 TABLE_MAX_NODES = 16384
 
 
-class RandomForestClassifier:
+class RandomForestClassifier(Packed):
     """Bootstrap-aggregated CART trees with sqrt-sized feature subsets.
 
     Bootstrap samples are full training-set size drawn with replacement;
@@ -632,11 +630,13 @@ class RandomForestClassifier:
     ``TABLE_MAX_NODES`` nodes, is scored through a next-node table, one
     gather per depth level; a larger forest or block descends level by
     level, with the same votes.  A pickle holds the node table in its
-    succinct form (see Pickles in the module docstring), the held-class mask
-    as packed bits, and neither the tree roots nor the cast links; loading
-    rebuilds the roots from the leaf bits.
+    succinct form (see Packing in the module docstring), and neither the
+    tree roots nor the cast links; loading rebuilds the roots from the leaf
+    bits.
     """
 
+    _packed_fields = ("n_trees", "max_depth", "seed", "classes_", "_nodes", "_depth", "_held")
+    _derived_fields = ("_roots", "_walk")
     # (roots, feature, right, each node's index + 1) as intp, the index type
     # of every take in a descent; built on first use
     _walk: tuple | None = None
@@ -712,24 +712,13 @@ class RandomForestClassifier:
         votes = np.bincount(codes.ravel(), minlength=k * n_rows).reshape(n_rows, k)
         return self.classes_[np.argmax(votes, axis=1)]
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_walk", None)  # a fixed function of _roots and _nodes
-        del state["_roots"]  # each tree ends where the excess falls to a new low
-        if self._held is not None:
-            state["_held"] = np.packbits(self._held)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+    def _restore(self) -> None:
         self._roots = None
         if self._nodes is not None:
             right = self._nodes.right
             excess, first = np.unique(_excess(right == np.arange(len(right))), return_index=True)
             ends = first[excess < 0][::-1]  # tree t ends where the excess first reads -t - 1
             self._roots = _compact(np.concatenate([[0], ends[:-1] + 1]), len(right) - 1)
-            held = np.unpackbits(self._held, count=len(ends) * len(self.classes_))
-            self._held = held.reshape(len(ends), -1).view(bool)
 
     def fitted_state(self) -> dict:
         self._check_fitted()

@@ -21,6 +21,7 @@ from ..classical import (
     fit_scaler,
 )
 from ..errors import UsageError
+from ..modelbytes import Packed
 from ..qmodels import (
     HybridCqPipeline,
     HybridQcPipeline,
@@ -30,8 +31,10 @@ from ..qmodels import (
 )
 
 
-class StandardizedModel:
+class StandardizedModel(Packed):
     """Z-score preprocessing fitted on the training split, then any model."""
+
+    _packed_fields = ("inner", "scaler_")
 
     def __init__(self, inner):
         self.inner = inner
@@ -61,8 +64,10 @@ class StandardizedModel:
         return getattr(self.inner, "metadata", dict)() or {}
 
 
-class MajorityClassBaseline:
+class MajorityClassBaseline(Packed):
     """Predicts the most frequent training label (ties to the lowest label)."""
+
+    _packed_fields = ("majority_", "classes_")
 
     def __init__(self):
         self.majority_ = None

@@ -22,6 +22,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# the metrics whose interval (mean, CI half-width) is a column pair of models.csv
+_INTERVALS = ("accuracy", "precision_weighted", "recall_weighted", "f1_weighted")
+
+
 def report_to_rows(report: dict) -> list[dict]:
     """One flat summary row per model, keyed in ``models.csv`` column order;
     a model without metrics has None in their columns."""
@@ -33,7 +37,7 @@ def report_to_rows(report: dict) -> list[dict]:
         comparison = entry.get("comparison") or {}
         paired = comparison.get("paired_t") or {}
         row = {"model": name, "category": entry["category"]}
-        for key in ("accuracy", "precision_weighted", "recall_weighted", "f1_weighted"):
+        for key in _INTERVALS:
             interval = metrics.get(key) or {}
             row[key] = interval.get("mean")
             row[f"{key}_ci95"] = interval.get("ci95_half_width")
@@ -133,6 +137,16 @@ def load_report(path) -> dict:
         if not isinstance(entry, dict) or not {"category", "failures"} <= entry.keys():
             raise DataError(f"{path}: model {name!r} needs 'category' and 'failures'")
         metrics = entry.get("metrics")
+        comparison = entry.get("comparison")
+        # every object report_to_rows reads a field of, where the report has it
+        read = [(key, entry.get(key)) for key in ("resources", "timing", "comparison")]
+        if isinstance(comparison, dict):
+            read.append(("comparison.paired_t", comparison.get("paired_t")))
+        if isinstance(metrics, dict):
+            read += [(f"metrics.{key}", metrics.get(key)) for key in _INTERVALS]
+        for key, value in read:
+            if value is not None and not isinstance(value, dict):
+                raise DataError(f"{path}: model {name!r}: {key!r} must be an object")
         if metrics is None:
             continue
         recall = metrics.get("per_class_recall") if isinstance(metrics, dict) else None

@@ -16,7 +16,7 @@ stacked (layers * rows, n) angles gives every layer's diagonal, and the
 layer loop keeps the running amplitudes as the left operand of each
 complex product (the same-bits rules of ``qsim``).  The training plan is
 the data part, built once per fit and never stored; a fitted model builds
-the angle part once, caches it for every predict and never pickles it.
+the angle part once, caches it for every predict and never packs it.
 During training each candidate's logistic head starts from the best head
 so far, and the kept head is refitted from zero.  The feature map is one
 merged phase on |+...+>, with its qubit pairs and ZZ sign table cached
@@ -28,6 +28,10 @@ Each classifier owns its preprocessing: features are truncated to the
 register width (feature k -> qubit k), standardized, then min-max mapped to
 [0, pi] rotation angles, with every statistic fitted on the training split
 only.
+
+Every classifier and pipeline here pickles as its ``qcb.modelbytes`` blob:
+the fitted fields in a fixed order, the models it holds inline, and no
+cache for predict.
 """
 from __future__ import annotations
 
@@ -67,6 +71,7 @@ from .classical import (
     scale_rows,
 )
 from .errors import TrainingError, UsageError
+from .modelbytes import Packed
 from .optimize import OptResult, minimize, random_init
 
 # loss evaluations per trained-circuit fit, the initial simplex included
@@ -84,12 +89,12 @@ HYBRID_CQ_LAYERS = 2
 #
 # Each trained-circuit family evaluates in two parts.  The plan is the part
 # that depends only on the rows: it is built once per fit and holds training
-# rows, so it lives only inside ``fit`` and a model never stores or pickles
+# rows, so it lives only inside ``fit`` and a model never stores or packs
 # one.  The operators are the part that depends only on the angles (and, for
 # the cost/mixer family, the Hamiltonian's Z weights, checked where they are
 # built): training builds them once per evaluated angle vector, and a fitted
 # model builds them once from its trained angles, caches them for every
-# ``predict`` and never pickles them.  Both parts are optional arguments of
+# ``predict`` and never packs them.  Both parts are optional arguments of
 # the one feature function per family, so training and predict run the same
 # path.
 
@@ -348,7 +353,7 @@ def _correlation_or_none(X_scaled: np.ndarray) -> CorrelationGraph | None:
 # classifiers
 
 
-class _TrainedCircuitClassifier:
+class _TrainedCircuitClassifier(Packed):
     """Trained-circuit features read out by a logistic-regression head.
 
     Training is bilevel: one Nelder-Mead simplex, started from seeded
@@ -364,15 +369,21 @@ class _TrainedCircuitClassifier:
     from the search's best loss.  The circuit's data-only part is compiled
     once per fit and dropped when ``fit`` returns.  The angle-only part of
     the trained parameters is built on the first ``features`` call and
-    cached until the next ``fit``; pickles leave it out.  Subclasses supply
-    the circuit family, its plan compiler, operator builder and feature
-    function, the start scale and the family part of the fitted state.
+    cached until the next ``fit``; the packed bytes leave it out.
+    Subclasses supply the circuit family, its plan compiler, operator
+    builder and feature function, the start scale and the family part of
+    the fitted state.
     """
 
     kind: str
     family: CircuitFamily
     hamiltonian_: CostHamiltonian | None = None  # the cost operator; QAOA only
     _operators = None  # operators of params_, built on first use
+    _packed_fields = (
+        "n_qubits", "layers", "max_evals", "seed", "config_", "scale_chain_", "params_", "head_",
+        "opt_result_", "search_head_iters_", "constant_class_", "classes_", "circuit_depth_",
+    )
+    _derived_fields = ("_operators",)
 
     def __init__(
         self,
@@ -467,11 +478,6 @@ class _TrainedCircuitClassifier:
         if self.params_ is None:
             raise UsageError("model is not fitted")
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_operators", None)  # rebuilt from params_ on first use
-        return state
-
     def fitted_state(self) -> dict:
         self._check_fitted()
         state = {
@@ -530,6 +536,7 @@ class QaoaClassifier(_TrainedCircuitClassifier):
 
     kind = "qaoa"
     family = CircuitFamily.QAOA
+    _packed_fields = (*_TrainedCircuitClassifier._packed_fields, "hamiltonian_")
 
     @property
     def gamma_(self) -> np.ndarray | None:
@@ -577,15 +584,20 @@ class QaoaClassifier(_TrainedCircuitClassifier):
         }
 
 
-class QKernelClassifier:
+class QKernelClassifier(Packed):
     """Fidelity-kernel SVM: the classical solver consumes the quantum Gram matrix.
 
     The model keeps the angles of every training row and their feature-mapped
-    states.  A pickle holds the angles only; loading rebuilds the states with
-    the call ``fit`` made, so they are the same bits.
+    states.  Its packed bytes hold the angles only; loading rebuilds the
+    states with the call ``fit`` made, so they are the same bits.
     """
 
     kind = "qkernel"
+    _packed_fields = (
+        "n_qubits", "C", "scale_chain_", "svm_", "train_angles_", "classes_", "constant_class_",
+        "circuit_depth_",
+    )
+    _derived_fields = ("train_states_",)  # a fixed function of train_angles_
 
     def __init__(self, n_qubits: int = 4, C: float = 1.0):
         self.n_qubits = int(n_qubits)
@@ -625,13 +637,7 @@ class QKernelClassifier:
         cross = qsim.cross_overlap_sq(test_states, self.train_states_)
         return self.svm_.predict(cross)
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("train_states_")  # a fixed function of train_angles_
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+    def _restore(self) -> None:
         angles = self.train_angles_
         self.train_states_ = None if angles is None else feature_map_states(angles)
 
@@ -702,7 +708,7 @@ def clear_extractor_memo() -> None:
     _extractor_memo.clear()
 
 
-class HybridQcPipeline:
+class HybridQcPipeline(Packed):
     """Quantum-to-classical: trained circuit features feed a classical head.
 
     The feature extractor is the 6-qubit, 3-layer variational classifier
@@ -716,6 +722,7 @@ class HybridQcPipeline:
     """
 
     kind = "hybrid_qc"
+    _packed_fields = ("head_kind", "seed", "max_evals", "extractor_", "head_")
 
     def __init__(self, head_kind: str, seed: int = 0, max_evals: int = TRAINING_EVALS):
         if head_kind not in _QC_HEADS:
@@ -786,11 +793,12 @@ class HybridQcPipeline:
 _CQ_KINDS = ("vqc", "qaoa", "qkernel")
 
 
-class HybridCqPipeline:
+class HybridCqPipeline(Packed):
     """Classical-to-quantum: standardize, project to 4 components, train a
     4-qubit quantum model on the projected features."""
 
     kind = "hybrid_cq"
+    _packed_fields = ("quantum_kind", "seed", "max_evals", "zscore_", "pca_", "model_")
 
     def __init__(self, quantum_kind: str, seed: int = 0, max_evals: int = TRAINING_EVALS):
         if quantum_kind not in _CQ_KINDS:

@@ -563,6 +563,29 @@ def ovo_votes_by_pair(kernel: np.ndarray, pairs: list[dict], n_classes: int) -> 
     return votes
 
 
+def max_kkt_violation(model, gram: np.ndarray, y) -> float:
+    """Largest KKT violation of a fitted SVM's stored dual solution on its training Gram."""
+    _, codes = np.unique(np.asarray(y), return_inverse=True)
+    worst = 0.0
+    for pair in model._pairs:
+        a, b = pair["classes"]
+        subset = np.nonzero((codes == a) | (codes == b))[0]
+        y_pair = np.where(codes[subset] == a, 1.0, -1.0)
+        alpha = np.zeros(len(subset))
+        alpha[np.searchsorted(subset, pair["indices"])] = np.abs(pair["coef"])
+        margin = y_pair * (gram[np.ix_(subset, subset)] @ (alpha * y_pair) + pair["bias"])
+        at_zero = alpha <= _EPS
+        at_c = alpha >= model.C - _EPS
+        free = ~(at_zero | at_c)
+        worst = max(
+            worst,
+            float(np.max(np.maximum(0.0, 1.0 - margin[at_zero]), initial=0.0)),
+            float(np.max(np.maximum(0.0, margin[at_c] - 1.0), initial=0.0)),
+            float(np.max(np.abs(margin[free] - 1.0), initial=0.0)),
+        )
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # straightforward forms of the scoring kernels: a doubling loop per qubit, one
 # Z phase call per QAOA layer, np.clip clamps, a degenerate-column np.where

@@ -1,10 +1,10 @@
-import io
 import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from qcb import modelbytes
 from qcb.classical import (
     DecisionTreeClassifier,
     LogisticRegressionClassifier,
@@ -35,6 +35,7 @@ from oracles import (
     forest_vote_with_casts,
     logistic_regression_fit,
     logistic_regression_objective,
+    max_kkt_violation,
     ovo_votes_by_pair,
     two_pass_std,
 )
@@ -393,19 +394,18 @@ class TestRandomForest:
         assert len(forest.fitted_state()["trees"]) == 7
 
     def test_pickled_forest_holds_no_generator(self):
+        # the packed format has no place for a generator, as a field's value
+        # or as an attribute of its own
         rng = np.random.default_rng(21)
         X, y = make_blobs(rng, [(-1.0, 0.0, 1.0), (1.0, 0.0, -1.0)], 20)
         forest = RandomForestClassifier(n_trees=6, seed=3).fit(X, y)
-        found = []
-
-        class Probe(pickle.Pickler):
-            def reducer_override(self, obj):
-                if isinstance(obj, np.random.Generator):
-                    found.append(obj)
-                return NotImplemented
-
-        Probe(io.BytesIO()).dump(forest)
-        assert found == []
+        for attribute in ("seed", "rng"):
+            kept = getattr(forest, attribute, None)
+            pickle.dumps(forest)
+            setattr(forest, attribute, np.random.default_rng(3))
+            with pytest.raises(TypeError, match="packed format holds no"):
+                pickle.dumps(forest)
+            setattr(forest, attribute, kept)
 
 
 def _tree_cases():
@@ -664,8 +664,8 @@ def _assert_load_keeps_fit(model):
 
 
 def _threshold_index(nodes) -> np.ndarray:
-    """The per-feature threshold indices a pickle of ``nodes`` stores."""
-    return nodes.__reduce__()[1][3]
+    """The per-feature threshold indices the packed bytes of ``nodes`` hold, in the dtype they are stored in."""
+    return modelbytes._stored(nodes._pack()[3])
 
 
 def _wide_rows():
@@ -902,7 +902,7 @@ class TestSvm:
         for pair in model._pairs:
             assert np.all(np.abs(pair["coef"]) <= model.C + 1e-9)
         gram = rbf_kernel(X, X, model.gamma_)
-        assert model.max_kkt_violation(gram, y) < 1e-2
+        assert max_kkt_violation(model, gram, y) < 1e-2
 
     def test_precomputed_kernel_matches_rbf_path(self):
         rng = np.random.default_rng(24)
@@ -1072,14 +1072,15 @@ class TestOneVsOneDecision:
 
     @pytest.mark.parametrize("kernel", ["rbf", "precomputed"])
     def test_pickle_leaves_the_decision_arrays_out(self, four_class_svms, kernel):
-        models, _, _ = four_class_svms
+        models, X_train, y_train = four_class_svms
         model, inputs, _ = models[kernel]
         before = pickle.dumps(model)
         votes = model.decision_votes(inputs)
         labels = model.predict(inputs)
         after = pickle.dumps(model)
         assert after == before
-        assert b"_decision" not in after
+        fit_input = X_train if kernel == "rbf" else rbf_kernel(X_train, X_train, models["rbf"][0].gamma_)
+        assert after == pickle.dumps(SvmClassifier(kernel=kernel).fit(fit_input, y_train))
         loaded = pickle.loads(after)
         assert np.array_equal(loaded.decision_votes(inputs), votes)
         assert np.array_equal(loaded.predict(inputs), labels)

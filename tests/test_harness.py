@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -371,11 +372,15 @@ class TestParallelRuns:
 
     @pytest.mark.skipif(_pool_size(2, 2) < 2, reason="a one-core host runs cells serially")
     def test_no_model_object_crosses_the_pool(self, small_dataset, monkeypatch):
-        # a cell's task and outcome hold no extractor: it stays in the worker
+        # a cell's task and outcome hold no extractor: it stays in the worker.
+        # Pickle and the packed writer both reach a VqcClassifier through _pack
         def unpicklable(self):
             raise TypeError("a VqcClassifier was pickled")
 
-        monkeypatch.setattr(VqcClassifier, "__getstate__", unpicklable)
+        monkeypatch.setattr(VqcClassifier, "_pack", unpicklable)
+        hybrid = fast_hybrid_registry()["q_rf"].build(0).fit(small_dataset.X, small_dataset.y)
+        with pytest.raises(TypeError, match="a VqcClassifier was pickled"):
+            pickle.dumps(hybrid)
         report = run_benchmark(
             small_dataset, fast_hybrid_registry(), CvPlan(n_folds=2, seeds=(0,)),
             reference="q_rf", workers=2,
@@ -846,19 +851,25 @@ class TestCli:
         del no_recall["models"]["majority_class"]["metrics"]["per_class_recall"]
         extra_class = json.loads(json.dumps(small_report))
         extra_class["dataset"]["classes"].append("Extreme")
+        bare_interval = json.loads(json.dumps(small_report))
+        bare_interval["models"]["majority_class"]["metrics"]["accuracy"] = 0.9
+        flat_resources = json.loads(json.dumps(small_report))
+        flat_resources["models"]["majority_class"]["resources"] = [4]
         malformed = {
             "list": [1, 2],
             "no_models": {"schema": "qcb-report/1"},
             "no_failures": no_failures,
             "no_recall": no_recall,
             "extra_class": extra_class,
+            "bare_interval": bare_interval,
+            "flat_resources": flat_resources,
         }
         for name, content in malformed.items():
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(content))
             out_dir = tmp_path / name
             args = ["report", "--report", str(path), "--out-dir", str(out_dir)]
-            assert cli.main(args) == cli.EXIT_DATA, name
+            assert cli.main(args) == cli.EXIT_DATA == 2, name
             assert "data error" in capsys.readouterr().err
             assert not (out_dir / "models.csv").exists(), name
 
