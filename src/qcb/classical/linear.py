@@ -153,12 +153,3 @@ class LogisticRegressionClassifier(Packed):
     def _check_fitted(self):
         if self.weights_ is None:
             raise UsageError("model is not fitted")
-
-    def fitted_state(self) -> dict:
-        self._check_fitted()
-        return {
-            "classes": self.classes_,
-            "weights": self.weights_,
-            "bias": self.bias_,
-            "constant_class": self.constant_class_,
-        }

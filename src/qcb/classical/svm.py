@@ -317,20 +317,3 @@ class SvmClassifier(Packed):
     def _check_fitted(self):
         if self.classes_ is None:
             raise UsageError("model is not fitted")
-
-    def fitted_state(self) -> dict:
-        self._check_fitted()
-        return {
-            "classes": self.classes_,
-            "constant_class": self.constant_class_,
-            "gamma": self.gamma_,
-            "pairs": [
-                {
-                    "classes": pair["classes"],
-                    "indices": pair["indices"],
-                    "coef": pair["coef"],
-                    "bias": pair["bias"],
-                }
-                for pair in self._pairs
-            ],
-        }

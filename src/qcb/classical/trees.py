@@ -73,14 +73,11 @@ A fit places each tree's nodes as codes in preorder and builds the links
 from the leaf bits, as loading does (see Packing).  A tree predicts by
 walking its nodes row by row.  A forest concatenates its trees into one
 table.  It keeps that table, each tree's root offset, the deepest tree's
-depth and a ``(trees, classes)`` mask of the classes each bootstrap held,
-from which a tree's text is rendered in the codes of its own classes; no
-per-tree object is made.  Every tree's text comes from one pass over the
-table: a split gives its opening, a leaf its tuple and the closings of the
-splits whose subtrees end at it, and each distinct piece is rendered once.
-The forest scores rows in blocks of ``PREDICT_BLOCK_ROWS``: each block goes
-through every tree in ``depth`` vectorised gather steps over a ``(trees,
-rows)`` node-index array, and votes with one ``bincount``.  A step costs eight
+depth and a ``(trees, classes)`` mask of the classes each bootstrap held;
+no per-tree object is made.  The forest scores rows in blocks of
+``PREDICT_BLOCK_ROWS``: each block goes through every tree in ``depth``
+vectorised gather steps over a ``(trees, rows)`` node-index array, and
+votes with one ``bincount``.  A step costs eight
 NumPy calls, so a single record instead builds a next-node table: for each
 node, ``i + 1`` where the record's feature is ``<= threshold`` and ``right``
 otherwise.  A leaf's entry is itself, so ``depth`` jumps
@@ -517,51 +514,6 @@ def _grow(X, codes, n_classes: int, max_depth: int, n_candidates: int, bootstrap
     return nodes, roots, deepest, root_counts > 0
 
 
-def _tree_texts(nodes: _Nodes, roots, shown: np.ndarray) -> list[str]:
-    """``repr`` of the nested ``('split', feature, threshold, left, right)`` /
-    ``('leaf', class)`` tuple of each tree of ``nodes``, rooted at ``roots``,
-    built in one pass over the table without recursion.
-
-    ``shown[t, v]`` is the class code that tree ``t``'s text shows for a leaf
-    of value ``v``.  Each node gives one piece of text: a split its opening,
-    and a leaf its tuple, the closings of the splits whose subtrees end at
-    it, and the separator that follows.  Equal pieces are rendered once.
-    """
-    n = len(nodes.right)
-    leaf = nodes.right == np.arange(n)
-    split = np.flatnonzero(~leaf)
-    # split j's subtree ends at the first later node whose excess is two below excess[j]
-    excess = _excess(leaf)
-    low = excess.min()
-    keys = np.sort((excess - low) * n + np.arange(n))
-    ends = keys[np.searchsorted(keys, (excess[split] - 2 - low) * n + split + 1)] % n
-    closes = np.bincount(ends, minlength=n)[leaf]
-    last = np.zeros(n, dtype=bool)  # the last node of a tree, which a newline follows
-    last[np.append(np.asarray(roots[1:], dtype=np.intp) - 1, n - 1)] = True
-    tree = np.repeat(np.arange(len(roots)), np.diff(np.append(roots, n)))[leaf]
-    code = shown.ravel().take(tree * shown.shape[1] + nodes.value[leaf])
-    width = int(closes.max(initial=0)) + 1
-    leaf_keys, leaf_piece = np.unique((code * width + closes) * 2 + last[leaf], return_inverse=True)
-    seps = (", ", "\n")
-    leaf_texts = [
-        f"('leaf', {key // 2 // width}){')' * (key // 2 % width)}{seps[key % 2]}"
-        for key in leaf_keys.tolist()
-    ]
-    feature = nodes.feature[split].astype(np.intp)
-    patterns, pattern = np.unique(nodes.threshold[split].view(np.uint64), return_inverse=True)
-    width = int(feature.max(initial=0)) + 1
-    split_keys, split_piece = np.unique(pattern * width + feature, return_inverse=True)
-    thresholds = patterns.view(float).tolist()
-    split_texts = [
-        f"('split', {np.int64(key % width)!r}, {thresholds[key // width]!r}, "
-        for key in split_keys.tolist()
-    ]
-    pieces = np.empty(n, dtype=object)
-    pieces[split] = np.array(split_texts, dtype=object).take(split_piece)
-    pieces[leaf] = np.array(leaf_texts, dtype=object).take(leaf_piece)
-    return "".join(pieces.tolist()).split("\n")[:-1]
-
-
 class DecisionTreeClassifier(Packed):
     """CART with Gini impurity, midpoint thresholds, and no pruning.
 
@@ -605,11 +557,6 @@ class DecisionTreeClassifier(Packed):
                 i = i + 1 if row[feature[i]] <= threshold[i] else right[i]
             codes.append(value[i])
         return self.classes_[codes]
-
-    def fitted_state(self) -> dict:
-        self._check_fitted()
-        [text] = _tree_texts(self._nodes, [0], np.arange(len(self.classes_))[None])
-        return {"classes": self.classes_, "tree": text}
 
 
 # rows scored together by a forest; a block's (trees, rows) node indices bound predict's memory
@@ -719,10 +666,3 @@ class RandomForestClassifier(Packed):
             excess, first = np.unique(_excess(right == np.arange(len(right))), return_index=True)
             ends = first[excess < 0][::-1]  # tree t ends where the excess first reads -t - 1
             self._roots = _compact(np.concatenate([[0], ends[:-1] + 1]), len(right) - 1)
-
-    def fitted_state(self) -> dict:
-        self._check_fitted()
-        # each tree's text shows the codes of the classes its own bootstrap held
-        shown = np.cumsum(self._held, axis=1) - 1
-        texts = _tree_texts(self._nodes, self._roots, shown)
-        return {"classes": self.classes_, "seed": self.seed, "trees": texts}

@@ -51,15 +51,6 @@ class StandardizedModel(Packed):
             raise UsageError("model is not fitted")
         return self.inner.predict(apply_scaler(self.scaler_, np.asarray(X, dtype=float)))
 
-    def fitted_state(self) -> dict:
-        if self.scaler_ is None:
-            raise UsageError("model is not fitted")
-        return {
-            "scaler_offset": self.scaler_.offset,
-            "scaler_scale": self.scaler_.scale,
-            "inner": self.inner.fitted_state(),
-        }
-
     def metadata(self) -> dict:
         return getattr(self.inner, "metadata", dict)() or {}
 
@@ -83,11 +74,6 @@ class MajorityClassBaseline(Packed):
         if self.majority_ is None:
             raise UsageError("model is not fitted")
         return np.full(len(X), self.majority_, dtype=self.classes_.dtype)
-
-    def fitted_state(self) -> dict:
-        if self.majority_ is None:
-            raise UsageError("model is not fitted")
-        return {"majority": self.majority_}
 
     def metadata(self) -> dict:
         return {}

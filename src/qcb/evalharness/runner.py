@@ -104,38 +104,9 @@ DEVIATIONS = [
 ]
 
 
-def state_checksum(state) -> str:
-    """SHA-256 over a canonical encoding of a fitted-state tree."""
-    digest = hashlib.sha256()
-    _feed(digest, state)
-    return digest.hexdigest()
-
-
-def _feed(digest, obj) -> None:
-    if isinstance(obj, dict):
-        digest.update(b"{")
-        for key in sorted(obj, key=str):
-            digest.update(str(key).encode())
-            digest.update(b"=")
-            _feed(digest, obj[key])
-            digest.update(b";")
-        digest.update(b"}")
-    elif isinstance(obj, (list, tuple)):
-        digest.update(b"[")
-        for item in obj:
-            _feed(digest, item)
-            digest.update(b",")
-        digest.update(b"]")
-    elif isinstance(obj, np.ndarray):
-        digest.update(obj.dtype.str.encode())
-        digest.update(str(obj.shape).encode())
-        digest.update(np.ascontiguousarray(obj).tobytes())
-    elif isinstance(obj, np.generic):
-        _feed(digest, obj.item())
-    elif isinstance(obj, float):
-        digest.update(np.float64(obj).tobytes())
-    else:
-        digest.update(repr(obj).encode())
+def state_checksum(state: bytes) -> str:
+    """SHA-256 hex of a model's ``fitted_state``, its uncompressed packed stream."""
+    return hashlib.sha256(state).hexdigest()
 
 
 # held-out rows a cell scores one at a time to time a single-record predict
@@ -512,8 +483,9 @@ def audit_leakage(
 ) -> dict:
     """Train each model twice, permuting only the held-out rows in between.
 
-    Fitted-state checksums must match: preprocessing statistics, correlation
-    graphs, circuit parameters and heads may depend on training rows only.
+    The cell checksums must match: they hash each model's packed stream, and
+    preprocessing statistics, correlation graphs, circuit parameters and
+    heads may depend on training rows only.
     The memoised hybrid extractor is forgotten before each fit, so both fits
     train their own.  The audited split is fold ``fold`` of seed round
     ``seed_index`` of a 5-fold ``CvPlan``.

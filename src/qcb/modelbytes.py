@@ -5,7 +5,9 @@ the values of the model's fields in the fixed order its class declares,
 with the models and state objects it holds written inline, through one
 ``zlib.compress``.  The blob holds no attribute name, class path or dtype
 object, so its bytes are a function of the fitted values alone, and a
-loaded model packs to the same bytes.
+loaded model packs to the same bytes.  The uncompressed stream,
+``stream(model)``, is also the model's ``fitted_state``: a benchmark cell's
+checksum is its SHA-256, which no zlib build can change.
 
 Each value is a tag byte and a body:
 
@@ -261,11 +263,16 @@ class _Reader:
         return np.dtype(name + str(self.varint()) if name[1] in "US" else name)
 
 
-def dumps(model) -> bytes:
-    """The packed bytes of ``model``."""
+def stream(model) -> bytes:
+    """The writer's uncompressed output for ``model``: what ``dumps`` compresses."""
     writer = _Writer()
     writer.value(model)
-    return zlib.compress(bytes(writer.out), _ZLIB_LEVEL)
+    return bytes(writer.out)
+
+
+def dumps(model) -> bytes:
+    """The packed bytes of ``model``."""
+    return zlib.compress(stream(model), _ZLIB_LEVEL)
 
 
 def load(blob: bytes):
@@ -285,6 +292,10 @@ class Packed:
 
     def __reduce__(self):
         return load, (dumps(self),)
+
+    def fitted_state(self) -> bytes:
+        """The model's uncompressed packed stream, which its checksum hashes."""
+        return stream(self)
 
     def _pack(self) -> tuple:
         unknown = vars(self).keys() - {*self._packed_fields, *self._derived_fields}

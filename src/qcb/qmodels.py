@@ -316,15 +316,6 @@ class _ScaleChain:
         truncated = _register_columns(X, self.n_qubits)
         return scale_rows(self.angle, scale_rows(self.zscore, truncated))
 
-    def state(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "zscore_offset": self.zscore.offset,
-            "zscore_scale": self.zscore.scale,
-            "angle_offset": self.angle.offset,
-            "angle_scale": self.angle.scale,
-        }
-
 
 def _register_columns(X, n_qubits: int) -> np.ndarray:
     """The first ``n_qubits`` columns of X, one per qubit of the register."""
@@ -371,11 +362,10 @@ class _TrainedCircuitClassifier(Packed):
     the trained parameters is built on the first ``features`` call and
     cached until the next ``fit``; the packed bytes leave it out.
     Subclasses supply the circuit family, its plan compiler, operator
-    builder and feature function, the start scale and the family part of
-    the fitted state.
+    builder and feature function, the start scale and the fields they add
+    to the packed ones.
     """
 
-    kind: str
     family: CircuitFamily
     hamiltonian_: CostHamiltonian | None = None  # the cost operator; QAOA only
     _operators = None  # operators of params_, built on first use
@@ -478,18 +468,6 @@ class _TrainedCircuitClassifier(Packed):
         if self.params_ is None:
             raise UsageError("model is not fitted")
 
-    def fitted_state(self) -> dict:
-        self._check_fitted()
-        state = {
-            "kind": self.kind,
-            **self._family_state(),
-            "scalers": self.scale_chain_.state(),
-            "constant_class": self.constant_class_,
-        }
-        if self.head_ is not None:
-            state["head"] = self.head_.fitted_state()
-        return state
-
     def metadata(self) -> dict:
         return {
             "n_qubits": self.n_qubits,
@@ -505,7 +483,6 @@ class _TrainedCircuitClassifier(Packed):
 class VqcClassifier(_TrainedCircuitClassifier):
     """Variational circuit <Z_q> features; trains one RY angle per qubit and layer."""
 
-    kind = "vqc"
     family = CircuitFamily.VQC
 
     @property
@@ -521,10 +498,6 @@ class VqcClassifier(_TrainedCircuitClassifier):
     def _features(self, theta, X_angle, plan=None, operators=None):
         return vqc_features(self.config_, theta, X_angle, plan, operators)
 
-    def _family_state(self) -> dict:
-        graph = self.config_.correlation
-        return {"theta": self.theta_, "correlation_pairs": graph.pairs if graph else ()}
-
 
 class QaoaClassifier(_TrainedCircuitClassifier):
     """Alternating-ansatz features read out by a logistic-regression head.
@@ -534,7 +507,6 @@ class QaoaClassifier(_TrainedCircuitClassifier):
     banks (gamma, beta) are optimized jointly against training accuracy.
     """
 
-    kind = "qaoa"
     family = CircuitFamily.QAOA
     _packed_fields = (*_TrainedCircuitClassifier._packed_fields, "hamiltonian_")
 
@@ -575,14 +547,6 @@ class QaoaClassifier(_TrainedCircuitClassifier):
             self.config_, self.hamiltonian_, params[:half], params[half:], X_angle, plan, operators
         )
 
-    def _family_state(self) -> dict:
-        return {
-            "gamma": self.gamma_,
-            "beta": self.beta_,
-            "zz_terms": self.hamiltonian_.zz_terms,
-            "z_offsets": self.hamiltonian_.z_terms,
-        }
-
 
 class QKernelClassifier(Packed):
     """Fidelity-kernel SVM: the classical solver consumes the quantum Gram matrix.
@@ -592,7 +556,6 @@ class QKernelClassifier(Packed):
     states with the call ``fit`` made, so they are the same bits.
     """
 
-    kind = "qkernel"
     _packed_fields = (
         "n_qubits", "C", "scale_chain_", "svm_", "train_angles_", "classes_", "constant_class_",
         "circuit_depth_",
@@ -640,18 +603,6 @@ class QKernelClassifier(Packed):
     def _restore(self) -> None:
         angles = self.train_angles_
         self.train_states_ = None if angles is None else feature_map_states(angles)
-
-    def fitted_state(self) -> dict:
-        if self.train_states_ is None:
-            raise UsageError("model is not fitted")
-        state = {
-            "kind": self.kind,
-            "scalers": self.scale_chain_.state(),
-            "constant_class": self.constant_class_,
-        }
-        if self.svm_ is not None:
-            state["svm"] = self.svm_.fitted_state()
-        return state
 
     def metadata(self) -> dict:
         return {
@@ -721,7 +672,6 @@ class HybridQcPipeline(Packed):
     refit on those features would reproduce bit for bit.
     """
 
-    kind = "hybrid_qc"
     _packed_fields = ("head_kind", "seed", "max_evals", "extractor_", "head_")
 
     def __init__(self, head_kind: str, seed: int = 0, max_evals: int = TRAINING_EVALS):
@@ -766,16 +716,6 @@ class HybridQcPipeline(Packed):
             raise UsageError("pipeline is not fitted")
         return self.head_.predict(self.extractor_.features(X))
 
-    def fitted_state(self) -> dict:
-        if self.head_ is None:
-            raise UsageError("pipeline is not fitted")
-        return {
-            "kind": self.kind,
-            "head_kind": self.head_kind,
-            "extractor": self.extractor_.fitted_state(),
-            "head": self.head_.fitted_state(),
-        }
-
     def metadata(self) -> dict:
         if self.extractor_ is None:
             meta = {
@@ -797,7 +737,6 @@ class HybridCqPipeline(Packed):
     """Classical-to-quantum: standardize, project to 4 components, train a
     4-qubit quantum model on the projected features."""
 
-    kind = "hybrid_cq"
     _packed_fields = ("quantum_kind", "seed", "max_evals", "zscore_", "pca_", "model_")
 
     def __init__(self, quantum_kind: str, seed: int = 0, max_evals: int = TRAINING_EVALS):
@@ -839,19 +778,6 @@ class HybridCqPipeline(Packed):
         if self.model_ is None:
             raise UsageError("pipeline is not fitted")
         return self.model_.predict(self.project(X))
-
-    def fitted_state(self) -> dict:
-        if self.model_ is None:
-            raise UsageError("pipeline is not fitted")
-        return {
-            "kind": self.kind,
-            "quantum_kind": self.quantum_kind,
-            "zscore_offset": self.zscore_.offset,
-            "zscore_scale": self.zscore_.scale,
-            "pca_components": self.pca_.components,
-            "pca_mean": self.pca_.mean,
-            "model": self.model_.fitted_state(),
-        }
 
     def metadata(self) -> dict:
         meta = dict(self.model_.metadata()) if self.model_ else {}

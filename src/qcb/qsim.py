@@ -130,10 +130,6 @@ def hadamard(qubit: int) -> GateOp:
     return GateOp(GateKind.H, (qubit,))
 
 
-def pauli_x(qubit: int) -> GateOp:
-    return GateOp(GateKind.X, (qubit,))
-
-
 def cnot(control: int, target: int) -> GateOp:
     return GateOp(GateKind.CNOT, (control, target))
 

@@ -13,6 +13,11 @@ import numpy as np
 from qcb.qsim import GateKind, GateOp
 
 
+def pauli_x(qubit: int) -> GateOp:
+    """An X gate on ``qubit``; the program's circuits apply none."""
+    return GateOp(GateKind.X, (qubit,))
+
+
 def dense_gate_matrix(gate: GateOp, n_qubits: int) -> np.ndarray:
     """Full 2**n x 2**n unitary for one gate, built by basis enumeration."""
     dim = 2**n_qubits
@@ -365,10 +370,11 @@ class RecursiveDecisionTree:
             self._serialize(node.right),
         )
 
-    def fitted_state(self) -> dict:
+    def texts(self) -> list[str]:
+        """The tree's nested tuple as text, the one item of a list."""
         if self.root_ is None:
             raise ValueError("model is not fitted")
-        return {"classes": self.classes_, "tree": repr(self._serialize(self.root_))}
+        return [repr(self._serialize(self.root_))]
 
 
 class RecursiveRandomForest:
@@ -415,14 +421,66 @@ class RecursiveRandomForest:
                 votes[i, class_index[label]] += 1
         return self.classes_[np.argmax(votes, axis=1)]
 
-    def fitted_state(self) -> dict:
+    def texts(self) -> list[str]:
+        """Each tree's nested tuple as text, in the codes of its own classes."""
         if not self.trees_:
             raise ValueError("model is not fitted")
-        return {
-            "classes": self.classes_,
-            "seed": self.seed,
-            "trees": [t.fitted_state()["tree"] for t in self.trees_],
-        }
+        return [text for t in self.trees_ for text in t.texts()]
+
+
+def tree_texts(model) -> list[str]:
+    """The texts ``texts`` of the recursive oracles give, read from the node
+    table of a fitted ``DecisionTreeClassifier`` or ``RandomForestClassifier``."""
+    if hasattr(model, "_held"):
+        # each tree's text shows the codes of the classes its own bootstrap held
+        return render_tree_texts(model._nodes, model._roots, np.cumsum(model._held, axis=1) - 1)
+    return render_tree_texts(model._nodes, [0], np.arange(len(model.classes_))[None])
+
+
+def render_tree_texts(nodes, roots, shown: np.ndarray) -> list[str]:
+    """``repr`` of the nested ``('split', feature, threshold, left, right)`` /
+    ``('leaf', class)`` tuple of each tree of ``nodes``, rooted at ``roots``,
+    built in one pass over the table without recursion.
+
+    ``shown[t, v]`` is the class code that tree ``t``'s text shows for a leaf
+    of value ``v``.  Each node gives one piece of text: a split its opening,
+    and a leaf its tuple, the closings of the splits whose subtrees end at
+    it, and the separator that follows.  Equal pieces are rendered once.
+    """
+    n = len(nodes.right)
+    leaf = nodes.right == np.arange(n)
+    split = np.flatnonzero(~leaf)
+    # split j's subtree ends at the first later node whose excess (splits
+    # minus leaves up to and including it) is two below excess[j]
+    excess = np.cumsum(np.where(leaf, -1, 1))
+    low = excess.min()
+    keys = np.sort((excess - low) * n + np.arange(n))
+    ends = keys[np.searchsorted(keys, (excess[split] - 2 - low) * n + split + 1)] % n
+    closes = np.bincount(ends, minlength=n)[leaf]
+    last = np.zeros(n, dtype=bool)  # the last node of a tree, which a newline follows
+    last[np.append(np.asarray(roots[1:], dtype=np.intp) - 1, n - 1)] = True
+    tree = np.repeat(np.arange(len(roots)), np.diff(np.append(roots, n)))[leaf]
+    code = shown.ravel().take(tree * shown.shape[1] + nodes.value[leaf])
+    width = int(closes.max(initial=0)) + 1
+    leaf_keys, leaf_piece = np.unique((code * width + closes) * 2 + last[leaf], return_inverse=True)
+    seps = (", ", "\n")
+    leaf_texts = [
+        f"('leaf', {key // 2 // width}){')' * (key // 2 % width)}{seps[key % 2]}"
+        for key in leaf_keys.tolist()
+    ]
+    feature = nodes.feature[split].astype(np.intp)
+    patterns, pattern = np.unique(nodes.threshold[split].view(np.uint64), return_inverse=True)
+    width = int(feature.max(initial=0)) + 1
+    split_keys, split_piece = np.unique(pattern * width + feature, return_inverse=True)
+    thresholds = patterns.view(float).tolist()
+    split_texts = [
+        f"('split', {np.int64(key % width)!r}, {thresholds[key // width]!r}, "
+        for key in split_keys.tolist()
+    ]
+    pieces = np.empty(n, dtype=object)
+    pieces[split] = np.array(split_texts, dtype=object).take(split_piece)
+    pieces[leaf] = np.array(leaf_texts, dtype=object).take(leaf_piece)
+    return "".join(pieces.tolist()).split("\n")[:-1]
 
 
 _EPS = 1e-12

@@ -37,6 +37,8 @@ from oracles import (
     logistic_regression_objective,
     max_kkt_violation,
     ovo_votes_by_pair,
+    render_tree_texts,
+    tree_texts,
     two_pass_std,
 )
 
@@ -365,7 +367,7 @@ class TestRandomForest:
         y = (X[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(int)
         a = RandomForestClassifier(n_trees=5, seed=1).fit(X, y)
         b = RandomForestClassifier(n_trees=5, seed=2).fit(X, y)
-        assert a.fitted_state()["trees"] != b.fitted_state()["trees"]
+        assert tree_texts(a) != tree_texts(b)
 
     def test_learns_separable_data(self):
         rng = np.random.default_rng(19)
@@ -391,7 +393,7 @@ class TestRandomForest:
         rng = np.random.default_rng(20)
         X, y = make_blobs(rng, [(-1.0,), (1.0,)], 15)
         forest = RandomForestClassifier(n_trees=7, seed=0).fit(X, y)
-        assert len(forest.fitted_state()["trees"]) == 7
+        assert len(forest._roots) == 7
 
     def test_pickled_forest_holds_no_generator(self):
         # the packed format has no place for a generator, as a field's value
@@ -458,8 +460,8 @@ def _assert_same_predictions(new, old, X, X_eval):
 
 class TestTreesMatchRecursiveOracle:
     """The array-backed trees reproduce the recursive linked-node CART in
-    ``tests/oracles.py``: the same fitted-state text, byte for byte, and the
-    same batch and single-record predictions."""
+    ``tests/oracles.py``: the same tree texts, byte for byte, the same
+    classes, and the same batch and single-record predictions."""
 
     @pytest.mark.parametrize("max_depth", [1, 3, 15])
     @pytest.mark.parametrize("case", sorted(TREE_CASES))
@@ -467,9 +469,8 @@ class TestTreesMatchRecursiveOracle:
         X, y, X_eval = TREE_CASES[case]
         new = DecisionTreeClassifier(max_depth=max_depth).fit(X, y)
         old = RecursiveDecisionTree(max_depth=max_depth).fit(X, y)
-        new_state, old_state = new.fitted_state(), old.fitted_state()
-        assert new_state["tree"] == old_state["tree"]
-        assert np.array_equal(new_state["classes"], old_state["classes"])
+        assert tree_texts(new) == old.texts()
+        assert np.array_equal(new.classes_, old.classes_)
         assert new.depth_ == old.depth_
         _assert_same_predictions(new, old, X, X_eval)
 
@@ -479,9 +480,8 @@ class TestTreesMatchRecursiveOracle:
         X, y, X_eval = TREE_CASES[case]
         new = RandomForestClassifier(n_trees=12, max_depth=max_depth, seed=9).fit(X, y)
         old = RecursiveRandomForest(n_trees=12, max_depth=max_depth, seed=9).fit(X, y)
-        new_state, old_state = new.fitted_state(), old.fitted_state()
-        assert new_state["trees"] == old_state["trees"]
-        assert np.array_equal(new_state["classes"], old_state["classes"])
+        assert tree_texts(new) == old.texts()
+        assert np.array_equal(new.classes_, old.classes_)
         _assert_same_predictions(new, old, X, X_eval)
 
     @pytest.mark.parametrize("case", sorted(TREE_CASES))
@@ -489,7 +489,7 @@ class TestTreesMatchRecursiveOracle:
         X, y, X_eval = TREE_CASES[case]
         new = RandomForestClassifier(n_trees=1, seed=4).fit(X, y)
         old = RecursiveRandomForest(n_trees=1, seed=4).fit(X, y)
-        assert new.fitted_state()["trees"] == old.fitted_state()["trees"]
+        assert tree_texts(new) == old.texts()
         _assert_same_predictions(new, old, X, X_eval)
 
     @pytest.mark.parametrize("n_classes, seed", [(5, 261), (6, 226), (7, 1394), (9, 63)])
@@ -502,17 +502,17 @@ class TestTreesMatchRecursiveOracle:
         y = rng.integers(0, n_classes, size=100)
         X_eval = rng.integers(0, 4, size=(25, 3)).astype(float)
         tree = DecisionTreeClassifier().fit(X, y)
-        assert tree.fitted_state()["tree"] == RecursiveDecisionTree().fit(X, y).fitted_state()["tree"]
+        assert tree_texts(tree) == RecursiveDecisionTree().fit(X, y).texts()
         new = RandomForestClassifier(n_trees=12, seed=9).fit(X, y)
         old = RecursiveRandomForest(n_trees=12, seed=9).fit(X, y)
-        assert new.fitted_state()["trees"] == old.fitted_state()["trees"]
+        assert tree_texts(new) == old.texts()
         _assert_same_predictions(new, old, X, X_eval)
 
     def test_registry_forest(self, registry_forest):
         new, X_all = registry_forest
         X, y = _registry_rows()
         old = RecursiveRandomForest(n_trees=150, seed=0).fit(X[::2], y[::2])
-        assert new.fitted_state()["trees"] == old.fitted_state()["trees"]
+        assert tree_texts(new) == old.texts()
         _assert_same_predictions(new, old, X[::2], X_all)
 
     def test_bootstrap_missing_a_class(self):
@@ -523,7 +523,7 @@ class TestTreesMatchRecursiveOracle:
         # are not the forest's and its leaf codes are remapped
         assert any(len(t.classes_) < len(old.classes_) for t in old.trees_)
         assert any(len(t.classes_) == len(old.classes_) for t in old.trees_)
-        assert new.fitted_state()["trees"] == old.fitted_state()["trees"]
+        assert tree_texts(new) == old.texts()
         _assert_same_predictions(new, old, X, X_eval)
 
 
@@ -624,7 +624,7 @@ class TestWeightedGrower:
         bootstrap = [(np.bincount(rows, minlength=len(X)), np.random.default_rng(8))]
         nodes, roots, depth, held = trees._grow(X, codes, len(classes), 15, 3, bootstrap)
         old = RecursiveDecisionTree(max_features=3, rng=np.random.default_rng(8)).fit(X[rows], y[rows])
-        assert trees._tree_texts(nodes, roots, np.cumsum(held, axis=1) - 1) == [old.fitted_state()["tree"]]
+        assert render_tree_texts(nodes, roots, np.cumsum(held, axis=1) - 1) == old.texts()
         assert depth == old.depth_
 
     def test_forest_whose_root_weighs_past_uint16(self):
@@ -635,7 +635,7 @@ class TestWeightedGrower:
         y = np.digitize(X[:, 0] + X[:, 1] + 0.5 * rng.normal(size=70_000), [-0.7, 0.7])
         new = RandomForestClassifier(n_trees=2, max_depth=2, seed=5).fit(X, y)
         old = RecursiveRandomForest(n_trees=2, max_depth=2, seed=5).fit(X, y)
-        assert new.fitted_state()["trees"] == old.fitted_state()["trees"]
+        assert tree_texts(new) == old.texts()
 
 
 def _registry_rows():
@@ -691,7 +691,7 @@ class TestTreeStorage:
         assert model.depth_ > 1000
         assert np.array_equal(model.predict(X), y)
         assert np.array_equal(model.predict(X[-1:]), y[-1:])
-        text = model.fitted_state()["tree"]
+        [text] = tree_texts(model)
         n_nodes = len(model._nodes.right)
         assert text.count("('split', np.int64(0), ") == n_nodes // 2
         assert text.count("('leaf', ") == n_nodes // 2 + 1
@@ -924,9 +924,7 @@ class TestSvm:
         b = SvmClassifier(kernel="precomputed").fit(gram.copy(), y)
         cross = rbf_kernel(rng.normal(size=(12, 2)), X, 0.3)
         assert np.array_equal(a.predict(cross), b.predict(cross))
-        sa = a.fitted_state()
-        sb = b.fitted_state()
-        assert all(np.array_equal(pa["indices"], pb["indices"]) for pa, pb in zip(sa["pairs"], sb["pairs"]))
+        assert all(np.array_equal(pa["indices"], pb["indices"]) for pa, pb in zip(a._pairs, b._pairs))
 
     def test_single_class_constant(self):
         model = SvmClassifier().fit(np.zeros((4, 2)), np.zeros(4))

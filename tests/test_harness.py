@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import qcb
-from qcb import cli
+from qcb import cli, modelbytes
 from qcb.data import build_dataset, select_features, synthesize
-from qcb.classical import LogisticRegressionClassifier
+from qcb.classical import LogisticRegressionClassifier, RandomForestClassifier
 from qcb.errors import UsageError
 from qcb.evalharness import (
     CvPlan,
@@ -31,15 +31,6 @@ from qcb.evalharness.runner import _pool_size, derive_seed, state_checksum
 from qcb.evalharness.cv import stratified_folds
 from qcb import qmodels
 from qcb.qmodels import HYBRID_QC_FOREST_TREES, TRAINING_EVALS, HybridQcPipeline, VqcClassifier
-
-
-class LowestLabelBaseline(MajorityClassBaseline):
-    """Always predicts the lowest training label."""
-
-    def fit(self, X, y):
-        super().fit(X, y)
-        self.majority_ = self.classes_[0]
-        return self
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +116,7 @@ class TestRegistry:
             assert spec.metadata["head"] == meta["head_kind"]
         if "head_trees" in spec.metadata:
             assert spec.metadata["head_trees"] == HYBRID_QC_FOREST_TREES
-            assert len(model.head_.fitted_state()["trees"]) == HYBRID_QC_FOREST_TREES
+            assert len(model.head_._roots) == HYBRID_QC_FOREST_TREES
         if isinstance(model, StandardizedModel):
             # the classical entries have no metadata(); their config restates
             # the constructor arguments, which the wrapped model keeps
@@ -336,8 +327,10 @@ class TestParallelRuns:
             registry = fast_hybrid_registry()
         else:
             registry = select_models("decision_tree,logistic_regression")
-            registry["majority_class"] = ModelSpec(
-                "majority_class", "baseline", lambda seed: LowestLabelBaseline(), {}
+            # a registered class, built with settings no registry entry uses
+            registry["shallow_forest"] = ModelSpec(
+                "shallow_forest", "baseline",
+                lambda seed: RandomForestClassifier(n_trees=5, max_depth=2, seed=seed + 1), {},
             )
         reference = next(iter(registry))
         serial, parallel = (
@@ -372,14 +365,15 @@ class TestParallelRuns:
 
     @pytest.mark.skipif(_pool_size(2, 2) < 2, reason="a one-core host runs cells serially")
     def test_no_model_object_crosses_the_pool(self, small_dataset, monkeypatch):
-        # a cell's task and outcome hold no extractor: it stays in the worker.
-        # Pickle and the packed writer both reach a VqcClassifier through _pack
-        def unpicklable(self):
-            raise TypeError("a VqcClassifier was pickled")
+        # a cell's task and outcome hold no model: it stays in the worker.
+        # A model pickles through modelbytes.dumps, which nothing else calls;
+        # a cell's checksum hashes the uncompressed stream
+        def unpicklable(model):
+            raise TypeError(f"a {type(model).__name__} was pickled")
 
-        monkeypatch.setattr(VqcClassifier, "_pack", unpicklable)
+        monkeypatch.setattr(modelbytes, "dumps", unpicklable)
         hybrid = fast_hybrid_registry()["q_rf"].build(0).fit(small_dataset.X, small_dataset.y)
-        with pytest.raises(TypeError, match="a VqcClassifier was pickled"):
+        with pytest.raises(TypeError, match="a HybridQcPipeline was pickled"):
             pickle.dumps(hybrid)
         report = run_benchmark(
             small_dataset, fast_hybrid_registry(), CvPlan(n_folds=2, seeds=(0,)),
@@ -678,15 +672,17 @@ class TestCellCounters:
 
 
 class TestChecksums:
-    def test_checksum_stable_across_equal_states(self):
-        state = {"a": np.arange(4.0), "b": [1, 2.5, "x"], "c": {"z": None}}
-        clone = {"a": np.arange(4.0), "b": [1, 2.5, "x"], "c": {"z": None}}
-        assert state_checksum(state) == state_checksum(clone)
+    def test_checksum_stable_across_equal_states(self, small_dataset):
+        X, y = small_dataset.X, small_dataset.y
+        a, b = (LogisticRegressionClassifier().fit(X, y) for _ in range(2))
+        assert a.weights_ is not b.weights_
+        assert state_checksum(a.fitted_state()) == state_checksum(b.fitted_state())
 
-    def test_checksum_sensitive_to_values(self):
-        a = {"w": np.array([1.0, 2.0])}
-        b = {"w": np.array([1.0, 2.0000001])}
-        assert state_checksum(a) != state_checksum(b)
+    def test_checksum_sensitive_to_values(self, small_dataset):
+        model = LogisticRegressionClassifier().fit(small_dataset.X, small_dataset.y)
+        before = state_checksum(model.fitted_state())
+        model.weights_[0, 0] += 1e-7
+        assert state_checksum(model.fitted_state()) != before
 
     def test_derive_seed_deterministic_and_distinct(self):
         s1 = derive_seed(0, "model_a", 0, 1)

@@ -49,7 +49,6 @@ from qcb.qmodels import (
     vqc_features,
     vqc_operator,
 )
-from qcb.qsim import pauli_x
 
 from oracles import (
     SAME_BITS_ROWS,
@@ -58,6 +57,7 @@ from oracles import (
     dense_gate_matrix,
     dense_simulate,
     doubling_z_phase_rows,
+    pauli_x,
     per_layer_qaoa_amplitudes,
     plus_state,
 )
@@ -537,7 +537,7 @@ class TestQKernelTraining:
         y = (X[:, 0] + X[:, 3] > 0).astype(int)
         a = QKernelClassifier(4).fit(X, y)
         b = QKernelClassifier(4).fit(X, y)
-        for pa, pb in zip(a.fitted_state()["svm"]["pairs"], b.fitted_state()["svm"]["pairs"]):
+        for pa, pb in zip(a.svm_._pairs, b.svm_._pairs):
             assert np.array_equal(pa["indices"], pb["indices"])
             assert np.array_equal(pa["coef"], pb["coef"])
 
@@ -566,7 +566,7 @@ class TestHybridQc:
         X = rng.uniform(-1, 1, size=(40, 6))
         y = (X[:, 0] > 0).astype(int)
         pipeline = HybridQcPipeline("random_forest", seed=0, max_evals=3).fit(X, y)
-        assert len(pipeline.head_.fitted_state()["trees"]) == 100
+        assert len(pipeline.head_._roots) == 100
 
     def test_deterministic(self):
         rng = np.random.default_rng(26)
@@ -896,6 +896,57 @@ class TestPackedBytes:
         assert pickle.loads(pickle.dumps(model)).predict(X).tolist() == model.predict(X).tolist()
 
 
+def _float_arrays(value, path: str):
+    """(path, array) for each float array among the packed fields of
+    ``value``, the models and state objects it holds included."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            yield path, value
+    elif isinstance(value, (tuple, list)):
+        for i, item in enumerate(value):
+            yield from _float_arrays(item, f"{path}[{i}]")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _float_arrays(item, f"{path}[{key!r}]")
+    elif hasattr(value, "__dict__") and not isinstance(value, Enum):
+        names = value._packed_fields if isinstance(value, modelbytes.Packed) else sorted(vars(value))
+        for name in names:
+            yield from _float_arrays(getattr(value, name), f"{path}.{name}")
+
+
+class TestChecksum:
+    """A cell's checksum is the SHA-256 of the model's uncompressed packed
+    stream, so it covers every value the model's bytes hold."""
+
+    @pytest.mark.parametrize("name", list(default_registry()))
+    def test_one_ulp_in_any_packed_float_array_moves_the_checksum(self, name, registry_round_trip):
+        model, _, blob = registry_round_trip[name]
+        want = state_checksum(model.fitted_state())
+        paths = [path for path, _ in _float_arrays(pickle.loads(blob), name)]
+        assert paths or name == "majority_class"
+        unmoved = []
+        for i, path in enumerate(paths):
+            moved = pickle.loads(blob)
+            _, array = list(_float_arrays(moved, name))[i]
+            finite = np.flatnonzero(np.isfinite(array))
+            if finite.size:
+                array.flat[finite[0]] = np.nextafter(array.flat[finite[0]], np.inf)
+                if state_checksum(moved.fitted_state()) == want:
+                    unmoved.append(path)
+        assert unmoved == []
+
+    @pytest.mark.parametrize("name", list(default_registry()))
+    def test_checksum_is_the_digest_of_the_stream(self, name, registry_round_trip, synthetic_half):
+        # what a benchmark's check of a refitted model against a report's cell relies on
+        model, _, _ = registry_round_trip[name]
+        checksum = state_checksum(model.fitted_state())
+        assert checksum == hashlib.sha256(modelbytes.stream(model)).hexdigest()
+        model.predict(synthetic_half[0])
+        model.predict(synthetic_half[0][:1])
+        assert state_checksum(model.fitted_state()) == checksum
+        assert state_checksum(pickle.loads(pickle.dumps(model)).fitted_state()) == checksum
+
+
 # each model kind's cache for predict, a fixed function of what its pickle holds
 _CACHE_ATTRIBUTES = [
     ((VqcClassifier, QaoaClassifier), "_operators"),
@@ -1005,15 +1056,21 @@ class TestOperatorCache:
 
 
 class TestTrainedCircuitState:
-    def test_family_keys_of_fitted_state(self):
+    def test_family_terms_move_the_checksum(self):
+        # the correlation graph and the cost terms hold tuples of floats, which
+        # the float-array probe of TestChecksum does not move
         rng = np.random.default_rng(31)
         X, y = separable_data(rng, 30)
-        shared = {"kind", "scalers", "constant_class", "head"}
         vqc = VqcClassifier(2, 1, max_evals=5).fit(X, y)
-        assert set(vqc.fitted_state()) == shared | {"theta", "correlation_pairs"}
         qaoa = QaoaClassifier(2, 1, max_evals=5).fit(X, y)
-        assert set(qaoa.fitted_state()) == shared | {"gamma", "beta", "zz_terms", "z_offsets"}
         assert np.array_equal(np.concatenate([qaoa.gamma_, qaoa.beta_]), qaoa.params_)
+        before = [state_checksum(model.fitted_state()) for model in (vqc, qaoa)]
+        assert vqc.config_.correlation is not None
+        vqc.config_ = CircuitConfig(CircuitFamily.VQC, 2, 1)
+        h = qaoa.hamiltonian_
+        qaoa.hamiltonian_ = CostHamiltonian(h.zz_terms, ((0, h.z_terms[0][1] + 0.5), *h.z_terms[1:]))
+        after = [state_checksum(model.fitted_state()) for model in (vqc, qaoa)]
+        assert after[0] != before[0] and after[1] != before[1]
 
     def test_single_class_qaoa_keeps_zero_angles(self):
         X = np.random.default_rng(32).uniform(size=(10, 2))
@@ -1021,7 +1078,7 @@ class TestTrainedCircuitState:
         assert np.array_equal(model.gamma_, np.zeros(4))
         assert np.array_equal(model.beta_, np.zeros(4))
         assert model.opt_result_ is None
-        assert "head" not in model.fitted_state()
+        assert model.head_ is None
         assert np.all(model.predict(X) == 1.0)
 
     @pytest.mark.parametrize("circuit", [VqcClassifier, QaoaClassifier])
@@ -1062,10 +1119,10 @@ class TestTrainedCircuitState:
 
 
 class TestNoLeakageIntoFittedState:
-    def test_fitted_state_ignores_unseen_rows(self):
+    def test_stream_is_unchanged_by_predict(self):
         rng = np.random.default_rng(30)
         X, y = separable_data(rng, 40)
         model = VqcClassifier(2, 1, max_evals=10, seed=0).fit(X, y)
-        state_before = repr(model.fitted_state())
+        before = modelbytes.stream(model)
         model.predict(rng.uniform(-1, 1, size=(25, 2)))
-        assert repr(model.fitted_state()) == state_before
+        assert modelbytes.stream(model) == before

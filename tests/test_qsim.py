@@ -25,6 +25,7 @@ from oracles import (
     doubling_ry_product_columns,
     doubling_z_phase_rows,
     kron_chain,
+    pauli_x,
     plus_state,
     random_circuit,
     states_match_up_to_phase,
@@ -135,7 +136,7 @@ class TestSingleGates:
         assert np.allclose(out, plus_state(1))
 
     def test_x_flips_bit_on_three_qubits(self):
-        out = qsim.apply_gate_amplitudes(zero_state(3), qsim.pauli_x(1))
+        out = qsim.apply_gate_amplitudes(zero_state(3), pauli_x(1))
         expected = np.zeros(8)
         expected[2] = 1.0
         assert np.allclose(out, expected)
@@ -152,7 +153,7 @@ class TestSingleGates:
         )
 
     def test_x_mixer_matches_dense(self):
-        state = qsim.apply_gate_amplitudes(zero_state(1), qsim.pauli_x(0))
+        state = qsim.apply_gate_amplitudes(zero_state(1), pauli_x(0))
         out = qsim.apply_gate_amplitudes(state, x_mixer(0, np.pi / 4))
         expected = dense_simulate([x_mixer(0, np.pi / 4)], 1, state)
         assert np.allclose(out, expected, atol=1e-12)
@@ -161,7 +162,7 @@ class TestSingleGates:
 class TestExpectations:
     def test_z_on_computational_states(self):
         assert z_of(zero_state(1), 0) == 1.0
-        one = qsim.apply_gate_amplitudes(zero_state(1), qsim.pauli_x(0))
+        one = qsim.apply_gate_amplitudes(zero_state(1), pauli_x(0))
         assert z_of(one, 0) == -1.0
 
     def test_z_on_plus_is_zero(self):
@@ -181,7 +182,7 @@ class TestExpectations:
         assert abs(x_of(zero_state(1), 0)) < 1e-15
 
     def test_x_matches_h_then_z_identity(self):
-        state = simulate([qsim.pauli_x(0), x_mixer(0, np.pi / 4)], zero_state(1))
+        state = simulate([pauli_x(0), x_mixer(0, np.pi / 4)], zero_state(1))
         rotated = qsim.apply_gate_amplitudes(state, hadamard(0))
         assert abs(x_of(state, 0) - z_of(rotated, 0)) < 1e-12
 
@@ -222,7 +223,7 @@ class TestOverlap:
         assert abs(overlap(psi, psi) - 1.0) < 1e-12
 
     def test_orthogonal_states(self):
-        one = qsim.apply_gate_amplitudes(zero_state(1), qsim.pauli_x(0))
+        one = qsim.apply_gate_amplitudes(zero_state(1), pauli_x(0))
         assert overlap(zero_state(1), one) == 0.0
 
     def test_matches_dense_inner_product(self):
@@ -285,7 +286,7 @@ class TestImmutability:
             ry(0, 1.0),
             rz(1, 0.4),
             hadamard(0),
-            qsim.pauli_x(1),
+            pauli_x(1),
             cnot(0, 1),
             zz_phase(0, 1, 0.3),
             x_mixer(1, 0.2),
