@@ -1,13 +1,21 @@
 """One packed encoding for fitted models: the bytes a model's pickle holds.
 
-A model pickles as ``(load, (blob,))``, where ``blob`` is ``dumps(model)``:
-the values of the model's fields in the fixed order its class declares,
-with the models and state objects it holds written inline, through one
-``zlib.compress``.  The blob holds no attribute name, class path or dtype
+A model pickles as ``(load, (blob,))``, where ``blob`` is ``dumps(model)``.
+The writer's output, ``stream(model)``, is the values of the model's fields
+in the fixed order its class declares, with the models and state objects it
+holds written inline.  It holds no attribute name, class path or dtype
 object, so its bytes are a function of the fitted values alone, and a
-loaded model packs to the same bytes.  The uncompressed stream,
-``stream(model)``, is also the model's ``fitted_state``: a benchmark cell's
-checksum is its SHA-256, which no zlib build can change.
+loaded model packs to the same bytes.  The stream is also the model's
+``fitted_state``: a benchmark cell's checksum is the SHA-256 of the
+uncompressed stream, so neither the compressor nor its build can change it.
+
+The blob is the stream as raw LZMA2 (no container header), then the 4-byte
+little-endian CRC-32 of the uncompressed stream.  ``_FILTERS`` is the one
+filter: preset 6 with a 64 KiB dictionary, whose literal and match coders
+key on the position within 8 bytes (``lp=3``, ``pb=3``) and not on the
+previous byte (``lc=0``), since most of a stream is float64 arrays.  Raw
+LZMA2 carries no check of its own, so the CRC tells a damaged blob from a
+model; ``load`` raises ``ValueError`` for any blob it cannot read.
 
 Each value is a tag byte and a body:
 
@@ -40,13 +48,15 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import math
+import lzma
 import struct
 import zlib
 from functools import lru_cache
 
 import numpy as np
 
-_ZLIB_LEVEL = 9
+# the one LZMA2 filter every blob is coded with (see the module docstring)
+_FILTERS = ({"id": lzma.FILTER_LZMA2, "preset": 6, "dict_size": 1 << 16, "lc": 0, "lp": 3, "pb": 3},)
 
 # every class and enum the format holds, coded by its index here
 _CLASSES = (
@@ -271,14 +281,27 @@ def stream(model) -> bytes:
 
 
 def dumps(model) -> bytes:
-    """The packed bytes of ``model``."""
-    return zlib.compress(stream(model), _ZLIB_LEVEL)
+    """The packed bytes of ``model``: its stream in raw LZMA2, then the stream's CRC-32."""
+    data = stream(model)
+    return lzma.compress(data, format=lzma.FORMAT_RAW, filters=_FILTERS) + struct.pack("<I", zlib.crc32(data))
 
 
 def load(blob: bytes):
-    """The model that ``dumps`` packed into ``blob``."""
-    reader = _Reader(zlib.decompress(blob))
-    model = reader.value()
+    """The model that ``dumps`` packed into ``blob``; ``ValueError`` if it cannot be read."""
+    decoder = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=_FILTERS)
+    try:
+        data = decoder.decompress(blob[:-4])
+    except lzma.LZMAError as error:
+        raise ValueError(f"the packed model does not decode: {error}") from None
+    if not decoder.eof or decoder.unused_data:
+        raise ValueError("the packed model's LZMA2 data does not end where its CRC-32 begins")
+    if struct.pack("<I", zlib.crc32(data)) != blob[-4:]:
+        raise ValueError("the packed model fails its CRC-32 check")
+    reader = _Reader(data)
+    try:
+        model = reader.value()
+    except IndexError:
+        raise ValueError("the packed model's stream ends inside a value or names no known class") from None
     if reader.at != len(reader.data):
         raise ValueError("trailing bytes after the packed model")
     return model

@@ -1,8 +1,11 @@
 import hashlib
+import lzma
 import os
 import pickle
+import struct
 import subprocess
 import sys
+import zlib
 from enum import Enum
 from itertools import combinations
 from pathlib import Path
@@ -803,6 +806,12 @@ def registry_round_trip(synthetic_half):
     return fitted
 
 
+# the models the benchmark's baselines_cv workload fits and scores
+_BASELINES = (
+    "random_forest", "svm_rbf", "logistic_regression", "decision_tree",
+    "qkernel_svm", "pca_qkernel", "majority_class",
+)
+
 # every registry model fitted on synthetic_half with seed 1, each model's
 # bytes hashed; the same fits as the registry_round_trip fixture
 _FIT_REGISTRY = """
@@ -878,10 +887,16 @@ class TestPackedBytes:
             assert out == want
 
     def test_registry_footprint_budget(self, registry_round_trip):
-        # 60,574 B when measured (100,938 B as pickled attribute dicts); the
-        # per-model ceilings above stay as they are
+        # 55,630 B when measured (60,570 B in a zlib container, 100,938 B as
+        # pickled attribute dicts); the per-model ceilings above stay as they are
         total = sum(len(blob) for _, _, blob in registry_round_trip.values())
-        assert total < 60_574 * 1.05
+        assert total < 55_630 * 1.05
+
+    def test_baselines_footprint_budget(self, registry_round_trip):
+        # the models of the benchmark's baselines_cv workload: 29,549 B when
+        # measured (32,371 B in a zlib container)
+        total = sum(len(registry_round_trip[name][2]) for name in _BASELINES)
+        assert total < 29_549 * 1.05
 
     def test_writer_rejects_a_value_outside_the_format(self, synthetic_half):
         X, y = synthetic_half
@@ -894,6 +909,57 @@ class TestPackedBytes:
             setattr(model, attribute, kept)
         del model.extra
         assert pickle.loads(pickle.dumps(model)).predict(X).tolist() == model.predict(X).tolist()
+
+
+class TestLoadRejects:
+    """``load`` raises ValueError for any blob it cannot read."""
+
+    @pytest.fixture
+    def packed(self, registry_round_trip):
+        """A fitted ``q_logreg``, its stream and its blob, which loads."""
+        model = registry_round_trip["q_logreg"][0]
+        blob = modelbytes.dumps(model)
+        assert modelbytes.stream(modelbytes.load(blob)) == modelbytes.stream(model)
+        return model, modelbytes.stream(model), blob
+
+    def test_truncated_blob(self, packed):
+        _, _, blob = packed
+        for end in range(len(blob)):
+            with pytest.raises(ValueError):
+                modelbytes.load(blob[:end])
+
+    def test_bytes_after_the_blob(self, packed):
+        _, _, blob = packed
+        for extra in (b"\0", b"\0" * 4, blob):
+            with pytest.raises(ValueError):
+                modelbytes.load(blob + extra)
+
+    def test_flipped_payload_byte(self, packed):
+        _, _, blob = packed
+        for at in range(len(blob) - 4):
+            damaged = bytearray(blob)
+            damaged[at] ^= 0x10
+            with pytest.raises(ValueError):
+                modelbytes.load(bytes(damaged))
+
+    def test_crc_mismatch(self, packed):
+        _, _, blob = packed
+        (crc,) = struct.unpack("<I", blob[-4:])
+        with pytest.raises(ValueError, match="CRC-32"):
+            modelbytes.load(blob[:-4] + struct.pack("<I", crc ^ 1))
+
+    def test_zlib_era_blob(self, packed):
+        _, data, _ = packed
+        with pytest.raises(ValueError):
+            modelbytes.load(zlib.compress(data, 9))
+
+    def test_stream_that_ends_inside_a_value(self, packed):
+        # a well-formed container with a good CRC around a cut stream
+        _, data, _ = packed
+        for cut in (data[:0], data[:1], data[:-1]):
+            blob = lzma.compress(cut, format=lzma.FORMAT_RAW, filters=modelbytes._FILTERS)
+            with pytest.raises(ValueError):
+                modelbytes.load(blob + struct.pack("<I", zlib.crc32(cut)))
 
 
 def _float_arrays(value, path: str):
