@@ -72,9 +72,8 @@ itself, so ``x <= threshold`` is false and a descent step leaves it in place.
 A fit places each tree's nodes as codes in preorder and builds the links
 from the leaf bits, as loading does (see Packing).  A tree predicts by
 walking its nodes row by row.  A forest concatenates its trees into one
-table.  It keeps that table, each tree's root offset, the deepest tree's
-depth and a ``(trees, classes)`` mask of the classes each bootstrap held;
-no per-tree object is made.  The forest scores rows in blocks of
+table.  It keeps that table, each tree's root offset and the deepest
+tree's depth; no per-tree object is made.  The forest scores rows in blocks of
 ``PREDICT_BLOCK_ROWS``: each block goes through every tree in ``depth``
 vectorised gather steps over a ``(trees, rows)`` node-index array, and
 votes with one ``bincount``.  A step costs eight
@@ -408,9 +407,8 @@ def _grow(X, codes, n_classes: int, max_depth: int, n_candidates: int, bootstrap
     may be None otherwise.  Each step searches the waiting node of as many
     trees as fit in ``GROW_BLOCK_POSITIONS``, taken in turn, at least one; a
     tree that draws nothing adds its other waiting nodes that fit.  Returns
-    the trees' ``_Nodes`` in one table, each tree's root in it, the depth of
-    the deepest tree, and a ``(trees, classes)`` mask of the classes each
-    tree's rows hold.
+    the trees' ``_Nodes`` in one table, each tree's root in it, and the
+    depth of the deepest tree.
     """
     n, d = X.shape
     trees, weights = [], []
@@ -511,7 +509,7 @@ def _grow(X, codes, n_classes: int, max_depth: int, n_candidates: int, bootstrap
         value=_compact(np.where(leaf, node_codes, 0), n_classes - 1),
     )
     roots = _compact(_starts(np.array([len(tree.codes) for tree in trees])), len(leaf) - 1)
-    return nodes, roots, deepest, root_counts > 0
+    return nodes, roots, deepest
 
 
 class DecisionTreeClassifier(Packed):
@@ -536,7 +534,7 @@ class DecisionTreeClassifier(Packed):
         if X.ndim != 2 or len(X) != len(y):
             raise UsageError("X must be 2-D with one label per row")
         self.classes_, codes = np.unique(y, return_inverse=True)
-        self._nodes, _, self.depth_, _ = _grow(
+        self._nodes, _, self.depth_ = _grow(
             X, codes, len(self.classes_), self.max_depth, X.shape[1], [(None, None)]
         )
         return self
@@ -582,7 +580,7 @@ class RandomForestClassifier(Packed):
     bits.
     """
 
-    _packed_fields = ("n_trees", "max_depth", "seed", "classes_", "_nodes", "_depth", "_held")
+    _packed_fields = ("n_trees", "max_depth", "seed", "classes_", "_nodes", "_depth")
     _derived_fields = ("_roots", "_walk")
     # (roots, feature, right, each node's index + 1) as intp, the index type
     # of every take in a descent; built on first use
@@ -598,7 +596,6 @@ class RandomForestClassifier(Packed):
         self._nodes: _Nodes | None = None
         self._roots: np.ndarray | None = None
         self._depth = 0
-        self._held: np.ndarray | None = None  # (trees, classes): the classes each bootstrap held
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -617,7 +614,7 @@ class RandomForestClassifier(Packed):
                 rng = np.random.default_rng(stream)
                 yield np.bincount(rng.integers(0, n, size=n), minlength=n), rng
 
-        self._nodes, self._roots, self._depth, self._held = _grow(
+        self._nodes, self._roots, self._depth = _grow(
             X, codes, k, self.max_depth, n_candidates, bootstraps()
         )
         return self

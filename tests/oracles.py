@@ -428,13 +428,23 @@ class RecursiveRandomForest:
         return [text for t in self.trees_ for text in t.texts()]
 
 
-def tree_texts(model) -> list[str]:
+def tree_texts(model, oracle: RecursiveRandomForest | None = None) -> list[str]:
     """The texts ``texts`` of the recursive oracles give, read from the node
-    table of a fitted ``DecisionTreeClassifier`` or ``RandomForestClassifier``."""
-    if hasattr(model, "_held"):
-        # each tree's text shows the codes of the classes its own bootstrap held
-        return render_tree_texts(model._nodes, model._roots, np.cumsum(model._held, axis=1) - 1)
-    return render_tree_texts(model._nodes, [0], np.arange(len(model.classes_))[None])
+    table of a fitted ``DecisionTreeClassifier`` or ``RandomForestClassifier``.
+
+    A recursive forest's tree shows the codes of the classes its own
+    bootstrap held.  ``oracle``, the recursive forest fitted on the same rows
+    with the same seed, grows the same bootstraps, so its trees' classes give
+    each tree's codes; without it, every tree shows the forest's codes.
+    """
+    k = len(model.classes_)
+    if not hasattr(model, "_roots"):
+        return render_tree_texts(model._nodes, [0], np.arange(k)[None])
+    if oracle is None:
+        shown = np.tile(np.arange(k), (len(model._roots), 1))
+    else:
+        shown = np.cumsum([np.isin(model.classes_, tree.classes_) for tree in oracle.trees_], axis=1) - 1
+    return render_tree_texts(model._nodes, model._roots, shown)
 
 
 def render_tree_texts(nodes, roots, shown: np.ndarray) -> list[str]:

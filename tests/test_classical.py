@@ -480,7 +480,7 @@ class TestTreesMatchRecursiveOracle:
         X, y, X_eval = TREE_CASES[case]
         new = RandomForestClassifier(n_trees=12, max_depth=max_depth, seed=9).fit(X, y)
         old = RecursiveRandomForest(n_trees=12, max_depth=max_depth, seed=9).fit(X, y)
-        assert tree_texts(new) == old.texts()
+        assert tree_texts(new, old) == old.texts()
         assert np.array_equal(new.classes_, old.classes_)
         _assert_same_predictions(new, old, X, X_eval)
 
@@ -489,7 +489,7 @@ class TestTreesMatchRecursiveOracle:
         X, y, X_eval = TREE_CASES[case]
         new = RandomForestClassifier(n_trees=1, seed=4).fit(X, y)
         old = RecursiveRandomForest(n_trees=1, seed=4).fit(X, y)
-        assert tree_texts(new) == old.texts()
+        assert tree_texts(new, old) == old.texts()
         _assert_same_predictions(new, old, X, X_eval)
 
     @pytest.mark.parametrize("n_classes, seed", [(5, 261), (6, 226), (7, 1394), (9, 63)])
@@ -505,14 +505,14 @@ class TestTreesMatchRecursiveOracle:
         assert tree_texts(tree) == RecursiveDecisionTree().fit(X, y).texts()
         new = RandomForestClassifier(n_trees=12, seed=9).fit(X, y)
         old = RecursiveRandomForest(n_trees=12, seed=9).fit(X, y)
-        assert tree_texts(new) == old.texts()
+        assert tree_texts(new, old) == old.texts()
         _assert_same_predictions(new, old, X, X_eval)
 
     def test_registry_forest(self, registry_forest):
         new, X_all = registry_forest
         X, y = _registry_rows()
         old = RecursiveRandomForest(n_trees=150, seed=0).fit(X[::2], y[::2])
-        assert tree_texts(new) == old.texts()
+        assert tree_texts(new, old) == old.texts()
         _assert_same_predictions(new, old, X[::2], X_all)
 
     def test_bootstrap_missing_a_class(self):
@@ -523,7 +523,7 @@ class TestTreesMatchRecursiveOracle:
         # are not the forest's and its leaf codes are remapped
         assert any(len(t.classes_) < len(old.classes_) for t in old.trees_)
         assert any(len(t.classes_) == len(old.classes_) for t in old.trees_)
-        assert tree_texts(new) == old.texts()
+        assert tree_texts(new, old) == old.texts()
         _assert_same_predictions(new, old, X, X_eval)
 
 
@@ -622,9 +622,10 @@ class TestWeightedGrower:
         rows = np.concatenate([np.full(80, 17), np.arange(0, len(X), 3)])
         classes, codes = np.unique(y, return_inverse=True)
         bootstrap = [(np.bincount(rows, minlength=len(X)), np.random.default_rng(8))]
-        nodes, roots, depth, held = trees._grow(X, codes, len(classes), 15, 3, bootstrap)
+        nodes, roots, depth = trees._grow(X, codes, len(classes), 15, 3, bootstrap)
         old = RecursiveDecisionTree(max_features=3, rng=np.random.default_rng(8)).fit(X[rows], y[rows])
-        assert render_tree_texts(nodes, roots, np.cumsum(held, axis=1) - 1) == old.texts()
+        shown = np.cumsum(np.isin(classes, old.classes_))[None] - 1  # the codes of the classes the rows hold
+        assert render_tree_texts(nodes, roots, shown) == old.texts()
         assert depth == old.depth_
 
     def test_forest_whose_root_weighs_past_uint16(self):
@@ -635,7 +636,7 @@ class TestWeightedGrower:
         y = np.digitize(X[:, 0] + X[:, 1] + 0.5 * rng.normal(size=70_000), [-0.7, 0.7])
         new = RandomForestClassifier(n_trees=2, max_depth=2, seed=5).fit(X, y)
         old = RecursiveRandomForest(n_trees=2, max_depth=2, seed=5).fit(X, y)
-        assert tree_texts(new) == old.texts()
+        assert tree_texts(new, old) == old.texts()
 
 
 def _registry_rows():
@@ -653,12 +654,12 @@ def _assert_same_arrays(arrays, others) -> None:
 
 
 def _assert_load_keeps_fit(model):
-    """A loaded tree or forest has the fitted node arrays, roots, held classes
-    and fitted state, bit for bit and dtype for dtype; returns it."""
+    """A loaded tree or forest has the fitted node arrays, roots and fitted
+    state, bit for bit and dtype for dtype; returns it."""
     loaded = pickle.loads(pickle.dumps(model))
     _assert_same_arrays(model._nodes, loaded._nodes)
     if isinstance(model, RandomForestClassifier):
-        _assert_same_arrays((model._roots, model._held), (loaded._roots, loaded._held))
+        _assert_same_arrays((model._roots,), (loaded._roots,))
     assert state_checksum(loaded.fitted_state()) == state_checksum(model.fitted_state())
     return loaded
 

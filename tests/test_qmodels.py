@@ -887,16 +887,16 @@ class TestPackedBytes:
             assert out == want
 
     def test_registry_footprint_budget(self, registry_round_trip):
-        # 55,630 B when measured (60,570 B in a zlib container, 100,938 B as
+        # 55,612 B when measured (60,570 B in a zlib container, 100,938 B as
         # pickled attribute dicts); the per-model ceilings above stay as they are
         total = sum(len(blob) for _, _, blob in registry_round_trip.values())
-        assert total < 55_630 * 1.05
+        assert total < 55_612 * 1.05
 
     def test_baselines_footprint_budget(self, registry_round_trip):
-        # the models of the benchmark's baselines_cv workload: 29,549 B when
+        # the models of the benchmark's baselines_cv workload: 29,542 B when
         # measured (32,371 B in a zlib container)
         total = sum(len(registry_round_trip[name][2]) for name in _BASELINES)
-        assert total < 29_549 * 1.05
+        assert total < 29_542 * 1.05
 
     def test_writer_rejects_a_value_outside_the_format(self, synthetic_half):
         X, y = synthetic_half
